@@ -14,6 +14,13 @@ aliasing: TBC compaction can field two *live* warps with the same
 hardware warp id, where every stock scheduler breaks the tie by
 candidate-list position — an engine that reorders its ready list
 diverges on exactly these cells.
+
+The remaining pins each exercise one branch of the event engine's
+memory path: the TLB-aware schedulers' hooks (TCWS's LRU depth,
+TA-CCWS's miss weight), greedy-then-oldest through its real
+``select()``, a non-blocking TLB with a serial cache stage, seeded
+fault injection, demand paging, and a non-power-of-two L1 that takes
+the core's own memory path.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ import pytest
 
 from repro.api import simulate
 from repro.core import presets
-from repro.core.config import GPUConfig, TraceConfig
+from repro.core.config import CacheConfig, GPUConfig, SchedulerConfig, TraceConfig
+from repro.faults.config import FaultConfig
 from repro.obs.spans import SpanRecorder, record_spans
 from repro.prof import profiler
 
@@ -59,6 +67,51 @@ GOLDENS = {
     # Figure 11: walker pools vs the augmented walker.
     "fig11-ptw4": (presets.multi_ptw_tlb(4, **_TINY), "kmeans", None),
     "fig11-aug": (_preset("augmented"), "bfs", None),
+    # Figures 16-17: the TLB-aware schedulers' memory-side hooks.
+    "fig16-ta-ccws": (
+        presets.with_ta_ccws(_preset("naive", ports=3), tlb_miss_weight=4),
+        "kmeans",
+        None,
+    ),
+    "fig17-tcws": (presets.with_tcws(_preset("naive", ports=3)), "bfs", None),
+    "gto": (
+        _preset("naive", ports=3, scheduler=SchedulerConfig(kind="gto")),
+        "bfs",
+        None,
+    ),
+    # Figure 7's first step: non-blocking TLB, serial cache stage.
+    "hit-under-miss": (_preset("hit_under_miss"), "bfs", None),
+    "faults-injected": (
+        _preset(
+            "naive",
+            ports=3,
+            faults=FaultConfig(
+                enabled=True,
+                seed=7,
+                tlb_shootdown_rate=0.02,
+                tlb_invalidate_rate=0.05,
+                ptw_error_rate=0.01,
+            ),
+        ),
+        "bfs",
+        None,
+    ),
+    "demand-paging": (
+        _preset(
+            "augmented",
+            faults=FaultConfig(
+                enabled=True, demand_paging=True, minor_fraction=0.5
+            ),
+        ),
+        "bfs",
+        None,
+    ),
+    # 48 KB / 128 B / 8-way = 48 sets: no shift/mask set index.
+    "l1-48k": (
+        _preset("naive", ports=3, cache=CacheConfig(l1_bytes=48 * 1024)),
+        "bfs",
+        None,
+    ),
 }
 
 
@@ -99,7 +152,10 @@ def test_event_matches_cycle(name):
     )
 
 
-@pytest.mark.parametrize("name", ["fig02-naive", "fig02-tbc", "fig11-aug"])
+@pytest.mark.parametrize(
+    "name",
+    ["fig02-naive", "fig02-tbc", "fig11-aug", "fig17-tcws", "faults-injected"],
+)
 @pytest.mark.parametrize(
     "traced,profiled,spanned",
     [

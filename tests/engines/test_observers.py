@@ -42,12 +42,13 @@ def _preset(name: str, **overrides) -> GPUConfig:
 
 
 #: name -> (config, workload, form); a slice through the design space
-#: (no-TLB baseline, port-limited naive TLB, CCWS scheduling, TBC
-#: compaction in blocks form, the augmented walker).
+#: (no-TLB baseline, port-limited naive TLB, CCWS and TCWS scheduling,
+#: TBC compaction in blocks form, the augmented walker).
 CASES = {
     "no-tlb": (_preset("no_tlb"), "bfs", None),
     "naive": (_preset("naive", ports=3), "bfs", None),
     "ccws": (presets.with_ccws(_preset("naive", ports=3)), "kmeans", None),
+    "tcws": (presets.with_tcws(_preset("naive", ports=3)), "bfs", None),
     "tbc": (
         presets.with_tbc(_preset("naive", ports=3, warmup_instructions=0), "tbc"),
         "bfs",

@@ -47,7 +47,7 @@ class TestBenchCli:
         assert benchfile.validate(report) == []  # extra keys stay valid
         figure = report["figures"]["fig04"]
         assert figure["observed_wall_s"] > 0
-        # Tracing costs something but the observed loop stays the same
+        # Tracing costs something but the observed run stays the same
         # order of magnitude; an absurd ratio means the instrumentation
         # broke (noisy CI hosts get generous slack).
         assert 0.2 < figure["observed_overhead"] < 10

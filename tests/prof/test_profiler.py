@@ -206,6 +206,30 @@ class TestEventSkipPhase:
             < simulate_record.total_ns
         )
 
+    def test_event_engine_attributes_coalescing(self):
+        """The batched coalescing precompute is its own phase, not
+        ``simulate`` self-time, and profiling it changes nothing."""
+        from repro.api import simulate
+
+        from helpers import small_config, small_workload
+
+        def run():
+            return simulate(
+                config=small_config(),
+                workload=small_workload(compute_latency=12),
+                engine="event",
+            ).canonical_json()
+
+        plain = run()
+        profiler = PhaseProfiler()
+        with prof.profile(profiler):
+            profiled = run()
+        assert profiled == plain
+        assert profiler.records[prof.PHASE_COALESCE].calls > 0
+        assert profiler.depth == 0
+        simulate_record = profiler.records[prof.PHASE_SIMULATE]
+        assert profiler.total_profiled_ns() == simulate_record.total_ns
+
     def test_cycle_engine_never_records_event_skip(self):
         from repro.api import simulate
 
