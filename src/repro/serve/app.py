@@ -16,7 +16,9 @@ One process, three moving parts:
   executor threads while slots are free, re-queues expired leases with
   backoff, fails jobs that exhaust their attempt budget, and shrinks
   the slot count (→ serial fallback) when infrastructure failures
-  streak;
+  streak.  It wakes as soon as a job is admitted or an executor
+  commits; ``tick_s`` only bounds the wait, for lease expiry and
+  backoff;
 - the **journal** (:mod:`repro.serve.journal`): every transition is
   fsync'd *before* the server acts on it, which is the entire
   crash-safety story — kill the daemon anywhere, restart it on the
@@ -79,6 +81,10 @@ from repro.serve.leases import Lease, LeaseTable
 
 __all__ = ["ServeApp", "ServeConfig", "main", "make_server"]
 
+#: Largest request body read (413 beyond it).  The biggest real body, a
+#: ``/dist/shard`` of a large sweep, is a few MB.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
 
 @dataclass
 class ServeConfig:
@@ -113,6 +119,8 @@ class ServeConfig:
     #: re-queued for the next incarnation.
     drain_grace_s: float = 30.0
     retry_after_s: float = 2.0
+    #: Longest the dispatcher sleeps between lease-expiry and backoff
+    #: checks; admissions and completions wake it at once.
     tick_s: float = 0.02
     #: Cell journal for the distributed sweep coordinator; None leaves
     #: the ``/dist/*`` routes off (single-machine daemon).
@@ -172,6 +180,9 @@ class ServeApp:
         #: :meth:`start` when the config names a cell journal.
         self.coordinator: Optional["DistCoordinator"] = None
         self._stop = threading.Event()
+        #: Set when the dispatcher has work: a job was queued, a slot
+        #: freed, or a stop was requested.
+        self._wake = threading.Event()
         self._dispatcher: Optional[threading.Thread] = None
         self._executors: List[threading.Thread] = []
         self._started_at = clock()
@@ -334,6 +345,7 @@ class ServeApp:
                 requeued += 1
             self._observe_gauges()
         self._stop.set()
+        self._wake.set()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=5.0)
         with self.lock:
@@ -350,6 +362,7 @@ class ServeApp:
     def close(self) -> None:
         """Hard stop (tests): no grace, no re-queue of the queue."""
         self._stop.set()
+        self._wake.set()
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=5.0)
         with self.lock:
@@ -414,7 +427,9 @@ class ServeApp:
                 self._job_log(job).info(
                     "job_admitted", queue_depth=depth + 1
                 )
-            return 201, job.public_dict(include_result=False)
+            view = job.public_dict(include_result=False)
+        self._wake.set()
+        return 201, view
 
     # -- queries -------------------------------------------------------
 
@@ -716,8 +731,11 @@ checkpoint {esc(cells['checkpoint'])}) &middot;
 
     def _dispatch_loop(self) -> None:
         while not self._stop.is_set():
+            # Clear before the tick: a wake-up that lands during it
+            # keeps the event set, so the wait below returns at once.
+            self._wake.clear()
             self._tick()
-            time.sleep(self.config.tick_s)
+            self._wake.wait(self.config.tick_s)
 
     def _tick(self) -> None:
         """One supervision step: expire leases, then fill free slots."""
@@ -904,6 +922,7 @@ checkpoint {esc(cells['checkpoint'])}) &middot;
                 "serve_job_seconds", help="job execution wall time"
             ).observe(elapsed, kind=job.kind)
             self._observe_gauges()
+        self._wake.set()  # the slot is free: lease the next queued job
 
     def _run_job(self, job: Job) -> Any:
         """Default executor: map the job onto the repro.api substrate."""
@@ -968,9 +987,20 @@ class _ServeHTTPServer(ThreadingHTTPServer):
     app: ServeApp
 
 
+_JSON = "application/json"
+
+
+def _json(payload: Dict[str, Any]) -> bytes:
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
 class _Handler(BaseHTTPRequestHandler):
     server_version = "repro-serve/1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: headers and body leave in two writes, and with
+    # Nagle's algorithm on, a keep-alive client would get each body only
+    # after its delayed ACK (~40 ms).
+    disable_nagle_algorithm = True
 
     @property
     def app(self) -> ServeApp:
@@ -979,37 +1009,24 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:
         pass  # metrics carry the request log; stderr stays quiet
 
-    def _send_json(
+    def _send(
         self,
         code: int,
-        payload: Dict[str, Any],
+        content_type: str,
+        body: bytes,
         route: str,
         retry_after_s: Optional[float] = None,
+        close: bool = False,
     ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        """Write one whole response and count it under ``route``;
+        ``close`` ends the connection after it."""
         self.send_response(code)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if retry_after_s is not None:
             self.send_header("Retry-After", str(max(1, int(retry_after_s))))
-        self.end_headers()
-        self.wfile.write(body)
-        self.app._count_request(self.command, route, code)
-
-    def _send_text(self, code: int, text: str, route: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "text/plain; version=0.0.4")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-        self.app._count_request(self.command, route, code)
-
-    def _send_html(self, code: int, text: str, route: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "text/html; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
         self.app._count_request(self.command, route, code)
@@ -1018,69 +1035,93 @@ class _Handler(BaseHTTPRequestHandler):
         """Delegate a ``/dist/*`` request to the coordinator."""
         coordinator = self.app.coordinator
         if coordinator is None:
-            self._send_json(
-                404,
-                {"error": "distributed sharding is disabled "
-                 "(start the daemon with --dist-journal)"},
-                "/dist",
-            )
-            return
-        code, payload = coordinator.handle(self.command, path, body)
-        self._send_json(code, payload, "/dist")
+            code, payload = 404, {
+                "error": "distributed sharding is disabled "
+                "(start the daemon with --dist-journal)"
+            }
+        else:
+            code, payload = coordinator.handle(self.command, path, body)
+        self._send(code, _JSON, _json(payload), "/dist")
 
     def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         if path.startswith("/dist/"):
             self._dist(path)
             return
+        if path == "/metrics":
+            body = self.app.metrics_text().encode("utf-8")
+            self._send(200, "text/plain; version=0.0.4", body, path)
+            return
+        if path == "/dashboard":
+            body = self.app.dashboard_html().encode("utf-8")
+            self._send(200, "text/html; charset=utf-8", body, path)
+            return
+        route = path
         if path == "/healthz":
-            self._send_json(200, {"status": "alive"}, "/healthz")
+            code, payload = 200, {"status": "alive"}
         elif path == "/readyz":
-            code, body = self.app.readyz_view()
-            self._send_json(code, body, "/readyz")
-        elif path == "/metrics":
-            self._send_text(200, self.app.metrics_text(), "/metrics")
-        elif path == "/dashboard":
-            self._send_html(200, self.app.dashboard_html(), "/dashboard")
+            code, payload = self.app.readyz_view()
         elif path == "/jobs":
-            self._send_json(200, {"jobs": self.app.jobs_view()}, "/jobs")
+            code, payload = 200, {"jobs": self.app.jobs_view()}
         elif path.startswith("/jobs/"):
+            route = "/jobs/<id>"
             job_id = path[len("/jobs/"):]
             view = self.app.job_view(job_id)
             if view is None:
-                self._send_json(
-                    404, {"error": f"no job {job_id!r}"}, "/jobs/<id>"
-                )
+                code, payload = 404, {"error": f"no job {job_id!r}"}
             else:
-                self._send_json(200, view, "/jobs/<id>")
+                code, payload = 200, view
         else:
-            self._send_json(404, {"error": f"no route {path!r}"}, path)
+            code, payload = 404, {"error": f"no route {path!r}"}
+        self._send(code, _JSON, _json(payload), route)
 
     def do_POST(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
         path = self.path.split("?", 1)[0].rstrip("/")
         if path != "/jobs" and not path.startswith("/dist/"):
-            self._send_json(404, {"error": f"no route {path!r}"}, path)
+            self._send(
+                404, _JSON, _json({"error": f"no route {path!r}"}), path
+            )
+            return
+        route = "/dist" if path.startswith("/dist/") else "/jobs"
+        header = self.headers.get("Content-Length", "0")
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # Read nothing on a length we cannot honour: -1 would block
+            # until the client hangs up and a huge one raises
+            # MemoryError.  The unread body leaves the stream
+            # unframed, so the connection closes after the answer.
+            if length > MAX_BODY_BYTES:
+                code, error = 413, f"request body over {MAX_BODY_BYTES} bytes"
+            else:
+                code, error = 400, f"bad Content-Length {header!r}"
+            self._send(
+                code, _JSON, _json({"error": error}), route, close=True
+            )
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
             raw = self.rfile.read(length) if length else b""
             body = json.loads(raw.decode("utf-8")) if raw else None
         except (ValueError, UnicodeDecodeError):
             # A torn body (truncated upload, injected tear) is a 400 —
             # never a half-parsed payload.
-            self._send_json(
+            self._send(
                 400,
-                {"error": "request body is not valid JSON"},
-                "/dist" if path.startswith("/dist/") else "/jobs",
+                _JSON,
+                _json({"error": "request body is not valid JSON"}),
+                route,
             )
             return
         if path.startswith("/dist/"):
             self._dist(path, body)
             return
         code, payload = self.app.submit(body)
-        self._send_json(
+        self._send(
             code,
-            payload,
+            _JSON,
+            _json(payload),
             "/jobs",
             retry_after_s=payload.get("retry_after_s") if code == 429 else None,
         )

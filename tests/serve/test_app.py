@@ -3,12 +3,16 @@
 Most tests drive the app object directly with an injected executor (no
 sockets, no real simulations) so they run in milliseconds; one test
 goes through the real HTTP stack with a real tiny simulation to pin
-the full path.
+the full path, and a few more pin the HTTP layer's framing and latency
+over real sockets.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import sys
 import threading
 import time
 
@@ -61,6 +65,17 @@ def _wait_terminal(app, job_id, timeout_s=20.0):
             return view
         time.sleep(0.005)
     raise AssertionError(f"job {job_id} never reached a terminal state")
+
+
+def _serve_http(app):
+    """Serve ``app`` over real HTTP on a free port (caller shuts down)."""
+    httpd = make_server(app)
+    threading.Thread(
+        target=httpd.serve_forever,
+        kwargs={"poll_interval": 0.05},
+        daemon=True,
+    ).start()
+    return httpd
 
 
 class TestSubmit:
@@ -328,13 +343,7 @@ class TestHTTP:
             registry=MetricsRegistry(),
         )
         app.start()
-        httpd = make_server(app)
-        thread = threading.Thread(
-            target=httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-        )
-        thread.start()
+        httpd = _serve_http(app)
         client = ServeClient(
             f"http://127.0.0.1:{httpd.server_address[1]}"
         )
@@ -358,6 +367,168 @@ class TestHTTP:
             httpd.shutdown()
             httpd.server_close()
             app.drain(grace_s=1.0)
+
+    def test_keep_alive_round_trips_do_not_stall(self, tmp_path):
+        # Headers and body leave in two writes.  With Nagle's algorithm
+        # on, a keep-alive client gets each body only after its delayed
+        # ACK (~40 ms a request).
+        app = _app(tmp_path, lambda job: {})
+        app.start()
+        httpd = _serve_http(app)
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", httpd.server_address[1], timeout=5
+        )
+        try:
+            started = time.monotonic()
+            for _ in range(20):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read()) == {"status": "alive"}
+            elapsed = time.monotonic() - started
+        finally:
+            conn.close()
+            httpd.shutdown()
+            httpd.server_close()
+            app.close()
+        assert elapsed < 0.5, f"20 keep-alive requests took {elapsed:.3f}s"
+
+    @pytest.mark.parametrize(
+        "length, status", [("-1", 400), ("99999999999", 413), ("ten", 400)]
+    )
+    def test_bad_content_length_is_answered(self, tmp_path, length, status):
+        # Trusted, -1 would block the handler until the client hangs up
+        # and 99999999999 would raise MemoryError before any response.
+        app = _app(tmp_path, lambda job: {})
+        app.start()
+        httpd = _serve_http(app)
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", httpd.server_address[1]), timeout=1.0
+            ) as sock:
+                sock.sendall(
+                    "POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                    "Content-Type: application/json\r\n"
+                    f"Content-Length: {length}\r\n\r\n".encode("ascii")
+                )
+                status_line = sock.makefile("rb").readline()
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            app.close()
+        assert status_line.startswith(f"HTTP/1.1 {status} ".encode("ascii"))
+
+
+class TestWakeUp:
+    """The dispatcher leases on admission and on completion; its tick
+    only drives lease expiry and backoff.  A 5 s tick makes any missed
+    wake-up show as a multi-second stall."""
+
+    def test_submit_is_leased_without_waiting_for_the_tick(self, tmp_path):
+        app = _app(tmp_path, lambda job: {"ok": True}, tick_s=5.0)
+        app.start()
+        try:
+            time.sleep(0.05)  # let the dispatcher reach its idle wait
+            _status, body = app.submit(_request())
+            view = _wait_terminal(app, body["id"], timeout_s=1.0)
+            assert view["state"] == "done"
+        finally:
+            app.close()
+
+    def test_wake_up_during_a_tick_is_not_lost(self, tmp_path):
+        # A submit that lands after the tick scanned the queue: the
+        # event must still be set when the dispatcher goes to wait.
+        app = _app(tmp_path, lambda job: {"ok": True}, tick_s=5.0)
+        tick = app._tick
+        submitted = []
+
+        def tick_then_submit():
+            tick()
+            if not submitted:
+                submitted.append(app.submit(_request())[1]["id"])
+
+        app._tick = tick_then_submit
+        app.start()
+        try:
+            deadline = time.monotonic() + 1.0
+            while not submitted and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert submitted
+            view = _wait_terminal(app, submitted[0], timeout_s=1.0)
+            assert view["state"] == "done"
+        finally:
+            app.close()
+
+    def test_finished_job_hands_its_slot_to_the_next(self, tmp_path):
+        first_running = threading.Event()
+        release = threading.Event()
+        started, finished = {}, {}
+
+        def run(job):
+            started[job.id] = time.monotonic()
+            if len(started) == 1:
+                first_running.set()
+                release.wait(10)
+            finished[job.id] = time.monotonic()
+            return {"ok": True}
+
+        app = _app(tmp_path, run, slots=1, tick_s=5.0)
+        app.start()
+        try:
+            _status, first = app.submit(_request(1))
+            assert first_running.wait(10)
+            _status, second = app.submit(_request(2))
+            time.sleep(0.05)  # the second job waits for the only slot
+            assert app.job_view(second["id"])["state"] == "queued"
+            release.set()
+            _wait_terminal(app, second["id"], timeout_s=10.0)
+        finally:
+            release.set()
+            app.close()
+        hand_off = started[second["id"]] - finished[first["id"]]
+        assert hand_off < 1.0, f"slot idled {hand_off:.2f}s after a job"
+
+    def test_concurrent_submitters_lose_no_wake_up(self, tmp_path):
+        def run(job):
+            time.sleep(0.001)
+            return {"id": job.id}
+
+        app = _app(tmp_path, run, tick_s=5.0)
+        ids = []
+        ids_lock = threading.Lock()
+
+        def submitter(first_core):
+            for cores in range(first_core, first_core + 5):
+                status, body = app.submit(_request(cores))
+                assert status == 201
+                with ids_lock:
+                    ids.append(body["id"])
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        app.start()
+        try:
+            started = time.monotonic()
+            threads = [
+                threading.Thread(target=submitter, args=(1 + 5 * k,))
+                for k in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(ids) == 40
+            for job_id in ids:
+                remaining = 5.0 - (time.monotonic() - started)
+                view = _wait_terminal(app, job_id, max(0.0, remaining))
+                assert view["state"] == "done"
+        finally:
+            sys.setswitchinterval(previous)
+            app.close()
+        assert JobJournal.terminal_counts(app.config.journal) == {
+            job_id: 1 for job_id in ids
+        }
 
 
 class TestDashboard:
@@ -432,13 +603,7 @@ class TestDashboard:
 
         app = _app(tmp_path, lambda job: {"ok": True})
         app.start()
-        httpd = make_server(app)
-        thread = threading.Thread(
-            target=httpd.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            daemon=True,
-        )
-        thread.start()
+        httpd = _serve_http(app)
         try:
             url = (
                 f"http://127.0.0.1:{httpd.server_address[1]}/dashboard"
