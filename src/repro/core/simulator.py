@@ -61,7 +61,8 @@ def _addresses_of(work: CoreWork) -> Iterable[int]:
 #: an id() can never alias a collected object.
 _VPN_ORDER_CACHES: Dict[int, Dict[int, tuple]] = {}
 
-#: Entry cap across all page sizes; eviction is a full clear.
+#: Entry cap per page size (each page_shift dict is checked on its
+#: own); eviction is a full clear.
 _VPN_ORDER_CACHE_LIMIT = 100_000
 
 

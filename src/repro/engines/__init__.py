@@ -4,8 +4,8 @@ The shader core's issue loop is a strategy: the **cycle** engine is the
 faithful reference loop (the oracle every other engine is differenced
 against), the **event** engine replays the identical decision sequence
 with event-driven mechanics — skipping dead time via a next-event scan
-and running the per-warp address math over precomputed arrays — and is
-byte-identical to the cycle engine on every simulated quantity.
+and coalescing each memory instruction once, memoized by identity — and
+is byte-identical to the cycle engine on every simulated quantity.
 
 This module is deliberately import-light: :mod:`repro.core.config`
 imports it to validate the ``engine`` field, so pulling in the engine

@@ -1,4 +1,4 @@
-"""The event-driven engine: next-event advancement, array address math.
+"""The event-driven engine: next-event advancement, memoized coalescing.
 
 Byte-identity is the contract.  The cycle loop already *decides*
 sparsely — most iterations either issue exactly one instruction or jump
@@ -14,10 +14,10 @@ from the cycle engine's.  Three mechanical changes carry the speedup:
   touches only the warps that could actually issue, and round-robin
   selection is inlined.
 
-- **Vectorized address math.**  Per-warp coalescing — line masking and
-  VPN extraction for every lane of every memory instruction — runs as
-  two whole-matrix numpy operations up front; per-instruction results
-  are memoized by instruction identity.
+- **Memoized coalescing.**  Each memory instruction is coalesced once,
+  when its warp enters the live list, and the result is memoized by
+  instruction identity; workload builds are memoized too, so a sweep's
+  cells reuse the same instructions and coalesce nothing twice.
 
 - **Inlined memory path.**  The TLB probe, L1/MSHR, L2 bank, and DRAM
   channel state transitions are replicated inline (every counter and
@@ -43,9 +43,7 @@ no cycle-loop fallback anywhere.
 Round robin is selected inline; every other policy (greedy-then-oldest
 and the CCWS family) runs through its real ``select()`` with the
 reference loop's exact candidate list.  Demand paging needs no flag:
-faults surface inside the walker, which is called unchanged.  Cache
-geometry the shift/mask math cannot index falls back to the core's own
-``_issue_memory``, still inside the event loop.
+faults surface inside the walker, which is called unchanged.
 """
 
 from __future__ import annotations
@@ -56,12 +54,7 @@ from bisect import bisect_left as _bisect_left, insort as _insort
 from heapq import heapify, heappop as _heappop, heappush as _heappush
 from typing import Dict, List, Optional, Tuple
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - optional, plain path is exact
-    _np = None
-
-from repro.gpu.coalescer import CoalescedAccess, coalesce
+from repro.gpu.coalescer import coalesce
 from repro.gpu.instruction import ComputeInstruction, MemoryInstruction
 from repro.gpu.scheduler.base import (
     Candidate,
@@ -123,8 +116,8 @@ def _build_access(core, traced: bool):
     l1 = mem.l1
     l1_label = l1.label
     l1_sets = l1._sets
-    l1_shift = l1._line_shift
-    l1_mask = l1._set_mask
+    l1_line = l1.line_bytes
+    l1_num_sets = l1.num_sets
     l1_assoc = l1.associativity
     l1_latency = mem.l1_latency
     mshrs = mem.mshrs
@@ -136,8 +129,8 @@ def _build_access(core, traced: bool):
     banks = shm.l2_banks
     bank_labels = [bank.label for bank in banks]
     first_bank = banks[0]
-    bank_shift = first_bank._line_shift
-    bank_mask = first_bank._set_mask
+    bank_line = first_bank.line_bytes
+    bank_num_sets = first_bank.num_sets
     bank_assoc = first_bank.associativity
     bank_busy = shm._bank_busy_until
     icn_latency = shm.interconnect_latency
@@ -150,7 +143,7 @@ def _build_access(core, traced: bool):
     never = float("inf")
 
     def access(paddr, start, warp_id):
-        index = (paddr >> l1_shift) & l1_mask
+        index = paddr // l1_line % l1_num_sets
         cache_set = l1_sets.get(index)
         if cache_set is None:
             cache_set = l1_sets[index] = {}
@@ -236,7 +229,7 @@ def _build_access(core, traced: bool):
         service_start = arrive if arrive > busy else busy
         bank_busy[channel] = service_start + l2_interval
         bank = banks[channel]
-        bank_index = (paddr >> bank_shift) & bank_mask
+        bank_index = paddr // bank_line % bank_num_sets
         bank_sets = bank._sets
         bank_set = bank_sets.get(bank_index)
         if bank_set is None:
@@ -362,86 +355,27 @@ class EventEngine(SimEngine):
             if was_collecting:
                 _gc.enable()
 
-    # -- vectorized coalesce precompute --------------------------------
+    # -- coalescing memo -----------------------------------------------
 
     def _precompute(self, entries) -> None:
-        """Batch the address math of every memory instruction in
-        ``entries`` (live-list entries; ``entry[1]`` is the trace).
-
-        Line masking and VPN extraction run as two whole-matrix int64
-        operations; per-row first-occurrence dedupe then reconstructs
-        exactly what :func:`repro.gpu.coalescer.coalesce` returns.
-        Rows with inactive (None) lanes, ragged widths, or addresses
-        beyond int64 take the scalar coalescer — same result either way.
-        """
-        core = self.core
+        """Coalesce every memory instruction in ``entries`` (live-list
+        entries; ``entry[1]`` is the trace) that is not yet memoized, so
+        ``issue_memory`` finds each one by identity."""
         cache = self._coal
         if len(cache) > _COAL_CACHE_LIMIT:
             cache.clear()
-        line_bytes = core.line_bytes
-        page_shift = core.page_shift
-        todo: List[MemoryInstruction] = []
+        line_bytes = self.core.line_bytes
+        page_shift = self.core.page_shift
         for entry in entries:
             for instr in entry[1]:
                 if instr.__class__ is ComputeInstruction:
                     continue
-                key = id(instr)
-                cached = cache.get(key)
-                if cached is not None and cached[0] is instr:
-                    continue
-                todo.append(instr)
-        if not todo:
-            return
-        sparse: List[MemoryInstruction] = []
-        dense: List[MemoryInstruction] = []
-        rows: List[tuple] = []
-        width = None
-        for instr in todo:
-            addrs = instr.addresses
-            if None in addrs:
-                sparse.append(instr)
-                continue
-            if width is None:
-                width = len(addrs)
-            if len(addrs) != width:
-                sparse.append(instr)
-                continue
-            dense.append(instr)
-            rows.append(addrs)
-        if _np is not None and dense:
-            try:
-                mat = _np.asarray(rows, dtype=_np.int64)
-            except OverflowError:
-                sparse.extend(dense)
-            else:
-                line_rows = (mat & ~_np.int64(line_bytes - 1)).tolist()
-                vpn_rows = (mat >> page_shift).tolist()
-                for instr, line_row, vpn_row in zip(dense, line_rows, vpn_rows):
-                    vpns: Dict[int, None] = {}
-                    by_vpn: Dict[int, Dict[int, None]] = {}
-                    for line, vpn in zip(line_row, vpn_row):
-                        vpns[vpn] = None
-                        sub = by_vpn.get(vpn)
-                        if sub is None:
-                            sub = by_vpn[vpn] = {}
-                        sub[line] = None
+                cached = cache.get(id(instr))
+                if cached is None or cached[0] is not instr:
                     cache[id(instr)] = (
                         instr,
-                        CoalescedAccess(
-                            lines=tuple(dict.fromkeys(line_row)),
-                            vpns=tuple(vpns),
-                            lines_by_vpn={
-                                vpn: tuple(sub) for vpn, sub in by_vpn.items()
-                            },
-                        ),
+                        coalesce(instr.addresses, line_bytes, page_shift),
                     )
-        else:
-            sparse.extend(dense)
-        for instr in sparse:
-            cache[id(instr)] = (
-                instr,
-                coalesce(instr.addresses, line_bytes, page_shift),
-            )
 
     def _live_entries(self, warps) -> List[tuple]:
         """Live-list entries ``(warp, instructions, warp_id, n_instrs)``
@@ -774,16 +708,6 @@ class EventEngine(SimEngine):
         ``on_tlb_evict``).
         """
         core = self.core
-        mem = core.memory
-        if mem.l1._line_shift is None or mem.shared.l2_banks[0]._line_shift is None:
-            # Non-power-of-two geometry (the L2 banks are built alike):
-            # the shift/mask set index does not apply, so lines take the
-            # hierarchy's real access method, still inside the loop.
-            def fallback(warp, instr, now, warp_id, stats):
-                return core._issue_memory(warp, instr, now)
-
-            return fallback
-
         access = _build_access(core, traced)
         record = _trace.RECORD
         spanned = _spans.ENABLED
@@ -844,6 +768,8 @@ class EventEngine(SimEngine):
             if tlb is None:
                 # No-TLB baseline: pinned physical memory, zero
                 # translation cost; lines issue one per cycle.
+                if profiled:
+                    _prof.begin(_prof.PHASE_CACHE)
                 completion = now
                 for offset, line in enumerate(lines):
                     pfn = frame_map.get(line >> page_shift)
@@ -856,6 +782,8 @@ class EventEngine(SimEngine):
                         on_l1(warp_id, line, level == "l1", False, ev_line, ev_warp)
                     if ready > completion:
                         completion = ready
+                if profiled:
+                    _prof.end()
                 return completion
 
             shootdown = False

@@ -100,14 +100,6 @@ class SetAssociativeCache:
         self.associativity = associativity
         self.label = label
         self.num_sets = num_lines // associativity
-        # Power-of-two geometry (the paper's throughout) lets the set
-        # index be a shift+mask instead of a divide+modulo.
-        if line_bytes & (line_bytes - 1) == 0 and self.num_sets & (self.num_sets - 1) == 0:
-            self._line_shift: Optional[int] = line_bytes.bit_length() - 1
-            self._set_mask = self.num_sets - 1
-        else:
-            self._line_shift = None
-            self._set_mask = 0
         # Per set: insertion-ordered dict of line_addr -> allocating warp.
         # Oldest (LRU) entry first; hits reinsert to move to MRU.
         self._sets: Dict[int, Dict[int, Optional[int]]] = {}
@@ -115,9 +107,7 @@ class SetAssociativeCache:
         self.misses = 0
 
     def _set_index(self, line_addr: int) -> int:
-        if self._line_shift is not None:
-            return (line_addr >> self._line_shift) & self._set_mask
-        return (line_addr // self.line_bytes) % self.num_sets
+        return line_addr // self.line_bytes % self.num_sets
 
     def lookup(self, line_addr: int) -> bool:
         """Probe without updating LRU state or filling."""

@@ -497,6 +497,8 @@ class Workload:
             built = self.build_linear(config, miss_scale=miss_scale)
         else:
             built = self.build_blocks(config, miss_scale=miss_scale)
+        if len(_BUILD_CACHE) >= _BUILD_CACHE_LIMIT:
+            _BUILD_CACHE.clear()
         _BUILD_CACHE[key] = built
         return built
 
@@ -504,3 +506,8 @@ class Workload:
 #: Memoized Workload.build results keyed by (spec, form, miss_scale,
 #: geometry).  Per process; sweep workers each warm their own.
 _BUILD_CACHE: Dict[tuple, object] = {}
+
+#: Entry cap; a sweep holds about a dozen builds, but a long-lived
+#: server builds one per distinct request geometry and ``miss_scale``,
+#: and must not grow without bound.  Eviction is a full clear.
+_BUILD_CACHE_LIMIT = 64

@@ -19,8 +19,9 @@ The remaining pins each exercise one branch of the event engine's
 memory path: the TLB-aware schedulers' hooks (TCWS's LRU depth,
 TA-CCWS's miss weight), greedy-then-oldest through its real
 ``select()``, a non-blocking TLB with a serial cache stage, seeded
-fault injection, demand paging, and a non-power-of-two L1 that takes
-the core's own memory path.
+fault injection, demand paging, and a non-power-of-two L1 and L2, whose
+sets the inline path indexes by the same divide-and-modulo rule as
+:class:`~repro.mem.cache.SetAssociativeCache`.
 """
 
 from __future__ import annotations
@@ -106,9 +107,19 @@ GOLDENS = {
         "bfs",
         None,
     ),
-    # 48 KB / 128 B / 8-way = 48 sets: no shift/mask set index.
+    # 48 KB / 128 B / 8-way = 48 sets: not a power of two.
     "l1-48k": (
         _preset("naive", ports=3, cache=CacheConfig(l1_bytes=48 * 1024)),
+        "bfs",
+        None,
+    ),
+    # 768 KB / 128 B / 8-way = 768 sets per L2 bank.
+    "l2-768k": (
+        _preset(
+            "naive",
+            ports=3,
+            cache=CacheConfig(l2_bytes_per_channel=768 * 1024),
+        ),
         "bfs",
         None,
     ),

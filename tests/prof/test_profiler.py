@@ -230,6 +230,32 @@ class TestEventSkipPhase:
         simulate_record = profiler.records[prof.PHASE_SIMULATE]
         assert profiler.total_profiled_ns() == simulate_record.total_ns
 
+    def test_event_engine_attributes_no_tlb_cache_time(self):
+        """Without a TLB the event engine's line loop is still a cache
+        phase, not ``simulate`` self-time, and profiling it changes
+        nothing."""
+        from repro.api import simulate
+        from repro.core.config import TLBConfig
+
+        from helpers import small_config, small_workload
+
+        def run():
+            return simulate(
+                config=small_config(tlb=TLBConfig(enabled=False)),
+                workload=small_workload(),
+                engine="event",
+            ).canonical_json()
+
+        plain = run()
+        profiler = PhaseProfiler()
+        with prof.profile(profiler):
+            profiled = run()
+        assert profiled == plain
+        assert profiler.records[prof.PHASE_CACHE].calls > 0
+        assert profiler.depth == 0
+        simulate_record = profiler.records[prof.PHASE_SIMULATE]
+        assert profiler.total_profiled_ns() == simulate_record.total_ns
+
     def test_cycle_engine_never_records_event_skip(self):
         from repro.api import simulate
 

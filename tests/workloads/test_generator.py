@@ -88,3 +88,15 @@ class TestBlockForm:
             pass
         else:
             raise AssertionError("expected ValueError")
+
+
+class TestBuildMemo:
+    def test_memo_is_bounded(self):
+        from repro.workloads import base
+
+        config = small_config()
+        wl = small_workload()
+        cap = base._BUILD_CACHE_LIMIT
+        for i in range(cap + 1):
+            wl.build(config, form="linear", miss_scale=1.0 + i / 1024)
+        assert len(base._BUILD_CACHE) <= cap
