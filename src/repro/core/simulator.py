@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.config import GPUConfig, TraceConfig
 from repro.core.results import SimulationResult
-from repro.engines import DEFAULT_ENGINE, require_features
+from repro.engines import DEFAULT_ENGINE
 from repro.faults.context import FaultContext
 from repro.faults.errors import InvariantViolation, SimulationError
 from repro.gpu.instruction import MemoryInstruction, WarpTrace
@@ -254,23 +254,6 @@ class Simulator:
             if _TRACE_OVERRIDE is not None
             else self.config.trace
         )
-        # Observer runs require the engine to support them natively —
-        # there is no silent fallback to another engine.  Validate the
-        # exact observer set active for this run up front so a
-        # capability gap fails loudly (the CLI maps this to exit 2).
-        needed = set()
-        if trace_config.enabled:
-            needed.add("trace")
-            if trace_config.interval_cycles:
-                needed.add("sampling")
-        if _spans.ENABLED:
-            needed.add("spans")
-        if _prof.ENABLED:
-            needed.add("profile")
-        if needed:
-            require_features(
-                getattr(self.config, "engine", DEFAULT_ENGINE), needed
-            )
         tracer = None
         if trace_config.enabled:
             tracer = obs_tracer.build_tracer(trace_config)

@@ -1,18 +1,14 @@
-"""The `SimEngine` protocol: what a pluggable simulator core provides.
+"""The `SimEngine` protocol: what a simulator core provides.
 
 An engine owns the *issue loop* of one shader core — the strategy that
 decides how simulated time advances — while the core object keeps all
-architectural state (warps, TLB, caches, walkers, counters).  Engines
-therefore share the core's snapshot format: ``state_dict`` /
-``load_state`` delegate to the core, snapshots taken under one engine
-restore under any other, and every safe point (issue-loop top) is a
-valid snapshot point for every engine.
+architectural state (warps, TLB, caches, walkers, counters).  Snapshots
+are therefore the core's own ``state_dict`` / ``load_state``: one taken
+under either engine restores under the other, and every safe point
+(issue-loop top, where ``poll`` runs) is a valid snapshot point.
 """
 
 from __future__ import annotations
-
-import heapq
-from typing import Callable, List, Optional, Tuple
 
 
 class SimEngine:
@@ -23,31 +19,14 @@ class SimEngine:
     core:
         The :class:`repro.gpu.shader_core.ShaderCore` whose work this
         engine executes.  The engine reads and writes the core's state;
-        it holds no simulated state of its own (registered user events
-        are host-side observation hooks, not simulated state).
+        it holds no simulated state of its own.
     """
 
-    #: Registry name; subclasses override.
+    #: Engine name (``GPUConfig.engine``); subclasses override.
     name = "base"
-
-    #: Observer capabilities this engine supports natively (subset of
-    #: :data:`repro.engines.OBSERVER_FEATURES`).  An engine must
-    #: *declare* a capability to be allowed to run with the matching
-    #: observer installed — there is no silent fallback to another
-    #: engine; :func:`repro.engines.require_features` raises
-    #: :class:`repro.engines.EngineFeatureError` instead, and the CLI
-    #: surfaces it as exit status 2.  The conservative default is
-    #: "nothing": a plug-in engine that never thought about tracing
-    #: fails loudly rather than producing a silently unobserved run.
-    FEATURES: frozenset = frozenset()
 
     def __init__(self, core):
         self.core = core
-        # (cycle, seq, callback) min-heap of user-registered events.
-        self._events: List[Tuple[int, int, Callable]] = []
-        self._event_seq = 0
-
-    # -- execution -----------------------------------------------------
 
     def run(self, poll=None):
         """Execute the core's work to completion; return its CoreStats."""
@@ -60,31 +39,3 @@ class SimEngine:
         :meth:`run` afterwards to finish the remaining work.
         """
         raise NotImplementedError
-
-    # -- event registration --------------------------------------------
-
-    def register_event(self, cycle: int, callback: Callable) -> None:
-        """Call ``callback(core, now)`` at the first safe point whose
-        clock is at or past ``cycle``.
-
-        Observation-only: callbacks run at loop top (the same safe
-        points ``poll`` uses) and must not mutate simulated state.
-        """
-        heapq.heappush(self._events, (cycle, self._event_seq, callback))
-        self._event_seq += 1
-
-    def _dispatch_events(self, now: int) -> None:
-        events = self._events
-        while events and events[0][0] <= now:
-            _, _, callback = heapq.heappop(events)
-            callback(self.core, now)
-
-    # -- snapshot protocol (shared core state) -------------------------
-
-    def state_dict(self) -> dict:
-        """Snapshot the core (valid at safe points); engine-agnostic."""
-        return self.core.state_dict()
-
-    def load_state(self, state: dict) -> None:
-        """Restore a snapshot taken under any engine."""
-        self.core.load_state(state)

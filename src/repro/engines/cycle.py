@@ -29,9 +29,6 @@ class CycleEngine(SimEngine):
     """Faithful cycle-driven issue loop (the reference oracle)."""
 
     name = "cycle"
-    FEATURES = frozenset(
-        {"trace", "spans", "sampling", "profile", "snapshot"}
-    )
 
     def run(self, poll=None):
         """Execute the core's work to completion; return its counters.
@@ -74,7 +71,6 @@ class CycleEngine(SimEngine):
         finish = core._finish
         issued_total = core._issued_total
         measuring = core._measuring
-        events = self._events
         while True:
             if stop_at is not None and now >= stop_at:
                 core._now = now
@@ -82,12 +78,6 @@ class CycleEngine(SimEngine):
                 core._issued_total = issued_total
                 core._measuring = measuring
                 return False
-            if events and events[0][0] <= now:
-                core._now = now
-                core._finish = finish
-                core._issued_total = issued_total
-                core._measuring = measuring
-                self._dispatch_events(now)
             if poll is not None:
                 core._now = now
                 core._finish = finish

@@ -317,9 +317,6 @@ class EventEngine(SimEngine):
     """Event-driven issue loop, byte-identical to :class:`CycleEngine`."""
 
     name = "event"
-    FEATURES = frozenset(
-        {"trace", "spans", "sampling", "profile", "snapshot"}
-    )
 
     def __init__(self, core):
         super().__init__(core)
@@ -443,7 +440,6 @@ class EventEngine(SimEngine):
         issued_total = core._issued_total
         measuring = core._measuring
         stats = core.stats
-        events = self._events
         sched = core.scheduler
         rr = type(sched) is RoundRobinScheduler
         num_warps = sched.num_warps
@@ -461,19 +457,12 @@ class EventEngine(SimEngine):
         while True:
             if stop_at is not None and now >= stop_at:
                 break
-            if poll is not None or (events and events[0][0] <= now):
+            if poll is not None:
                 core._now = now
                 core._finish = finish
                 core._issued_total = issued_total
                 core._measuring = measuring
-                if events and events[0][0] <= now:
-                    self._dispatch_events(now)
-                    # A callback may have launched warps or changed
-                    # ready times: rebuild the readiness split.
-                    warps = core.warps
-                    ready_entries, wait_heap, seq = self._readiness_split(now)
-                if poll is not None:
-                    poll(core)
+                poll(core)
             if traced:
                 _trace.CORE = core_id
                 _trace.NOW = now

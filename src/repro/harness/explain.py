@@ -34,7 +34,7 @@ import sys
 from typing import Optional
 
 from repro.core.simulator import Simulator
-from repro.engines import EngineFeatureError, available_engines
+from repro.engines import available_engines
 from repro.harness.trace import _tiny_workload, resolve_target
 from repro.obs.critpath import CriticalPathReport
 from repro.obs.spans import SpanRecorder, record_spans
@@ -147,7 +147,7 @@ def main(argv=None) -> int:
             quick=args.quick,
             engine=args.engine,
         )
-    except (KeyError, ValueError, EngineFeatureError) as exc:
+    except (KeyError, ValueError) as exc:
         print(str(exc.args[0] if exc.args else exc), file=sys.stderr)
         return 2
     report: CriticalPathReport = run["report"]

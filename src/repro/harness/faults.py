@@ -20,7 +20,7 @@ from typing import Optional
 
 from repro.core import presets
 from repro.core.simulator import Simulator
-from repro.engines import EngineFeatureError, available_engines
+from repro.engines import available_engines
 from repro.faults.config import FaultConfig
 from repro.harness.experiment import DEFAULT_WARMUP
 from repro.harness.trace import _tiny_workload
@@ -155,7 +155,7 @@ def main(argv=None) -> int:
             seed=args.seed,
             engine=args.engine,
         )
-    except (KeyError, EngineFeatureError) as exc:
+    except KeyError as exc:
         print(str(exc.args[0] if exc.args else exc), file=sys.stderr)
         return 2
     print(render_report(result, config))

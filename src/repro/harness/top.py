@@ -1,13 +1,13 @@
 """``python -m repro.harness top`` — live ops view over the metrics.
 
-A terminal dashboard (curses full-screen when available, plain text
-frames otherwise) rendered from the Prometheus exposition the repo
-already publishes: scrape a running ``repro.serve`` daemon's
-``/metrics`` endpoint with ``--url``, or follow a textfile-collector
-scrape with ``--file``.  Shows queue depth, live leases, cache reuse,
-per-engine simulated throughput (scrape-to-scrape rate), and the
-in-flight sweep's projected remaining seconds — the same numbers as
-``GET /dashboard``, without leaving the terminal.
+The one ops view of a running daemon (curses full-screen when
+available, plain text frames otherwise), rendered from the Prometheus
+exposition the repo already publishes: scrape a running
+``repro.serve`` daemon's ``/metrics`` endpoint with ``--url``, or
+follow a textfile-collector scrape with ``--file``.  Shows queue
+depth, live leases, cache reuse, per-engine simulated throughput
+(scrape-to-scrape rate), and the in-flight sweep's projected remaining
+seconds.
 
 Usage::
 

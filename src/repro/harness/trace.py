@@ -25,7 +25,7 @@ from typing import Callable, Dict, Optional
 
 from repro.core import presets
 from repro.core.config import GPUConfig, TraceConfig
-from repro.engines import EngineFeatureError, available_engines
+from repro.engines import available_engines
 from repro.core.simulator import Simulator
 from repro.harness.experiment import DEFAULT_WARMUP
 from repro.harness.figures import ALL_FIGURES
@@ -222,7 +222,7 @@ def main(argv=None) -> int:
             tiny=args.tiny,
             engine=args.engine,
         )
-    except (KeyError, ValueError, EngineFeatureError) as exc:
+    except (KeyError, ValueError) as exc:
         print(str(exc.args[0] if exc.args else exc), file=sys.stderr)
         return 2
     print(render_report(run))

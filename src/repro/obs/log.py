@@ -264,5 +264,5 @@ def reset() -> None:
 
 
 def sinks() -> List[LogSink]:
-    """The configured sinks (tests and the dashboard introspect them)."""
+    """The configured sinks (tests introspect them)."""
     return list(_SINKS)

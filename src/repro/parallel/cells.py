@@ -153,22 +153,6 @@ def error_payload(
     return (type(exc).__name__, str(exc), diagnostics, attempts)
 
 
-def run_cell_in_worker(
-    payload: Tuple[int, Cell, int, Optional[float]]
-) -> Tuple[int, str, Any]:
-    """Pool entry point: execute one cell, report a picklable outcome.
-
-    Returns ``(index, "ok", SimulationResult)`` or
-    ``(index, "error", (type_name, message, diagnostics, attempts))``.
-    """
-    index, cell, retries, timeout = payload
-    try:
-        result = execute_cell(cell, retries=retries, timeout=timeout)
-    except SimulationError as exc:
-        return index, "error", error_payload(exc, cell, retries)
-    return index, "ok", result
-
-
 def rebuild_error(
     type_name: str, message: str, diagnostics: Dict[str, Any]
 ) -> SimulationError:

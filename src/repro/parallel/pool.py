@@ -33,7 +33,6 @@ the raised error does not depend on worker timing.
 from __future__ import annotations
 
 import os
-import sys
 import time
 import warnings
 from typing import (
@@ -278,10 +277,3 @@ class SweepExecutor:
             self._run_serial(cells, remaining, results, progress)
         if errors:
             raise errors[min(errors)]
-
-
-def build_progress_stream(jobs: int, quiet: bool = False) -> Optional[TextIO]:
-    """stderr for multi-worker sweeps, None otherwise (or when quiet)."""
-    if quiet or jobs <= 1:
-        return None
-    return sys.stderr

@@ -8,10 +8,9 @@ One process, three moving parts:
   process liveness, ``GET /readyz`` is routable readiness (503 while
   starting or draining; degradation spelled out in the body), and
   ``GET /metrics`` serves the unified
-  :class:`repro.prof.registry.MetricsRegistry` as Prometheus text, and
-  ``GET /dashboard`` is the server-rendered ops page (queue depth,
-  live leases, cache reuse, per-engine simulated throughput, in-flight
-  sweep ETA; auto-refreshes);
+  :class:`repro.prof.registry.MetricsRegistry` as Prometheus text
+  (``python -m repro.harness top --url`` renders it as the live ops
+  view);
 - the **dispatcher** (one background thread): leases queued jobs to
   executor threads while slots are free, re-queues expired leases with
   backoff, fails jobs that exhaust their attempt budget, and shrinks
@@ -46,11 +45,9 @@ from __future__ import annotations
 import argparse
 import json
 import signal
-import sys
 import threading
 import time
 from dataclasses import dataclass
-from html import escape as html_escape
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -185,10 +182,6 @@ class ServeApp:
         self._wake = threading.Event()
         self._dispatcher: Optional[threading.Thread] = None
         self._executors: List[threading.Thread] = []
-        self._started_at = clock()
-        # Last (clock, sim_cycles) per engine: the dashboard's
-        # scrape-to-scrape throughput estimate.
-        self._engine_rates: Dict[str, Tuple[float, float]] = {}
 
     # -- run log -------------------------------------------------------
 
@@ -448,7 +441,7 @@ class ServeApp:
             ]
 
     def _dist_fleet_view(self) -> Optional[Dict[str, Any]]:
-        """Fleet summary for /readyz and /dashboard (None = dist off).
+        """Fleet summary for /readyz (None = dist off).
 
         ``degraded`` flags the state an operator must see: cells are
         waiting but zero workers are live — the sweep is stalled until
@@ -482,250 +475,6 @@ class ServeApp:
         with self.lock:
             self._observe_gauges()
             return to_prometheus(self.registry)
-
-    # -- ops dashboard -------------------------------------------------
-
-    def _histogram_mean(self, name: str, **labels: str) -> Optional[float]:
-        family = self.registry.get(name)
-        if family is None or family.kind != "histogram":
-            return None
-        snap = family.snapshot(**labels)
-        count = snap["count"]
-        if not count:
-            return None
-        return snap["sum"] / count
-
-    def dashboard_view(self) -> Dict[str, Any]:
-        """Structured ops snapshot behind ``GET /dashboard``.
-
-        Pure observation: queue depth, live leases (with per-kind ETA
-        from the job-seconds histogram), cache reuse, per-engine
-        simulated throughput, and the in-flight sweep's projected
-        remaining seconds.
-        """
-        with self.lock:
-            now = self.clock()
-            states: Dict[str, int] = {}
-            for job in self.jobs.values():
-                states[job.state] = states.get(job.state, 0) + 1
-            ttl = self.config.lease_ttl_s
-            leases: List[Dict[str, Any]] = []
-            for lease in self.leases.live_leases():
-                job = self.jobs.get(lease.job_id)
-                age = max(0.0, ttl - (lease.expires_at - now))
-                kind = job.kind if job is not None else "?"
-                mean = self._histogram_mean("serve_job_seconds", kind=kind)
-                leases.append(
-                    {
-                        "job_id": lease.job_id,
-                        "kind": kind,
-                        "attempt": lease.attempt,
-                        "age_s": round(age, 1),
-                        "expires_in_s": round(
-                            max(0.0, lease.expires_at - now), 1
-                        ),
-                        "eta_s": (
-                            round(max(0.0, mean - age), 1)
-                            if mean is not None
-                            else None
-                        ),
-                    }
-                )
-            cells = self.registry.get("sweep_cells_total")
-            cache = {"cache": 0, "checkpoint": 0, "simulated": 0, "failed": 0}
-            if cells is not None:
-                for labels, value in cells.series().items():
-                    source = dict(labels).get("source", "?")
-                    if source in cache:
-                        cache[source] = int(value)
-            reused = cache["cache"] + cache["checkpoint"]
-            completed = reused + cache["simulated"] + cache["failed"]
-            engines: List[Dict[str, Any]] = []
-            cycles_family = self.registry.get("sim_cycles")
-            instr_family = self.registry.get("sim_instructions")
-            if cycles_family is not None:
-                totals: Dict[str, float] = {}
-                for labels, value in cycles_family.series().items():
-                    engine = dict(labels).get("engine", "(unlabeled)")
-                    totals[engine] = totals.get(engine, 0.0) + value
-                for engine in sorted(totals):
-                    cycles = totals[engine]
-                    prev = self._engine_rates.get(engine)
-                    # Rate between dashboard scrapes; first scrape falls
-                    # back to the since-start average.
-                    if prev is not None and now - prev[0] > 0.05:
-                        rate = (cycles - prev[1]) / (now - prev[0])
-                    elif now > self._started_at:
-                        rate = cycles / (now - self._started_at)
-                    else:
-                        rate = 0.0
-                    self._engine_rates[engine] = (now, cycles)
-                    instructions = 0.0
-                    if instr_family is not None:
-                        instructions = sum(
-                            value
-                            for labels, value in instr_family.series().items()
-                            if dict(labels).get("engine", "(unlabeled)")
-                            == engine
-                        )
-                    engines.append(
-                        {
-                            "engine": engine,
-                            "cycles": int(cycles),
-                            "instructions": int(instructions),
-                            "cycles_per_s": round(max(0.0, rate)),
-                        }
-                    )
-            in_flight_cells = 0
-            gauge = self.registry.get("sweep_in_flight")
-            if gauge is not None:
-                in_flight_cells = int(gauge.value())
-            mean_cell = self._histogram_mean("sweep_cell_seconds")
-            sweep_eta = (
-                round(in_flight_cells * mean_cell, 1)
-                if in_flight_cells and mean_cell is not None
-                else None
-            )
-            return {
-                "ready": self.readiness.is_ready,
-                "draining": self.readiness.draining,
-                "dist": self._dist_fleet_view(),
-                "uptime_s": round(max(0.0, now - self._started_at), 1),
-                "queue_depth": len(self._queue),
-                "in_flight": self.leases.live_count,
-                "slots": self.health.slots,
-                "jobs": {
-                    "total": len(self.jobs),
-                    "queued": states.get(STATE_QUEUED, 0),
-                    "running": states.get(STATE_RUNNING, 0),
-                    "done": states.get(STATE_DONE, 0),
-                    "failed": states.get(STATE_FAILED, 0),
-                },
-                "leases": leases,
-                "cells": {**cache, "reused": reused, "completed": completed},
-                "engines": engines,
-                "sweep": {
-                    "in_flight_cells": in_flight_cells,
-                    "mean_cell_s": (
-                        round(mean_cell, 3) if mean_cell is not None else None
-                    ),
-                    "eta_s": sweep_eta,
-                },
-            }
-
-    def dashboard_html(self, refresh_s: int = 2) -> str:
-        """Server-rendered HTML over :meth:`dashboard_view` (no JS
-        frameworks, one meta refresh — readable from curl or a browser)."""
-        view = self.dashboard_view()
-
-        def esc(value: Any) -> str:
-            return html_escape(str(value), quote=True)
-
-        def dash(value: Any) -> str:
-            return esc(value) if value is not None else "&mdash;"
-
-        status = (
-            "draining"
-            if view["draining"]
-            else ("ready" if view["ready"] else "not ready")
-        )
-        jobs = view["jobs"]
-        rows = []
-        for lease in view["leases"]:
-            rows.append(
-                "<tr>"
-                f"<td><code>{esc(lease['job_id'])}</code></td>"
-                f"<td>{esc(lease['kind'])}</td>"
-                f"<td>{esc(lease['attempt'])}</td>"
-                f"<td>{esc(lease['age_s'])}s</td>"
-                f"<td>{esc(lease['expires_in_s'])}s</td>"
-                f"<td>{dash(lease['eta_s'])}</td>"
-                "</tr>"
-            )
-        lease_rows = "".join(rows) or (
-            '<tr><td colspan="6"><em>no jobs in flight</em></td></tr>'
-        )
-        engine_rows = "".join(
-            "<tr>"
-            f"<td>{esc(row['engine'])}</td>"
-            f"<td>{esc(row['cycles'])}</td>"
-            f"<td>{esc(row['instructions'])}</td>"
-            f"<td>{esc(row['cycles_per_s'])}</td>"
-            "</tr>"
-            for row in view["engines"]
-        ) or '<tr><td colspan="4"><em>no simulations yet</em></td></tr>'
-        cells = view["cells"]
-        sweep = view["sweep"]
-        dist = view.get("dist")
-        if dist is None:
-            dist_section = ""
-        else:
-            fleet_note = (
-                '<p><b style="color:#b35900">fleet degraded:</b> cells '
-                "pending with zero live workers — sweeps stall until a "
-                "worker returns</p>"
-                if dist["degraded"]
-                else ""
-            )
-            dist_cells = dist["cells"]
-            dist_section = f"""<h2>Distributed fleet</h2>
-<p><b>{esc(dist['workers_live'])}</b> live worker(s) &middot;
-{esc(dist_cells['queued'])} queued &middot;
-{esc(dist_cells['running'])} running &middot;
-{esc(dist_cells['done'])} done &middot;
-{esc(dist_cells['failed'])} failed</p>
-{fleet_note}"""
-        return f"""<!DOCTYPE html>
-<html lang="en">
-<head>
-<meta charset="utf-8">
-<meta http-equiv="refresh" content="{int(refresh_s)}">
-<title>repro.serve dashboard</title>
-<style>
-body {{ font: 14px/1.4 system-ui, sans-serif; margin: 2em; color: #222; }}
-table {{ border-collapse: collapse; margin: 0.5em 0 1.5em; }}
-th, td {{ border: 1px solid #ccc; padding: 0.3em 0.8em; text-align: left; }}
-th {{ background: #f2f2f2; }}
-.kpis span {{ display: inline-block; margin-right: 2em; }}
-.kpis b {{ font-size: 1.4em; }}
-.status-ready {{ color: #1a7f37; }}
-.status-draining, .status-not.ready {{ color: #b35900; }}
-</style>
-</head>
-<body>
-<h1>repro.serve <span class="status-{esc(status.replace(' ', '.'))}">{esc(status)}</span></h1>
-<p class="kpis">
-<span><b>{esc(view['queue_depth'])}</b> queued</span>
-<span><b>{esc(view['in_flight'])}</b> in flight</span>
-<span><b>{esc(view['slots'])}</b> slots</span>
-<span><b>{esc(jobs['done'])}</b> done</span>
-<span><b>{esc(jobs['failed'])}</b> failed</span>
-<span><b>{esc(view['uptime_s'])}s</b> up</span>
-</p>
-<h2>Leases</h2>
-<table>
-<tr><th>job</th><th>kind</th><th>attempt</th><th>age</th>
-<th>lease expires</th><th>eta</th></tr>
-{lease_rows}
-</table>
-<h2>Engines</h2>
-<table>
-<tr><th>engine</th><th>sim cycles</th><th>instructions</th>
-<th>cycles/s</th></tr>
-{engine_rows}
-</table>
-<h2>Cells</h2>
-<p>{esc(cells['completed'])} completed &middot;
-{esc(cells['simulated'])} simulated &middot;
-{esc(cells['reused'])} reused (cache {esc(cells['cache'])},
-checkpoint {esc(cells['checkpoint'])}) &middot;
-{esc(cells['failed'])} failed</p>
-<p>In-flight sweep: {esc(sweep['in_flight_cells'])} cell(s)
-&middot; mean cell {dash(sweep['mean_cell_s'])}s
-&middot; eta {dash(sweep['eta_s'])}s</p>
-{dist_section}</body>
-</html>
-"""
 
     # -- dispatch ------------------------------------------------------
 
@@ -1051,10 +800,6 @@ class _Handler(BaseHTTPRequestHandler):
         if path == "/metrics":
             body = self.app.metrics_text().encode("utf-8")
             self._send(200, "text/plain; version=0.0.4", body, path)
-            return
-        if path == "/dashboard":
-            body = self.app.dashboard_html().encode("utf-8")
-            self._send(200, "text/html; charset=utf-8", body, path)
             return
         route = path
         if path == "/healthz":

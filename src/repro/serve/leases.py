@@ -158,5 +158,5 @@ class LeaseTable:
         return list(self._live)
 
     def live_leases(self) -> List[Lease]:
-        """The current grants (the ops dashboard renders these)."""
+        """The current grants (``GET /dist/status`` lists them)."""
         return list(self._live.values())

@@ -286,10 +286,6 @@ class PageTable:
         self._walk_cache[vpn] = steps
         return steps
 
-    def walk_addresses(self, vpn: int) -> List[int]:
-        """The physical load addresses of :meth:`walk`, in walk order."""
-        return [step.load_paddr for step in self.walk(vpn)]
-
     def translate(self, vaddr: int) -> int:
         """Translate a byte virtual address to its physical address."""
         vpn = vaddr_to_vpn(vaddr)

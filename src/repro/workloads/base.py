@@ -129,10 +129,6 @@ class WorkloadSpec:
     region_mems: int = 4
     seed: int = 1234
 
-    def active_pages(self, warps_per_core: int = 48) -> int:
-        """The designed per-core active page set (excludes cold tail)."""
-        return warps_per_core * self.private_pages + self.hot_pool_pages
-
 
 class Workload:
     """A runnable synthetic workload built from a spec."""

@@ -37,22 +37,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown engine"):
             engines.get_engine("verilog")
 
-    def test_register_engine(self):
-        engines.register_engine(
-            "cycle-alias", "repro.engines.cycle:CycleEngine"
-        )
-        try:
-            assert "cycle-alias" in engines.available_engines()
-            assert engines.get_engine("cycle-alias").name == "cycle"
-        finally:
-            engines._REGISTRY.pop("cycle-alias")
-
-    def test_register_engine_rejects_bad_target(self):
-        with pytest.raises(ValueError):
-            engines.register_engine("", "repro.engines.cycle:CycleEngine")
-        with pytest.raises(ValueError):
-            engines.register_engine("x", "no-colon-here")
-
 
 class TestConfig:
     def test_config_validates_engine(self):

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.harness.__main__ import main as harness_main
 from repro.harness.top import TopView, main as top_main
 from repro.prof.export import parse_prometheus, to_prometheus
 from repro.prof.registry import MetricsRegistry
+from repro.serve.app import ServeApp, ServeConfig, make_server
+from repro.serve.client import ServeClient
 
 
 def _serve_registry() -> MetricsRegistry:
@@ -97,3 +101,46 @@ class TestTopCLI:
         with pytest.raises(SystemExit) as excinfo:
             top_main(["--once"])
         assert excinfo.value.code == 2
+
+
+class TestTopAgainstDaemon:
+    def test_once_scrapes_a_live_daemon(self, tmp_path, capsys):
+        # The default registry: the served simulation's sim_* counters
+        # land there, so /metrics carries an engine row.
+        app = ServeApp(
+            ServeConfig(journal=str(tmp_path / "journal.jsonl"), tick_s=0.005)
+        )
+        app.start()
+        httpd = make_server(app)
+        threading.Thread(
+            target=httpd.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            daemon=True,
+        ).start()
+        url = f"http://127.0.0.1:{httpd.server_address[1]}"
+        try:
+            client = ServeClient(url)
+            job = client.submit(
+                "simulate",
+                {
+                    "config": {
+                        "preset": "naive",
+                        "overrides": {
+                            "num_cores": 1,
+                            "warps_per_core": 8,
+                            "warp_width": 8,
+                        },
+                    },
+                    "workload": "bfs",
+                },
+            )
+            assert client.wait(job["id"], timeout_s=60)["state"] == "done"
+            code = harness_main(["top", "--url", url, "--once", "--plain"])
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            app.drain(grace_s=1.0)
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("serve    ready") for line in lines)
+        assert any(line.split()[:1] == ["event"] for line in lines)

@@ -531,97 +531,6 @@ class TestWakeUp:
         }
 
 
-class TestDashboard:
-    def _blocked_app(self, tmp_path):
-        release = threading.Event()
-
-        def run_job(job):
-            release.wait(timeout=30)
-            return {"ok": True}
-
-        app = _app(tmp_path, run_job)
-        return app, release
-
-    def test_view_reflects_queue_and_leases(self, tmp_path):
-        app, release = self._blocked_app(tmp_path)
-        app.start()
-        try:
-            for cores in (1, 2, 3):
-                code, _ = app.submit(_request(num_cores=cores))
-                assert code == 201
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline:
-                view = app.dashboard_view()
-                if view["in_flight"] == 2:
-                    break
-                time.sleep(0.005)
-            assert view["in_flight"] == 2  # both slots busy
-            assert view["queue_depth"] == 1
-            assert view["jobs"]["running"] == 2
-            assert len(view["leases"]) == 2
-            lease = view["leases"][0]
-            assert lease["kind"] == "simulate"
-            assert lease["attempt"] == 1
-            assert lease["expires_in_s"] > 0
-        finally:
-            release.set()
-            app.drain(grace_s=2.0)
-
-    def test_view_engine_throughput_and_sweep_eta(self, tmp_path):
-        app = _app(tmp_path, lambda job: {"ok": True})
-        reg = app.registry
-        reg.counter("sim_cycles").inc(5000, engine="event")
-        reg.counter("sim_cycles").inc(5000, engine="cycle")
-        reg.counter("sim_instructions").inc(100, engine="event")
-        reg.counter("sweep_cells_total").inc(3, source="cache")
-        reg.counter("sweep_cells_total").inc(2, source="simulated")
-        reg.gauge("sweep_in_flight").set(4)
-        reg.histogram("sweep_cell_seconds").observe(2.0)
-        view = app.dashboard_view()
-        engines = {row["engine"]: row for row in view["engines"]}
-        assert set(engines) == {"event", "cycle"}
-        assert engines["event"]["cycles"] == 5000
-        assert engines["event"]["instructions"] == 100
-        assert view["cells"]["reused"] == 3
-        assert view["cells"]["completed"] == 5
-        assert view["sweep"]["in_flight_cells"] == 4
-        assert view["sweep"]["eta_s"] == pytest.approx(8.0)
-
-    def test_html_renders_and_escapes(self, tmp_path):
-        app = _app(tmp_path, lambda job: {"ok": True})
-        app.registry.counter("sim_cycles").inc(
-            10, engine='<script>"x"</script>'
-        )
-        html = app.dashboard_html(refresh_s=3)
-        assert "<title>repro.serve dashboard</title>" in html
-        assert 'http-equiv="refresh" content="3"' in html
-        assert "<script>" not in html  # label is escaped
-        assert "&lt;script&gt;" in html
-
-    def test_http_route(self, tmp_path):
-        import urllib.request
-
-        app = _app(tmp_path, lambda job: {"ok": True})
-        app.start()
-        httpd = _serve_http(app)
-        try:
-            url = (
-                f"http://127.0.0.1:{httpd.server_address[1]}/dashboard"
-            )
-            with urllib.request.urlopen(url, timeout=5) as response:
-                assert response.status == 200
-                assert response.headers["Content-Type"].startswith(
-                    "text/html"
-                )
-                body = response.read().decode("utf-8")
-            assert "repro.serve" in body
-            assert "Leases" in body
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
-            app.drain(grace_s=1.0)
-
-
 class TestMetricsEngineLabel:
     def test_sim_series_carry_engine_label(self, tmp_path):
         """A production app (default registry) exposes the mirrored
