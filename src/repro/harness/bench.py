@@ -22,11 +22,15 @@ Two calibrated matrices:
   matters before/after a performance PR.
 
 The run always executes serially (``jobs=1``): the profiler attributes
-host time in-process, and worker subprocesses would escape it.  Each
-new report is compared against the most recent prior ``BENCH_*.json``
-in the output directory (or an explicit ``--compare PATH`` baseline);
-the verdict is informational unless ``--strict``, which exits non-zero
-on a regression.
+host time in-process, and worker subprocesses would escape it.  Every
+figure's plain pass runs before any observed pass, so ``peak_rss_kb``
+is the plain run's peak and ``observed_peak_rss_kb`` the observed one's.
+
+Each new report is compared against the most recent prior
+``BENCH_*.json`` of the same matrix mode in the output directory (or an
+explicit ``--compare PATH`` baseline); a custom matrix gets no automatic
+baseline.  The verdict is informational unless ``--strict``, which
+exits non-zero on a regression.
 """
 
 from __future__ import annotations
@@ -47,7 +51,12 @@ from repro.harness.figures import ALL_FIGURES
 from repro.obs.spans import SpanRecorder, record_spans
 from repro.prof import benchfile
 from repro.prof.export import registry_to_dict
-from repro.prof.profiler import PhaseProfiler, profile
+from repro.prof.profiler import (
+    PHASE_BUILD,
+    PHASE_SIMULATE,
+    PhaseProfiler,
+    profile,
+)
 from repro.prof.registry import REGISTRY
 from repro.workloads.registry import workload_names
 
@@ -136,11 +145,11 @@ def run_bench(
 ) -> Dict[str, Any]:
     """Run the matrix and build the report dict (not yet written)."""
     REGISTRY.clear()
+    subset = list(workloads) if workloads else None
     report_figures: Dict[str, Any] = {}
     total_wall = 0.0
     total_cells = 0
     total_cycles = 0
-    total_observed = 0.0
     for name in figures:
         if stream is not None:
             stream.write(f"[bench] {name} ...\n")
@@ -148,58 +157,30 @@ def run_bench(
         profiler = PhaseProfiler()
         start = time.perf_counter()
         with profile(profiler):
-            api_figure(
-                name=name,
-                workloads=list(workloads) if workloads else None,
-                jobs=1,
-                engine=engine,
-            )
+            api_figure(name=name, workloads=subset, jobs=1, engine=engine)
         wall = time.perf_counter() - start
         cells = profiler.counts.get("cells", 0)
         cycles = profiler.counts.get("sim_cycles", 0)
+        phases = profiler.to_dict()["phases"]
         report_figures[name] = {
             "wall_s": round(wall, 4),
             "cells": cells,
             "cells_per_s": round(cells / wall, 4) if wall > 0 else 0.0,
             "sim_cycles": cycles,
             "cycles_per_s": round(cycles / wall, 1) if wall > 0 else 0.0,
-            "phases": profiler.to_dict()["phases"],
+            "phases": phases,
         }
         total_wall += wall
         total_cells += cells
         total_cycles += cycles
-        if observed:
-            # The observed column: the same figure with event tracing
-            # and span recording live for every cell.  Results are
-            # byte-identical (pinned by tests/engines/test_observers.py);
-            # the ratio is the price of full observability.
-            recorder = SpanRecorder(keep_slowest=5)
-            start = time.perf_counter()
-            with trace_override(OBSERVED_TRACE), record_spans(recorder):
-                api_figure(
-                    name=name,
-                    workloads=list(workloads) if workloads else None,
-                    jobs=1,
-                    engine=engine,
-                )
-            observed_wall = time.perf_counter() - start
-            total_observed += observed_wall
-            report_figures[name]["observed_wall_s"] = round(observed_wall, 4)
-            report_figures[name]["observed_overhead"] = (
-                round(observed_wall / wall, 3) if wall > 0 else 0.0
-            )
         if stream is not None:
-            line = (
+            outside = wall - phases.get(PHASE_SIMULATE, {}).get("total_s", 0.0)
+            build = phases.get(PHASE_BUILD, {}).get("total_s", 0.0)
+            stream.write(
                 f"[bench] {name}: {wall:.2f}s, {cells} cells, "
-                f"{cycles} cycles"
+                f"{cycles} cycles, outside simulate {outside:.2f}s "
+                f"(build {build:.2f}s)\n"
             )
-            if observed:
-                entry = report_figures[name]
-                line += (
-                    f", observed {entry['observed_wall_s']:.2f}s "
-                    f"(x{entry['observed_overhead']:.2f})"
-                )
-            stream.write(line + "\n")
             stream.flush()
     report: Dict[str, Any] = {
         "schema_version": benchfile.BENCH_SCHEMA_VERSION,
@@ -217,15 +198,44 @@ def run_bench(
             "cycles_per_s": (
                 round(total_cycles / total_wall, 1) if total_wall > 0 else 0.0
             ),
+            # Read before any observed pass: ru_maxrss is a high-water
+            # mark, so a later read would report the observed peak.
             "peak_rss_kb": _peak_rss_kb(),
         },
-        "metrics": registry_to_dict(REGISTRY),
     }
     if observed:
-        report["totals"]["observed_wall_s"] = round(total_observed, 4)
-        report["totals"]["observed_overhead"] = (
+        # The observed column: each figure again with event tracing and
+        # span recording live for every cell.  Results are
+        # byte-identical (pinned by tests/engines/test_observers.py);
+        # the ratio is the price of full observability.
+        total_observed = 0.0
+        for name in figures:
+            recorder = SpanRecorder(keep_slowest=5)
+            start = time.perf_counter()
+            with trace_override(OBSERVED_TRACE), record_spans(recorder):
+                api_figure(name=name, workloads=subset, jobs=1, engine=engine)
+            observed_wall = time.perf_counter() - start
+            total_observed += observed_wall
+            entry = report_figures[name]
+            entry["observed_wall_s"] = round(observed_wall, 4)
+            entry["observed_overhead"] = (
+                round(observed_wall / entry["wall_s"], 3)
+                if entry["wall_s"] > 0
+                else 0.0
+            )
+            if stream is not None:
+                stream.write(
+                    f"[bench] {name} observed: {observed_wall:.2f}s "
+                    f"(x{entry['observed_overhead']:.2f})\n"
+                )
+                stream.flush()
+        totals = report["totals"]
+        totals["observed_wall_s"] = round(total_observed, 4)
+        totals["observed_overhead"] = (
             round(total_observed / total_wall, 3) if total_wall > 0 else 0.0
         )
+        totals["observed_peak_rss_kb"] = _peak_rss_kb()
+    report["metrics"] = registry_to_dict(REGISTRY)
     if engine is not None:
         report["engine"] = engine
     git = _git()
@@ -283,7 +293,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default="auto",
         metavar="PATH",
         help="baseline report to compare against (default: the most "
-        "recent prior BENCH_<n>.json; 'none' disables)",
+        "recent prior BENCH_<n>.json of the same matrix, none for a "
+        "custom matrix; 'none' disables)",
     )
     parser.add_argument(
         "--threshold",
@@ -359,7 +370,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.compare == "none":
         baseline_path = None
     elif args.compare == "auto":
-        baseline_path = benchfile.latest_bench_path(root)
+        # Only a report of the same matrix is a baseline; a custom
+        # matrix may differ from every earlier one, so it gets none.
+        baseline_path = (
+            None
+            if mode == "custom"
+            else benchfile.latest_bench_path(root, mode=mode)
+        )
     else:
         baseline_path = pathlib.Path(args.compare)
         if not baseline_path.is_file():
@@ -384,14 +401,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     benchfile.save(report, out)
     totals = report["totals"]
+    rss = f"peak RSS {totals['peak_rss_kb']} kB"
+    if "observed_peak_rss_kb" in totals:
+        rss += f", observed {totals['observed_peak_rss_kb']} kB"
     print(
         f"wrote {out}: {len(report['figures'])} figures, "
         f"{totals['cells']} cells in {totals['wall_s']:.2f}s "
-        f"({totals['cells_per_s']:.2f} cells/s, "
-        f"peak RSS {totals['peak_rss_kb']} kB)"
+        f"({totals['cells_per_s']:.2f} cells/s, {rss})"
     )
 
     if baseline_path is None:
+        if args.compare == "auto" and mode == "custom":
+            print("no automatic baseline for a custom matrix; "
+                  "pass --compare PATH to compare")
         return 0
     try:
         baseline = benchfile.load(baseline_path)

@@ -36,15 +36,21 @@ Schema (``BENCH_SCHEMA_VERSION`` = 1)::
         }, ...
       },
       "totals": {"wall_s", "cells", "cells_per_s", "sim_cycles",
-                 "cycles_per_s", "peak_rss_kb",
-                 "observed_wall_s"?, "observed_overhead"?},
+                 "cycles_per_s",
+                 "peak_rss_kb",            # peak RSS after the plain passes
+                 "observed_wall_s"?, "observed_overhead"?,
+                 "observed_peak_rss_kb"?}, # optional (bench --observed):
+                                           # peak RSS after the observed
+                                           # passes, which run last
       "metrics": { ... repro.prof.export.registry_to_dict ... }
     }
 
 ``host.machine`` and the ``git`` section postdate ``BENCH_1.json``;
 both are optional so earlier reports keep validating, but every new
 report written inside a checkout records the exact commit its numbers
-measured.
+measured.  ``totals.observed_peak_rss_kb`` postdates ``BENCH_5.json``:
+until then the observed passes interleaved with the plain ones, so an
+``--observed`` report's ``peak_rss_kb`` was the observed peak.
 
 Comparison is threshold-based and wall-clock aware: a figure regresses
 when its wall time grows (or its cells/s throughput shrinks) by more
@@ -99,10 +105,26 @@ def next_bench_path(root: pathlib.Path) -> pathlib.Path:
     return root / f"BENCH_{last + 1}.json"
 
 
-def latest_bench_path(root: pathlib.Path) -> Optional[pathlib.Path]:
-    """The highest-numbered existing report, or None."""
-    existing = bench_paths(root)
-    return existing[-1] if existing else None
+def latest_bench_path(
+    root: pathlib.Path, mode: Optional[str] = None
+) -> Optional[pathlib.Path]:
+    """The highest-numbered existing report, or None.
+
+    With ``mode``, the highest-numbered report of that matrix mode:
+    reports of another mode, and files that do not parse, are skipped.
+    """
+    for path in reversed(bench_paths(root)):
+        if mode is None or _report_mode(path) == mode:
+            return path
+    return None
+
+
+def _report_mode(path: pathlib.Path) -> Optional[str]:
+    try:
+        report = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    return report.get("mode") if isinstance(report, dict) else None
 
 
 def validate(report: Dict[str, Any]) -> List[str]:

@@ -57,6 +57,7 @@ PHASE_DRAM = "dram"                  # DRAM.access
 PHASE_COALESCE = "coalescer"         # intra-warp address coalescing
 PHASE_WARP_SCHED = "warp_scheduler"  # scheduler.select
 PHASE_EVENT_SKIP = "event_skip"      # event engine dead-time skip bookkeeping
+PHASE_BUILD = "workload_build"       # Workload.build on a memo miss
 
 #: Every phase the built-in instrumentation emits.
 PHASES = (
@@ -70,6 +71,7 @@ PHASES = (
     PHASE_COALESCE,
     PHASE_WARP_SCHED,
     PHASE_EVENT_SKIP,
+    PHASE_BUILD,
 )
 
 #: Fast-path flag: True exactly while a profiler is installed.

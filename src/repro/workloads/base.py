@@ -32,12 +32,27 @@ L1 reuse CCWS recovers.
 In block form, page sets belong to *warp pairs* (warps 2j and 2j+1
 share), so some cross-warp compactions are harmless while most are not —
 the structure the Common Page Matrix learns (Section 8.2).
+
+Shared page rows
+----------------
+A lane's address depends only on its page and its lane index.  Each
+build therefore computes one *row* per ``(page, is_private)`` — every
+lane's address on that page — when an instruction first touches the
+page, and every later lane group and instruction slices that row.  A
+row holds only ``min(lines, width)`` distinct int objects, a
+single-page instruction's ``addresses`` is the row itself, and in block
+form the two warps of a pair share one address tuple per lane.
+Memoized traces live as long as the process, so what they hold scales
+with the distinct addresses rather than with lanes × instructions, and
+each page's address formula runs once per build rather than once per
+lane.  ``tests/workloads/test_trace_golden.py`` pins the traces' values.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import cycle, islice
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import GPUConfig
@@ -47,6 +62,7 @@ from repro.gpu.instruction import (
     WarpTrace,
 )
 from repro.gpu.tbc.blocks import Region, ThreadBlock
+from repro.prof import profiler as _prof
 from repro.vm.address import PAGE_SIZE_4K
 
 #: Cold-stream scale used by the *timing* experiments.  The spec's
@@ -241,23 +257,53 @@ class Workload:
                 chosen.append((private[rng.randrange(len(private))], True))
         return chosen
 
-    def _lane_addresses(
-        self, chosen: List[Tuple[int, bool]], width: int
-    ) -> Tuple[Optional[int], ...]:
-        """Spread lanes over the chosen pages, fixed lines per page."""
+    def _page_row(
+        self, page: int, is_private: bool, width: int
+    ) -> Tuple[int, ...]:
+        """Every lane's address on one page, lanes ``0 .. width - 1``.
+
+        Lane ``i`` reads the page's fixed line ``i % lines``, rotated by
+        page number so L1 and L2 sets are used uniformly.  Only the
+        ``min(lines, width)`` distinct addresses are built; the lanes
+        that repeat a line hold the same int object.
+        """
         spec = self.spec
-        addresses: List[Optional[int]] = []
-        group = max(1, width // len(chosen))
-        for lane in range(width):
-            page, is_private = chosen[min(lane // group, len(chosen) - 1)]
-            lines = spec.lines_per_page if is_private else spec.shared_lines_per_page
-            line_stride = PAGE_SIZE_4K // max(1, lines)
-            # Fixed per-(page, lane) lines, rotated by page number so L1
-            # and L2 sets are used uniformly.
-            line = (
-                (lane % lines) * line_stride + (page % 32) * 128
-            ) % PAGE_SIZE_4K
-            addresses.append(page * PAGE_SIZE_4K + line)
+        lines = spec.lines_per_page if is_private else spec.shared_lines_per_page
+        line_stride = PAGE_SIZE_4K // max(1, lines)
+        base = page * PAGE_SIZE_4K
+        rotation = (page % 32) * 128
+        distinct = [
+            base + (line * line_stride + rotation) % PAGE_SIZE_4K
+            for line in range(min(lines, width))
+        ]
+        return tuple(islice(cycle(distinct), width))
+
+    def _lane_addresses(
+        self,
+        chosen: List[Tuple[int, bool]],
+        width: int,
+        rows: Dict[Tuple[int, bool], Tuple[int, ...]],
+    ) -> Tuple[int, ...]:
+        """Spread lanes over the chosen pages, fixed lines per page.
+
+        Lanes split into contiguous groups of ``width // len(chosen)``,
+        the last page taking the rest; each group reads its own lanes of
+        its page's row.  ``rows`` holds one build's rows, keyed by
+        ``(page, is_private)``, and fills on first use.
+        """
+        count = len(chosen)
+        group = max(1, width // count)
+        addresses: List[int] = []
+        for index in range(min(count, width)):
+            pick = chosen[index]
+            row = rows.get(pick)
+            if row is None:
+                row = rows[pick] = self._page_row(pick[0], pick[1], width)
+            if count == 1:
+                return row
+            start = index * group
+            stop = width if index == count - 1 else start + group
+            addresses += row[start:stop]
         return tuple(addresses)
 
     # ------------------------------------------------------------------
@@ -279,6 +325,7 @@ class Workload:
             rng = random.Random(f"{spec.seed}-linear-{core}")
             hot_pool = self._hot_pool(core)
             cold_base = self._cold_base(core)
+            rows: Dict[Tuple[int, bool], Tuple[int, ...]] = {}
             traces: List[WarpTrace] = []
             for warp in range(config.warps_per_core):
                 private = self._warp_pages(core, warp, config.warps_per_core)
@@ -309,7 +356,7 @@ class Workload:
                     instructions.append(
                         MemoryInstruction(
                             addresses=self._lane_addresses(
-                                chosen, config.warp_width
+                                chosen, config.warp_width, rows
                             )
                         )
                     )
@@ -334,6 +381,7 @@ class Workload:
         divergent: bool,
         cold_base: int,
         cold_fraction: float,
+        rows: Dict[Tuple[int, bool], Tuple[int, ...]],
     ) -> Region:
         spec = self.spec
         # Two compute templates per memory access keep divergent regions
@@ -365,44 +413,31 @@ class Workload:
         # the divergence amplification of Section 8.1.  Pairs share page
         # sets, so pair-internal compaction is free: the structure the
         # Common Page Matrix learns.
-        pair_picks: Dict[int, List[List[Tuple[int, bool]]]] = {}
+        pair_lanes: List[List[Tuple[int, ...]]] = []
         for pair in range(num_pairs):
             pages = self._pair_pages(
                 core, block_warp_base + pair * 2, total_core_warps
             )
-            picks = []
+            vectors = []
             for _ in range(spec.region_mems):
                 divergence = max(
                     1, self._sample_divergence(rng, warp_width) // 2
                 )
-                picks.append(
-                    self._pick_pages(
-                        rng, divergence, pages, hot_pool, cold_base,
-                        cold_fraction,
-                    )
+                chosen = self._pick_pages(
+                    rng, divergence, pages, hot_pool, cold_base,
+                    cold_fraction,
                 )
-            pair_picks[pair] = picks
-        thread_addresses: Dict[int, Tuple[int, ...]] = {}
-        for tid in range(block_threads):
-            warp_in_block = tid // warp_width
-            pair = warp_in_block // 2
-            lane = tid % warp_width
-            addrs = []
-            for m in range(spec.region_mems):
-                chosen = pair_picks[pair][m]
-                group = max(1, warp_width // len(chosen))
-                page, is_private = chosen[min(lane // group, len(chosen) - 1)]
-                lines = (
-                    spec.lines_per_page
-                    if is_private
-                    else spec.shared_lines_per_page
-                )
-                line_stride = PAGE_SIZE_4K // max(1, lines)
-                line = (
-                    (lane % lines) * line_stride + (page % 32) * 128
-                ) % PAGE_SIZE_4K
-                addrs.append(page * PAGE_SIZE_4K + line)
-            thread_addresses[tid] = tuple(addrs)
+                vectors.append(self._lane_addresses(chosen, warp_width, rows))
+            # One tuple per lane across the region's accesses, read by
+            # both warps of the pair.  zip() of no vectors is empty, so a
+            # region without accesses gives every lane () explicitly.
+            pair_lanes.append(
+                list(zip(*vectors)) if vectors else [()] * warp_width
+            )
+        thread_addresses: Dict[int, Tuple[int, ...]] = {
+            tid: pair_lanes[tid // warp_width // 2][tid % warp_width]
+            for tid in range(block_threads)
+        }
         return Region(
             path_programs=path_programs,
             thread_paths=thread_paths,
@@ -427,6 +462,7 @@ class Workload:
             rng = random.Random(f"{spec.seed}-blocks-{core}")
             hot_pool = self._hot_pool(core)
             cold_base = self._cold_base(core)
+            rows: Dict[Tuple[int, bool], Tuple[int, ...]] = {}
             blocks: List[ThreadBlock] = []
             for b in range(blocks_per_core):
                 block_warp_base = b * spec.block_warps
@@ -446,6 +482,7 @@ class Workload:
                             divergent,
                             cold_base,
                             cold_fraction,
+                            rows,
                         )
                     )
                 blocks.append(
@@ -489,10 +526,11 @@ class Workload:
         cached = _BUILD_CACHE.get(key)
         if cached is not None:
             return cached
-        if form == "linear":
-            built = self.build_linear(config, miss_scale=miss_scale)
-        else:
-            built = self.build_blocks(config, miss_scale=miss_scale)
+        with _prof.phase(_prof.PHASE_BUILD):
+            if form == "linear":
+                built = self.build_linear(config, miss_scale=miss_scale)
+            else:
+                built = self.build_blocks(config, miss_scale=miss_scale)
         if len(_BUILD_CACHE) >= _BUILD_CACHE_LIMIT:
             _BUILD_CACHE.clear()
         _BUILD_CACHE[key] = built

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.harness import bench
 from repro.harness.bench import main as bench_main
 from repro.prof import benchfile
 
@@ -19,7 +20,11 @@ class TestBenchCli:
         assert "wrote" in first and "BENCH_1.json" in first
         assert "bench compare" not in first  # no baseline yet
 
-        assert bench_main(ARGS + ["--dir", str(tmp_path)]) == 0
+        # A custom matrix has no automatic baseline; name one.
+        first_path = str(tmp_path / "BENCH_1.json")
+        assert bench_main(
+            ARGS + ["--dir", str(tmp_path), "--compare", first_path]
+        ) == 0
         second = capsys.readouterr().out
         assert "BENCH_2.json" in second
         assert "bench compare vs BENCH_1.json" in second
@@ -54,6 +59,9 @@ class TestBenchCli:
         totals = report["totals"]
         assert totals["observed_wall_s"] > 0
         assert totals["observed_overhead"] > 0
+        # The plain passes all run first, so the plain peak is read
+        # before any observed pass can raise the high-water mark.
+        assert 0 < totals["peak_rss_kb"] <= totals["observed_peak_rss_kb"]
 
     def test_without_observed_flag_no_observed_keys(self, tmp_path, capsys):
         assert bench_main(ARGS + ["--dir", str(tmp_path)]) == 0
@@ -61,6 +69,7 @@ class TestBenchCli:
         report = benchfile.load(tmp_path / "BENCH_1.json")
         assert "observed_wall_s" not in report["figures"]["fig04"]
         assert "observed_wall_s" not in report["totals"]
+        assert "observed_peak_rss_kb" not in report["totals"]
 
     def test_strict_fails_on_synthetic_regression(self, tmp_path, capsys):
         assert bench_main(ARGS + ["--dir", str(tmp_path)]) == 0
@@ -71,9 +80,37 @@ class TestBenchCli:
         baseline["figures"]["fig04"]["wall_s"] = 1e-6
         baseline["figures"]["fig04"]["cells_per_s"] = 1e6
         (tmp_path / "BENCH_1.json").write_text(json.dumps(baseline))
-        assert bench_main(ARGS + ["--dir", str(tmp_path), "--strict"]) == 1
+        assert bench_main(
+            ARGS + ["--dir", str(tmp_path), "--strict",
+                    "--compare", str(tmp_path / "BENCH_1.json")]
+        ) == 1
         out = capsys.readouterr().out
         assert "regression" in out
+
+    def test_custom_run_gets_no_automatic_baseline(self, tmp_path, capsys):
+        assert bench_main(ARGS + ["--dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert bench_main(ARGS + ["--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "BENCH_2.json" in out
+        assert "bench compare" not in out
+        assert "no automatic baseline for a custom matrix" in out
+
+    def test_auto_compare_skips_reports_of_another_mode(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Shrink the quick matrix so a --quick run takes seconds.
+        monkeypatch.setattr(bench, "QUICK_FIGURES", ("fig04",))
+        monkeypatch.setattr(bench, "QUICK_WORKLOADS", ("kmeans",))
+        assert bench_main(["--quick", "--dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        full = json.loads((tmp_path / "BENCH_1.json").read_text())
+        full["mode"] = "full"
+        (tmp_path / "BENCH_2.json").write_text(json.dumps(full))
+        assert bench_main(["--quick", "--dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "BENCH_3.json" in out
+        assert "bench compare vs BENCH_1.json" in out
 
     def test_compare_none_skips_comparison(self, tmp_path, capsys):
         assert bench_main(ARGS + ["--dir", str(tmp_path)]) == 0

@@ -167,6 +167,25 @@ class TestModuleFlag:
         assert profiler.records["analysis"].total_ns == 7
 
 
+class TestBuildPhase:
+    """A workload build on a memo miss is its own profiled phase."""
+
+    def test_build_records_once_per_memo_miss(self):
+        from helpers import small_config, small_workload
+
+        # A spec no other test builds, so the first build must miss and
+        # the second must hit.
+        workload = small_workload(seed=918_273)
+        config = small_config()
+        profiler = PhaseProfiler()
+        with prof.profile(profiler):
+            workload.build(config, form="linear")
+            assert profiler.records[prof.PHASE_BUILD].calls == 1
+            workload.build(config, form="linear")
+        assert profiler.records[prof.PHASE_BUILD].calls == 1
+        assert profiler.depth == 0
+
+
 class TestEventSkipPhase:
     """The event engine's dead-time bookkeeping is a real profiled
     phase: sparse workloads accumulate it, and it nests under the
@@ -196,10 +215,13 @@ class TestEventSkipPhase:
         profiler = self._profiled_run()
         assert profiler.depth == 0  # every frame closed
         simulate_record = profiler.records[prof.PHASE_SIMULATE]
-        # The simulate frame is the sole root, so the per-phase
-        # self-times must partition its span exactly — event_skip
+        # The simulate frame is the sole root besides the workload build
+        # (present when the build memo missed), so the per-phase
+        # self-times must partition the two spans exactly — event_skip
         # included, double counting nothing.
-        assert profiler.total_profiled_ns() == simulate_record.total_ns
+        build = profiler.records.get(prof.PHASE_BUILD)
+        roots_ns = simulate_record.total_ns + (build.total_ns if build else 0)
+        assert profiler.total_profiled_ns() == roots_ns
         assert (
             0
             < profiler.records[prof.PHASE_EVENT_SKIP].self_ns

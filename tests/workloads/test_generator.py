@@ -1,9 +1,12 @@
 """Workload generator structure."""
 
+from hypothesis import given, settings, strategies as st
+
 from helpers import small_config, small_workload
 
 from repro.gpu.instruction import ComputeInstruction, MemoryInstruction
 from repro.gpu.tbc.blocks import ThreadBlock
+from repro.vm.address import PAGE_SIZE_4K
 
 
 class TestLinearForm:
@@ -100,3 +103,101 @@ class TestBuildMemo:
         for i in range(cap + 1):
             wl.build(config, form="linear", miss_scale=1.0 + i / 1024)
         assert len(base._BUILD_CACHE) <= cap
+
+
+def _per_lane_reference(spec, chosen, width):
+    """The lane formula evaluated one lane at a time, as the generator
+    first wrote it: the oracle for the shared page rows."""
+    addresses = []
+    group = max(1, width // len(chosen))
+    for lane in range(width):
+        page, is_private = chosen[min(lane // group, len(chosen) - 1)]
+        lines = spec.lines_per_page if is_private else spec.shared_lines_per_page
+        line_stride = PAGE_SIZE_4K // max(1, lines)
+        line = (
+            (lane % lines) * line_stride + (page % 32) * 128
+        ) % PAGE_SIZE_4K
+        addresses.append(page * PAGE_SIZE_4K + line)
+    return tuple(addresses)
+
+
+# Small pages repeat across picks (exercising the row memo); large ones
+# cover every page-number rotation and the cold region's magnitudes.
+pages = st.one_of(st.integers(0, 6), st.integers(0, 1 << 33))
+picks = st.lists(st.tuples(pages, st.booleans()), min_size=1, max_size=40)
+
+
+class TestLaneAddresses:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        chosen=picks,
+        other=picks,
+        width=st.integers(1, 64),
+        lines=st.integers(1, 64),
+        shared_lines=st.integers(1, 64),
+    )
+    def test_rows_match_per_lane_formula(
+        self, chosen, other, width, lines, shared_lines
+    ):
+        workload = small_workload(
+            lines_per_page=lines, shared_lines_per_page=shared_lines
+        )
+        rows = {}
+        # Two instructions of one build share ``rows``; the second
+        # reads rows the first filled.
+        for picked in (chosen, other, chosen):
+            got = workload._lane_addresses(picked, width, rows)
+            assert got == _per_lane_reference(workload.spec, picked, width)
+            assert len(got) == width
+
+
+class TestSharedAddresses:
+    """Lanes and instructions that read one page share its address
+    objects: the generator's memory footprint depends on it."""
+
+    def test_equal_addresses_are_one_object_in_a_linear_build(self):
+        work = small_workload().build_linear(small_config(num_cores=2))
+        seen = {}
+        for traces in work:
+            for trace in traces:
+                for instr in trace.instructions:
+                    if isinstance(instr, MemoryInstruction):
+                        for addr in instr.addresses:
+                            assert seen.setdefault(addr, addr) is addr
+        assert len(seen) > 1
+
+    def test_single_page_instruction_reuses_the_row(self):
+        work = small_workload(page_div_mean=1.0).build_linear(small_config())
+        rows = {}
+        for trace in work[0]:
+            for instr in trace.instructions:
+                if isinstance(instr, MemoryInstruction):
+                    rows.setdefault(instr.addresses, instr.addresses)
+                    assert rows[instr.addresses] is instr.addresses
+
+    def test_pair_warps_share_lane_tuples(self):
+        config = small_config()
+        blocks = small_workload().build_blocks(config)[0]
+        width = config.warp_width
+        checked = 0
+        for block in blocks:
+            for region in block.regions:
+                for tid in range(block.num_threads):
+                    if (tid // width) % 2 or tid + width >= block.num_threads:
+                        continue
+                    assert (
+                        region.thread_addresses[tid]
+                        is region.thread_addresses[tid + width]
+                    )
+                    checked += 1
+        assert checked > 0
+
+    def test_region_without_memory_accesses_builds(self):
+        config = small_config()
+        blocks = small_workload(region_mems=0).build_blocks(config)[0]
+        for block in blocks:
+            for region in block.regions:
+                assert all(
+                    region.thread_addresses[tid] == ()
+                    for tid in range(block.num_threads)
+                )
