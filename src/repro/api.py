@@ -21,7 +21,7 @@ byte-identical to a serial run.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.config import GPUConfig
 from repro.core.results import SimulationResult
@@ -66,28 +66,6 @@ def _progress_stream(progress: bool):
     return sys.stderr if progress else None
 
 
-def _available_engines():
-    from repro.engines import available_engines
-
-    return available_engines()
-
-
-def _apply_engine(machine: GPUConfig, engine: Optional[str]) -> GPUConfig:
-    """Return ``machine`` running on ``engine`` (validated); None keeps
-    the config's own choice."""
-    if engine is None:
-        return machine
-    from dataclasses import replace
-
-    if engine not in _available_engines():
-        raise ValueError(
-            f"unknown engine {engine!r}; one of {sorted(_available_engines())}"
-        )
-    if machine.engine == engine:
-        return machine
-    return replace(machine, engine=engine)
-
-
 def simulate(
     *,
     config: ConfigLike,
@@ -120,10 +98,30 @@ def simulate(
         Both produce byte-identical results; the engine still
         participates in config hashes and result-cache keys.
     """
-    machine = _apply_engine(_resolve_config(config), engine)
+    machine = _resolve_config(config)
+    if engine is not None:
+        machine = machine.with_(engine=engine)
+    return _simulate(machine, workload, form, miss_scale)
+
+
+def _simulate(
+    machine: GPUConfig,
+    workload: Union[Workload, str],
+    form: Optional[str],
+    miss_scale: float,
+    attach: Optional[Callable[[Simulator], Any]] = None,
+) -> SimulationResult:
+    """Build ``workload`` for ``machine``, run it, record the result.
+
+    ``attach``, when given, receives the fresh simulator before it runs
+    and returns its safe-point ``poll`` hook: a resumable sweep cell
+    (:func:`repro.parallel.cells.simulate_cell`) restores its snapshot
+    and installs its snapshot policy there.
+    """
     work_source = _resolve_workload(workload)
     work = work_source.build(machine, form=form, miss_scale=miss_scale)
-    result = Simulator(machine, work, work_source.name).run()
+    simulator = Simulator(machine, work, work_source.name)
+    result = simulator.run(attach(simulator) if attach is not None else None)
     # Observation-only mirror of the run's counters into the unified
     # metrics registry; never feeds back into results.  The engine label
     # keeps per-engine series separable (and lets tests pin that both
@@ -172,17 +170,13 @@ def sweep(
         sweep_session,
     )
 
-    if engine is not None and engine not in _available_engines():
-        raise ValueError(
-            f"unknown engine {engine!r}; one of {sorted(_available_engines())}"
-        )
     if baseline is not None and baseline not in configs:
         raise ValueError(
             f"baseline {baseline!r} is not a config label; "
             f"have {sorted(configs)}"
         )
     factories = {
-        label: (lambda spec=spec: _apply_engine(_resolve_config(spec), engine))
+        label: (lambda spec=spec: _resolve_config(spec))
         for label, spec in configs.items()
     }
     with sweep_session(
@@ -193,6 +187,7 @@ def sweep(
         cell_timeout=timeout,
         progress_stream=_progress_stream(progress),
         cache_max_mb=cache_max_mb,
+        engine=engine,
     ):
         results = run_matrix(
             factories, workloads=workloads, form=form, miss_scale=miss_scale

@@ -14,8 +14,8 @@ repo's byte-identity contract intact:
   replays to exactly where it died;
 - **workers** (:mod:`repro.dist.worker`, ``python -m repro.harness
   worker``) pull leases over HTTP, execute cells through the existing
-  :class:`repro.parallel.pool.SweepExecutor` (SupervisedPool +
-  snapshots when ``--jobs`` > 1), heartbeat while running, and push
+  :class:`repro.parallel.pool.SweepExecutor` (one cell per lease, run
+  inline), heartbeat while running, and push
   results the coordinator verifies — fencing token, config hash,
   result digest — before folding into the shared
   :class:`repro.parallel.cache.ResultCache`;

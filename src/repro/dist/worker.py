@@ -1,11 +1,11 @@
 """The distributed sweep worker: lease, execute, heartbeat, push.
 
 A worker is a pull loop against one coordinator: lease a cell, rebuild
-it from the wire, run it through the existing execution machinery
-(:class:`repro.parallel.pool.SweepExecutor` — SupervisedPool and
-mid-cell snapshots when ``jobs`` > 1, the serial path otherwise),
-heartbeat while it runs, then push the result with its fencing token,
-config hash, and digest.
+it from the wire, run it through the path every sweep cell takes
+(:class:`repro.parallel.pool.SweepExecutor`, which runs a lone cell
+inline through :func:`repro.parallel.cells.execute_cell`), heartbeat
+while it runs, then push the result with its fencing token, config
+hash, and digest.
 
 Failure posture (the whole point):
 
@@ -55,7 +55,6 @@ class DistWorker:
         self,
         transport: Any,
         worker_id: Optional[str] = None,
-        jobs: int = 1,
         retries: int = 1,
         timeout: Optional[float] = None,
         poll_s: float = 0.5,
@@ -66,7 +65,6 @@ class DistWorker:
     ):
         self.transport = transport
         self.worker_id = worker_id or default_worker_id()
-        self.jobs = max(1, jobs)
         self.retries = retries
         self.timeout = timeout
         self.poll_s = poll_s
@@ -89,9 +87,7 @@ class DistWorker:
         """Default executor: the same pipeline local sweeps use."""
         from repro.parallel.pool import SweepExecutor
 
-        executor = SweepExecutor(
-            jobs=self.jobs, retries=self.retries, timeout=self.timeout
-        )
+        executor = SweepExecutor(retries=self.retries, timeout=self.timeout)
         return executor.run([cell])[0]
 
     # -- heartbeats ------------------------------------------------------
@@ -308,7 +304,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="worker id (default: hostname-pid)",
     )
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--retries", type=int, default=1)
     parser.add_argument("--timeout", type=float, default=None)
     parser.add_argument("--poll", type=float, default=0.5, metavar="S")
@@ -339,7 +334,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     worker = DistWorker(
         transport,
         worker_id=args.id,
-        jobs=args.jobs,
         retries=args.retries,
         timeout=args.timeout,
         poll_s=args.poll,

@@ -62,7 +62,7 @@ from repro.engines import available_engines
 from repro.faults.config import FaultConfig
 from repro.faults.errors import PTWError, SimulationError
 from repro.harness.checkpoint import SweepCheckpoint
-from repro.parallel.cells import Cell, execute_cell
+from repro.parallel.cells import Cell, execute_cell, simulate_cell
 from repro.parallel.pool import SweepExecutor
 from repro.serve.client import ServeClient, ServeHTTPError
 
@@ -394,25 +394,18 @@ def run_campaign(
         )
 
         # -- 3. truncated snapshot ------------------------------------
-        from repro.snapshot.runner import (
-            execute_cell_resumable,
-            simulate_cell_resumable,
-        )
-
         snap_path = os.path.join(tmp, "snap.json")
         cell = matrix[0]
-        # A bare simulate (unlike execute_cell_resumable) leaves its
-        # last periodic snapshot on disk — a tight period guarantees
-        # one exists even for these tiny cells.  Tear it in half and
-        # prove the resume path recomputes rather than wedges.
-        simulate_cell_resumable(
-            cell, snapshot_path=snap_path, snapshot_every=200
-        )
+        # A bare simulate_cell (unlike execute_cell) leaves its last
+        # periodic snapshot on disk — a tight period guarantees one
+        # exists even for these tiny cells.  Tear it in half and prove
+        # the resume path recomputes rather than wedges.
+        simulate_cell(cell, snapshot_path=snap_path, snapshot_every=200)
         if os.path.exists(snap_path):
             size = os.path.getsize(snap_path)
             with open(snap_path, "r+b") as handle:
                 handle.truncate(size // 2)
-            recomputed = execute_cell_resumable(
+            recomputed = execute_cell(
                 cell, snapshot_path=snap_path
             ).canonical_json()
             if recomputed != baseline[0]:

@@ -1,14 +1,20 @@
 """Generic experiment plumbing shared by the per-figure drivers.
 
-Sweeps are resumable and parallelizable: wrap figure calls in
-:func:`sweep_session` (the CLI's ``--checkpoint``/``--retries``/
-``--jobs``/``--cache`` flags do this) and every (config, workload) cell
-:func:`run_matrix` executes is resolved through the
-:class:`repro.parallel.pool.SweepExecutor` — checkpoint first, then the
-content-addressed result cache, then simulation, fanned out to a worker
-pool when ``jobs > 1``.  Parallel execution is guaranteed to produce
-byte-identical results to a serial run (cells carry their own seeds;
-nothing depends on completion order).
+Every figure reaches the simulator one way: its driver calls
+:func:`run_matrix`, which builds the (config, workload) cells and hands
+them to the *ambient* :class:`repro.parallel.pool.SweepExecutor`.
+Outside a session that is a serial executor with no checkpoint or
+cache.  :func:`sweep_session` (the CLI's ``--checkpoint``/
+``--retries``/``--jobs``/``--cache``/``--timeout``/``--engine`` flags,
+and the ``repro.api`` sweep and figure keywords) builds one executor
+from its arguments and installs it, with the engine every cell runs
+on, for each ``run_matrix`` call inside.
+
+The executor resolves each cell from the checkpoint first, then the
+content-addressed result cache, then simulation, fanned out to the
+supervised worker pool when ``jobs > 1``.  Parallel execution is
+guaranteed to produce byte-identical results to a serial run (cells
+carry their own seeds; nothing depends on completion order).
 
 A cell that raises a structured
 :class:`repro.faults.errors.SimulationError` (hang, permanent walk
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -34,6 +40,7 @@ from typing import (
     Optional,
     Sequence,
     TextIO,
+    Tuple,
 )
 
 from repro.core.config import GPUConfig
@@ -114,31 +121,10 @@ class FigureResult:
         )
 
 
-def _on_engine(config: GPUConfig, engine: Optional[str]) -> GPUConfig:
-    """The cell's config on the session's engine (None = unchanged)."""
-    if engine is None or config.engine == engine:
-        return config
-    return replace(config, engine=engine)
-
-
-@dataclass
-class SweepSettings:
-    """Ambient execution settings installed by :func:`sweep_session`."""
-
-    checkpoint: Optional[SweepCheckpoint] = None
-    cell_retries: int = 0
-    jobs: int = 1
-    cache: Optional[ResultCache] = None
-    cell_timeout: Optional[float] = None
-    progress_stream: Optional[TextIO] = None
-    #: Simulator core every cell runs on (None = each config's own).
-    engine: Optional[str] = None
-
-
-# Ambient sweep state, installed by sweep_session().  run_matrix() picks
-# it up so the per-figure drivers need no signature changes to become
-# resumable and parallel.
-_ACTIVE = SweepSettings()
+# The ambient executor and engine (None = each config's own), installed
+# by sweep_session().  run_matrix() picks them up so the per-figure
+# drivers need no signature changes to become resumable and parallel.
+_ACTIVE: Tuple[SweepExecutor, Optional[str]] = (SweepExecutor(), None)
 
 
 @contextlib.contextmanager
@@ -179,17 +165,9 @@ def sweep_session(
     engine:
         Simulator core (:func:`repro.engines.available_engines`) every
         cell inside the session runs on; None keeps each config's own
-        ``engine`` field.  Validated here so CLI/API callers fail
-        before any cell runs.
+        ``engine`` field.  An unknown engine fails config validation
+        when :func:`run_matrix` builds its cells, before any cell runs.
     """
-    if engine is not None:
-        from repro.engines import available_engines
-
-        if engine not in available_engines():
-            raise ValueError(
-                f"unknown engine {engine!r}; "
-                f"one of {sorted(available_engines())}"
-            )
     global _ACTIVE
     checkpoint = (
         SweepCheckpoint(checkpoint_path) if checkpoint_path is not None else None
@@ -207,15 +185,15 @@ def sweep_session(
         else None
     )
     previous = _ACTIVE
-    _ACTIVE = SweepSettings(
+    executor = SweepExecutor(
+        jobs=jobs,
         checkpoint=checkpoint,
-        cell_retries=cell_retries,
-        jobs=jobs if jobs is not None else 1,
         cache=cache,
-        cell_timeout=cell_timeout,
+        retries=cell_retries,
+        timeout=cell_timeout,
         progress_stream=progress_stream,
-        engine=engine,
     )
+    _ACTIVE = (executor, engine)
     try:
         yield checkpoint
     finally:
@@ -224,99 +202,42 @@ def sweep_session(
             checkpoint.close()
 
 
-def run_cell(
-    label: str,
-    factory: Callable[[], GPUConfig],
-    workload_name: str,
-    form: Optional[str] = None,
-    miss_scale: float = TIMING_MISS_SCALE,
-    checkpoint: Optional[SweepCheckpoint] = None,
-    cell_retries: int = 0,
-    cell_timeout: Optional[float] = None,
-    cache: Optional[ResultCache] = None,
-) -> SimulationResult:
-    """Run one sweep cell with checkpoint/cache skip and bounded retries.
-
-    Raises the final :class:`SimulationError` (after recording it) when
-    every attempt fails; any other exception propagates immediately.
-    """
-    cell = Cell(
-        label=label,
-        workload=workload_name,
-        config=_on_engine(factory(), _ACTIVE.engine),
-        form=form,
-        miss_scale=miss_scale,
-    )
-    executor = SweepExecutor(
-        jobs=1,
-        checkpoint=checkpoint,
-        cache=cache,
-        retries=cell_retries,
-        timeout=cell_timeout,
-    )
-    return executor.run([cell])[0]
-
-
 def run_matrix(
     configs: Mapping[str, Callable[[], GPUConfig]],
     workloads: Optional[Sequence[str]] = None,
     form: Optional[str] = None,
     miss_scale: float = TIMING_MISS_SCALE,
-    checkpoint: Optional[SweepCheckpoint] = None,
-    cell_retries: Optional[int] = None,
-    jobs: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    cell_timeout: Optional[float] = None,
 ) -> Dict[str, Dict[str, SimulationResult]]:
-    """Run every (config, workload) pair.
+    """Run every (config, workload) pair on the ambient executor.
 
     ``configs`` maps a series label to a zero-argument config factory
     (so each cell gets a fresh config).  Returns
     ``{label: {workload: result}}`` in input order — completion order
     never shows, which is what makes ``jobs > 1`` byte-identical to a
-    serial run.
-
-    Unset keyword arguments default to the ambient
-    :func:`sweep_session` state, so figure drivers inherit
-    resumability, caching, and parallelism without plumbing.
+    serial run.  Every cell is built (and its config validated) before
+    any runs.
     """
-    settings = _ACTIVE
-    if checkpoint is None:
-        checkpoint = settings.checkpoint
-    if cell_retries is None:
-        cell_retries = settings.cell_retries
-    if jobs is None:
-        jobs = settings.jobs
-    if cache is None:
-        cache = settings.cache
-    if cell_timeout is None:
-        cell_timeout = settings.cell_timeout
+    executor, engine = _ACTIVE
     names = list(workloads) if workloads is not None else workload_names()
     cells: List[Cell] = []
     for label, factory in configs.items():
         for name in names:
+            config = factory()
+            if engine is not None:
+                config = config.with_(engine=engine)
             cells.append(
                 Cell(
                     label=label,
                     workload=name,
-                    config=_on_engine(factory(), settings.engine),
+                    config=config,
                     form=form,
                     miss_scale=miss_scale,
                 )
             )
-    executor = SweepExecutor(
-        jobs=jobs,
-        checkpoint=checkpoint,
-        cache=cache,
-        retries=cell_retries,
-        timeout=cell_timeout,
-        progress_stream=settings.progress_stream,
-    )
-    flat = executor.run(cells)
     results: Dict[str, Dict[str, SimulationResult]] = {
         label: {} for label in configs
     }
-    for cell, result in zip(cells, flat):
+    for cell, result in zip(cells, executor.run(cells)):
         results[cell.label][cell.workload] = result
     return results
 

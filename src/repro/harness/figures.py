@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.api import simulate
 from repro.core import presets
 from repro.core.config import GPUConfig
 from repro.harness.experiment import (
@@ -98,10 +97,12 @@ def fig03_characterization(workloads: Optional[Sequence[str]] = None) -> FigureR
         "avg page divergence": {},
         "max page divergence": {},
     }
-    for name in names:
-        result = simulate(
-            config=_preset("blocking", **_KW), workload=name, miss_scale=1.0
-        )
+    results = run_matrix(
+        {"blocking": lambda: _preset("blocking", **_KW)},
+        workloads=names,
+        miss_scale=1.0,
+    )
+    for name, result in results["blocking"].items():
         stats = result.stats
         series["mem instr %"][name] = 100.0 * stats.memory_instruction_fraction
         series["tlb miss rate %"][name] = 100.0 * stats.tlb_miss_rate
@@ -128,8 +129,10 @@ def fig04_miss_latency(workloads: Optional[Sequence[str]] = None) -> FigureResul
         "avg TLB miss cycles": {},
         "ratio": {},
     }
-    for name in names:
-        result = simulate(config=_preset("blocking", **_KW), workload=name)
+    results = run_matrix(
+        {"blocking": lambda: _preset("blocking", **_KW)}, workloads=names
+    )
+    for name, result in results["blocking"].items():
         l1 = result.avg_l1_miss_cycles
         tlb = result.stats.average_tlb_miss_cycles
         series["avg L1 miss cycles"][name] = l1
@@ -461,12 +464,16 @@ def sec9_large_pages(workloads: Optional[Sequence[str]] = None) -> FigureResult:
         "tlb miss 4KB %": {},
         "tlb miss 2MB %": {},
     }
-    for name in names:
-        small = simulate(
-            config=_preset("blocking", **_KW), workload=name, miss_scale=1.0
-        )
-        large_cfg = _preset("blocking", page_shift=21, **_KW)
-        large = simulate(config=large_cfg, workload=name, miss_scale=1.0)
+    results = run_matrix(
+        {
+            "4KB": lambda: _preset("blocking", **_KW),
+            "2MB": lambda: _preset("blocking", page_shift=21, **_KW),
+        },
+        workloads=names,
+        miss_scale=1.0,
+    )
+    for name, small in results["4KB"].items():
+        large = results["2MB"][name]
         series["avg pdiv 4KB"][name] = small.stats.average_page_divergence
         series["avg pdiv 2MB"][name] = large.stats.average_page_divergence
         series["tlb miss 4KB %"][name] = 100 * small.stats.tlb_miss_rate

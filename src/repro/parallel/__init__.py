@@ -4,8 +4,9 @@ The paper's figures are (config, workload) matrices whose cells are
 embarrassingly parallel; this package fans them out to a multiprocess
 pool while keeping the output *byte-identical* to a serial run:
 
-- :mod:`repro.parallel.cells` — the picklable unit of work and the
-  shared retry/timeout execution path;
+- :mod:`repro.parallel.cells` — the picklable unit of work and the one
+  execution path every simulated cell takes (retries, timeouts,
+  mid-cell snapshots);
 - :mod:`repro.parallel.cache` — a content-addressed result cache keyed
   by canonical config hash + workload + code-version salt, so reruns
   and overlapping figures skip already-simulated cells;

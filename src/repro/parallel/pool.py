@@ -5,15 +5,16 @@ and returns their results *in cell order*, regardless of completion
 order.  Every cell is resolved through the same three-stage pipeline:
 
 1. **checkpoint** — a cell already recorded in the
-   :class:`repro.harness.checkpoint.SweepCheckpoint` (under its
-   hash-based key, or the pre-hash legacy key of old files) is reused;
+   :class:`repro.harness.checkpoint.SweepCheckpoint` is reused;
 2. **cache** — a content-identical simulation from any earlier sweep or
    figure found in the :class:`repro.parallel.cache.ResultCache` is
    reused (and recorded to the checkpoint);
 3. **simulate** — everything else executes via
    :func:`repro.parallel.cells.execute_cell` (bounded retries with
    perturbed fault seeds, per-attempt wall-clock guard), either inline
-   (``jobs <= 1``) or on a spawned worker pool.
+   or on the spawned, supervised worker pool.  The pool runs only with
+   ``jobs > 1`` and at least two pending cells: one pending cell always
+   runs inline.
 
 Determinism contract: parallel and serial execution produce
 byte-identical results.  Cells are self-contained (config embeds the
@@ -49,11 +50,16 @@ from repro.core.results import SimulationResult
 from repro.faults.errors import SimulationError
 from repro.parallel import progress as _progress
 from repro.parallel.cache import ResultCache
-from repro.parallel.cells import Cell, execute_cell, rebuild_error
+from repro.parallel.cells import (
+    DEFAULT_SNAPSHOT_CYCLES,
+    Cell,
+    execute_cell,
+    key_of,
+    rebuild_error,
+)
 from repro.parallel.progress import SweepProgress
 from repro.parallel.supervisor import (
     DEFAULT_RESTART_BUDGET,
-    DEFAULT_SNAPSHOT_CYCLES,
     DEFAULT_STALE_AFTER,
     PoolEnvironmentFailure,
     SupervisedPool,
@@ -61,21 +67,6 @@ from repro.parallel.supervisor import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.checkpoint import SweepCheckpoint
-
-
-def _cell_key(cell: Cell) -> str:
-    """The checkpoint key of ``cell``, imported lazily.
-
-    ``repro.harness`` imports this module (via ``experiment``); loading
-    ``repro.harness.checkpoint`` at our import time would close that
-    cycle — which only bites in spawned workers, where unpickling the
-    pool entry point imports ``repro.parallel`` first.
-    """
-    from repro.harness.checkpoint import cell_key
-
-    return cell_key(
-        cell.label, cell.workload, cell.config, cell.form, cell.miss_scale
-    )
 
 
 def default_jobs() -> int:
@@ -118,17 +109,17 @@ class SweepExecutor:
     def _checkpoint_lookup(self, cell: Cell) -> Optional[SimulationResult]:
         if self.checkpoint is None:
             return None
-        return self.checkpoint.get(_cell_key(cell))
+        return self.checkpoint.get(key_of(cell))
 
     def _record_ok(self, cell: Cell, result: SimulationResult) -> None:
         if self.checkpoint is not None:
-            self.checkpoint.record(_cell_key(cell), result)
+            self.checkpoint.record(key_of(cell), result)
 
     def _record_failure(
         self, cell: Cell, error: SimulationError, attempts: int
     ) -> None:
         if self.checkpoint is not None:
-            self.checkpoint.record_failure(_cell_key(cell), error, attempts)
+            self.checkpoint.record_failure(key_of(cell), error, attempts)
 
     # -- execution -----------------------------------------------------
 
@@ -226,6 +217,13 @@ class SweepExecutor:
         started_at: Dict[int, float] = {}
 
         def on_outcome(index: int, status: str, payload) -> None:
+            if status == "spawned":
+                # The pool runs at most ``jobs`` cells at a time: a
+                # cell's clock starts when its worker does, not when
+                # it is queued.
+                started_at[index] = time.monotonic()
+                progress.launched()
+                return
             cell = cells[index]
             seconds = time.monotonic() - started_at[index]
             if status == "ok":
@@ -252,9 +250,6 @@ class SweepExecutor:
             chaos=self.chaos,
             on_outcome=on_outcome,
         )
-        for index in pending:
-            started_at[index] = time.monotonic()
-            progress.launched()
         try:
             pool.run([(index, cells[index]) for index in pending])
         except PoolEnvironmentFailure:
@@ -274,6 +269,8 @@ class SweepExecutor:
                 for index in pending
                 if results[index] is None and index not in errors
             ]
+            # The serial path counts these in flight again.
+            progress.launched(-sum(index in started_at for index in remaining))
             self._run_serial(cells, remaining, results, progress)
         if errors:
             raise errors[min(errors)]

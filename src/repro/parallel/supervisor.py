@@ -53,13 +53,16 @@ from repro.durable import atomic_write
 from repro.faults.errors import SimulationError, WorkerCrashed
 from repro.obs import log as _log
 from repro.parallel.backoff import Backoff
-from repro.parallel.cells import Cell, error_payload, key_of
+from repro.parallel.cells import (
+    DEFAULT_SNAPSHOT_CYCLES,
+    Cell,
+    error_payload,
+    execute_cell,
+    key_of,
+)
 
 #: Parent poll period, seconds (also the chaos hook's tick).
 _TICK_SECONDS = 0.05
-
-#: Default mid-cell snapshot period, simulated cycles.
-DEFAULT_SNAPSHOT_CYCLES = 50_000
 
 #: Default restarts per cell before the cell fails with WorkerCrashed.
 DEFAULT_RESTART_BUDGET = 2
@@ -142,9 +145,7 @@ def _worker_entry(
     heartbeat = _Heartbeat(os.path.join(spool, f"hb-{index}"))
     snap_path = os.path.join(spool, f"snap-{index}.json")
     try:
-        from repro.snapshot.runner import execute_cell_resumable
-
-        result = execute_cell_resumable(
+        result = execute_cell(
             cell,
             retries=retries,
             timeout=timeout,
@@ -237,9 +238,11 @@ class SupervisedPool:
         pool — the chaos harness uses it to kill workers and corrupt
         spool files mid-sweep.  Production sweeps pass ``None``.
     on_outcome:
-        Callback ``(index, status, payload)`` fired as each cell
-        resolves (in completion order); the executor records
-        checkpoint/cache entries here.
+        Callback ``(index, status, payload)`` fired with
+        ``("spawned", None)`` when a cell's first worker starts (the
+        executor starts the cell's clock and counts it in flight), then
+        once as the cell resolves (in completion order; the executor
+        records checkpoint/cache entries here).
     """
 
     def __init__(
@@ -455,6 +458,8 @@ class SupervisedPool:
                     worker = _Worker(index, cell)
                     self.active[index] = worker
                     self._spawn(worker)
+                    if self.on_outcome is not None:
+                        self.on_outcome(index, "spawned", None)
                 if self.chaos is not None:
                     self.chaos(self)
                 time.sleep(_TICK_SECONDS)

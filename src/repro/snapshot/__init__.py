@@ -19,9 +19,11 @@ tracing and profiling both on and off.
 
 :mod:`repro.snapshot.store` persists snapshots atomically
 (write + fsync + rename) inside a versioned envelope and tolerates
-truncated or corrupt files on read; :mod:`repro.snapshot.runner` runs
-sweep cells resumably, writing periodic snapshots from the safe-point
-``poll`` hook so a SIGKILLed worker can restart mid-cell.
+truncated or corrupt files on read; :mod:`repro.snapshot.runner` holds
+:class:`SnapshotPolicy`, which writes periodic snapshots from the
+safe-point ``poll`` hook.  :func:`repro.parallel.cells.simulate_cell`
+installs one when given a snapshot path, so a SIGKILLed worker can
+restart mid-cell.
 """
 
 from repro.snapshot.store import (
@@ -32,19 +34,13 @@ from repro.snapshot.store import (
     try_read_snapshot,
     write_snapshot,
 )
-from repro.snapshot.runner import (
-    SnapshotPolicy,
-    execute_cell_resumable,
-    simulate_cell_resumable,
-)
+from repro.snapshot.runner import SnapshotPolicy
 
 __all__ = [
     "SNAPSHOT_SCHEMA_VERSION",
     "SnapshotIncompatible",
     "SnapshotPolicy",
-    "execute_cell_resumable",
     "read_snapshot",
-    "simulate_cell_resumable",
     "snapshot_envelope",
     "try_read_snapshot",
     "write_snapshot",

@@ -1,50 +1,31 @@
-"""Resumable sweep-cell execution driven by safe-point snapshots.
+"""The safe-point snapshot policy of a resumable sweep cell.
 
 :class:`SnapshotPolicy` is the bridge between the simulator's safe-point
 ``poll`` hook and the on-disk store: every ``every_cycles`` simulated
 cycles it serializes ``Simulator.state_dict()`` into the versioned
 envelope and persists it atomically, and it relays a rate-limited
 heartbeat so a supervising parent can tell a slow worker from a dead
-one.
-
-:func:`simulate_cell_resumable` mirrors :func:`repro.api.simulate` for
-one sweep cell but resumes from a snapshot when a compatible one exists;
-:func:`execute_cell_resumable` mirrors
-:func:`repro.parallel.cells.execute_cell` (bounded retries with seed
-perturbation, per-attempt wall-clock guard) on top of it.  Both preserve
-the determinism contract: a run resumed from any snapshot finishes with
-a result byte-identical to the uninterrupted run.
+one.  :func:`repro.parallel.cells.simulate_cell` installs one whenever
+it is given a snapshot path; a run resumed from any snapshot finishes
+with a result byte-identical to the uninterrupted run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import Callable, Optional
 
-from repro.core.config import config_hash
-from repro.core.results import SimulationResult
 from repro.core.simulator import Simulator
-from repro.faults.errors import SimulationError
-from repro.faults.watchdog import wall_clock_guard
-from repro.parallel.backoff import Backoff, for_cell_retries
-from repro.parallel.cells import Cell, reseeded
-from repro.prof.registry import record_result
+from repro.parallel.cells import DEFAULT_SNAPSHOT_CYCLES
 from repro.snapshot.store import (
     SnapshotIncompatible,
     read_snapshot,
     snapshot_envelope,
     write_snapshot,
 )
-from repro.workloads.registry import get_workload
 
-__all__ = [
-    "SnapshotPolicy",
-    "execute_cell_resumable",
-    "simulate_cell_resumable",
-]
-
-#: Default snapshot period, in simulated cycles of the executing core.
-DEFAULT_SNAPSHOT_CYCLES = 50_000
+__all__ = ["SnapshotPolicy"]
 
 #: Polls between heartbeat relays (the poll hook fires every issue-loop
 #: iteration; the heartbeat itself is cheap but not free).
@@ -96,8 +77,29 @@ class SnapshotPolicy:
         form: Optional[str],
         miss_scale: float,
         attempt: int,
-    ) -> None:
-        """Attach the simulator whose state this policy persists."""
+    ) -> "SnapshotPolicy":
+        """Attach the simulator whose state this policy persists.
+
+        A snapshot already at ``path`` is first restored into
+        ``simulator`` when it is of exactly this cell and attempt.  An
+        absent or unreadable one means a fresh run, and a stale one (an
+        earlier attempt's, or an abandoned cell's that once shared the
+        path) is discarded: it is never resumed and never fails the
+        run.  Returns the policy itself, the run's ``poll`` hook.
+        """
+        try:
+            envelope = read_snapshot(
+                self.path,
+                config_hash=config_hash,
+                workload=workload,
+                attempt=attempt,
+            )
+        except SnapshotIncompatible:
+            envelope = None
+            with contextlib.suppress(OSError):
+                os.remove(self.path)
+        if envelope is not None:
+            simulator.load_state(envelope["state"])
         self._sim = simulator
         self._meta = {
             "config_hash": config_hash,
@@ -106,6 +108,7 @@ class SnapshotPolicy:
             "miss_scale": miss_scale,
             "attempt": attempt,
         }
+        return self
 
     def __call__(self, core) -> None:
         """The safe-point hook (see :meth:`ShaderCore.run`)."""
@@ -130,136 +133,3 @@ class SnapshotPolicy:
         envelope = snapshot_envelope(cycle=cycle, state=self._sim.state_dict(), **self._meta)
         write_snapshot(self.path, envelope)
         self.snapshots_written += 1
-
-
-def simulate_cell_resumable(
-    cell: Cell,
-    attempt: int = 0,
-    *,
-    snapshot_path: Optional[str] = None,
-    snapshot_every: int = DEFAULT_SNAPSHOT_CYCLES,
-    heartbeat: Optional[Callable[[], None]] = None,
-) -> SimulationResult:
-    """Simulate one attempt of ``cell``, resuming from ``snapshot_path``.
-
-    When the path holds a readable snapshot for exactly this cell and
-    attempt, the simulation restarts from it (skipping the already
-    executed cycles); an unreadable/absent file means a fresh run, and a
-    *valid* snapshot for a different cell or attempt raises
-    :class:`~repro.snapshot.store.SnapshotIncompatible` (use
-    :func:`execute_cell_resumable` for the lenient discard-and-rerun
-    behaviour).  Periodic snapshots are written for the duration.
-    """
-    config = reseeded(cell.config, attempt)
-    chash = config_hash(config)
-    work_source = get_workload(cell.workload)
-    work = work_source.build(config, form=cell.form, miss_scale=cell.miss_scale)
-    sim = Simulator(config, work, work_source.name)
-    poll = None
-    if snapshot_path is not None:
-        envelope = read_snapshot(
-            snapshot_path,
-            config_hash=chash,
-            workload=cell.workload,
-            attempt=attempt,
-        )
-        if envelope is not None:
-            sim.load_state(envelope["state"])
-        policy = SnapshotPolicy(
-            snapshot_path, every_cycles=snapshot_every, heartbeat=heartbeat
-        )
-        policy.bind(
-            sim,
-            config_hash=chash,
-            workload=cell.workload,
-            form=cell.form,
-            miss_scale=cell.miss_scale,
-            attempt=attempt,
-        )
-        poll = policy
-    elif heartbeat is not None:
-        beats = [0]
-
-        def poll(core, _beats=beats, _heartbeat=heartbeat):  # noqa: F811
-            _beats[0] += 1
-            if not (_beats[0] & _HEARTBEAT_MASK):
-                _heartbeat()
-
-    result = sim.run(poll)
-    # Observation-only mirror into the unified metrics registry, exactly
-    # as repro.api.simulate does (engine label included).
-    record_result(result, engine=config.engine)
-    return result
-
-
-def _discard_snapshot(snapshot_path: Optional[str]) -> None:
-    if snapshot_path is None:
-        return
-    try:
-        os.remove(snapshot_path)
-    except OSError:
-        pass
-
-
-def execute_cell_resumable(
-    cell: Cell,
-    retries: int = 0,
-    timeout: Optional[float] = None,
-    *,
-    snapshot_path: Optional[str] = None,
-    snapshot_every: int = DEFAULT_SNAPSHOT_CYCLES,
-    heartbeat: Optional[Callable[[], None]] = None,
-    backoff: Optional[Backoff] = None,
-) -> SimulationResult:
-    """Run ``cell`` with retries, wall-clock bounds, and snapshotting.
-
-    The retry semantics match :func:`repro.parallel.cells.execute_cell`
-    (including the decorrelated-jitter delay between attempts); on top
-    of that, each attempt resumes from the on-disk snapshot when
-    one matches (the supervised pool's restart path), a snapshot for a
-    *different* attempt or cell is discarded rather than fatal (a retry
-    reseeds the fault config, so the previous attempt's snapshot cannot
-    be resumed), and the snapshot file is removed once the cell
-    completes.
-    """
-    attempts = retries + 1
-    if backoff is None and retries > 0:
-        backoff = for_cell_retries(seed=cell.config.faults.seed)
-    last_error: Optional[SimulationError] = None
-    for attempt in range(attempts):
-        try:
-            with wall_clock_guard(timeout or 0.0, label=cell.describe()):
-                try:
-                    result = simulate_cell_resumable(
-                        cell,
-                        attempt,
-                        snapshot_path=snapshot_path,
-                        snapshot_every=snapshot_every,
-                        heartbeat=heartbeat,
-                    )
-                except SnapshotIncompatible:
-                    # Stale snapshot (earlier attempt, or an abandoned
-                    # cell that once shared the path): never resume it,
-                    # never wedge on it.
-                    _discard_snapshot(snapshot_path)
-                    result = simulate_cell_resumable(
-                        cell,
-                        attempt,
-                        snapshot_path=snapshot_path,
-                        snapshot_every=snapshot_every,
-                        heartbeat=heartbeat,
-                    )
-            _discard_snapshot(snapshot_path)
-            return result
-        except SimulationError as exc:
-            last_error = exc
-            # The failed attempt's snapshot is useless to the reseeded
-            # retry; drop it so the next attempt starts clean.
-            _discard_snapshot(snapshot_path)
-            if attempt + 1 < attempts and backoff is not None:
-                backoff.sleep()
-    assert last_error is not None
-    last_error.add_context(
-        series=cell.label, workload=cell.workload, attempts=attempts
-    )
-    raise last_error

@@ -19,9 +19,10 @@ The remaining pins each exercise one branch of the event engine's
 memory path: the TLB-aware schedulers' hooks (TCWS's LRU depth,
 TA-CCWS's miss weight), greedy-then-oldest through its real
 ``select()``, a non-blocking TLB with a serial cache stage, seeded
-fault injection, demand paging, and a non-power-of-two L1 and L2, whose
+fault injection, demand paging, a non-power-of-two L1 and L2, whose
 sets the inline path indexes by the same divide-and-modulo rule as
-:class:`~repro.mem.cache.SetAssociativeCache`.
+:class:`~repro.mem.cache.SetAssociativeCache`, and Section 9's 2 MB
+pages.
 """
 
 from __future__ import annotations
@@ -123,6 +124,9 @@ GOLDENS = {
         "bfs",
         None,
     ),
+    # Section 9: 2 MB pages, with and without a TLB.
+    "sec9-2mb-blocking": (_preset("blocking", page_shift=21), "bfs", None),
+    "sec9-2mb-no-tlb": (_preset("no_tlb", page_shift=21), "bfs", None),
 }
 
 
@@ -165,7 +169,14 @@ def test_event_matches_cycle(name):
 
 @pytest.mark.parametrize(
     "name",
-    ["fig02-naive", "fig02-tbc", "fig11-aug", "fig17-tcws", "faults-injected"],
+    [
+        "fig02-naive",
+        "fig02-tbc",
+        "fig11-aug",
+        "fig17-tcws",
+        "faults-injected",
+        "sec9-2mb-blocking",
+    ],
 )
 @pytest.mark.parametrize(
     "traced,profiled,spanned",

@@ -11,8 +11,9 @@ from helpers import small_config
 from repro.core.results import SimulationResult
 from repro.faults.errors import SimulationHang
 from repro.harness.checkpoint import SweepCheckpoint, cell_key
-from repro.harness.experiment import run_cell, run_matrix, sweep_session
+from repro.harness.experiment import run_matrix, sweep_session
 from repro.parallel import cells
+from repro.parallel.pool import SweepExecutor
 from repro.stats.counters import CoreStats
 
 WORKLOAD = "bfs"
@@ -57,12 +58,8 @@ def test_failed_cells_retry_then_record_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(cells, "simulate_cell", _always_hangs)
     with SweepCheckpoint(path) as checkpoint:
         with pytest.raises(SimulationHang) as excinfo:
-            run_cell(
-                "tiny",
-                lambda: small_config(),
-                WORKLOAD,
-                checkpoint=checkpoint,
-                cell_retries=2,
+            SweepExecutor(checkpoint=checkpoint, retries=2).run(
+                [cells.Cell("tiny", WORKLOAD, small_config())]
             )
         assert calls["n"] == 3  # 1 attempt + 2 retries
         assert excinfo.value.diagnostics["attempts"] == 3
@@ -94,12 +91,8 @@ def test_transient_failures_recover_within_retry_budget(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cells, "simulate_cell", _flaky)
     with SweepCheckpoint(str(tmp_path / "sweep.jsonl")) as checkpoint:
-        result = run_cell(
-            "tiny",
-            lambda: small_config(),
-            WORKLOAD,
-            checkpoint=checkpoint,
-            cell_retries=2,
+        [result] = SweepExecutor(checkpoint=checkpoint, retries=2).run(
+            [cells.Cell("tiny", WORKLOAD, small_config())]
         )
         assert result.cycles == 10
         assert checkpoint.completed == 1

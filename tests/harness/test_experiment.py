@@ -1,11 +1,18 @@
 """Harness plumbing."""
 
+import pytest
+
+from repro.api import figure
 from repro.core import presets
+from repro.core.results import SimulationResult
 from repro.harness.experiment import (
     FigureResult,
     run_matrix,
     speedups_vs_baseline,
 )
+from repro.harness.figures import ALL_FIGURES
+from repro.parallel import cells
+from repro.stats.counters import CoreStats
 
 
 class TestFigureResult:
@@ -34,3 +41,24 @@ class TestRunners:
         series = speedups_vs_baseline(results, "base")
         assert set(series) == {"naive"}
         assert 0 < series["naive"]["kmeans"] < 1.5
+
+
+@pytest.mark.parametrize("name", sorted(ALL_FIGURES))
+def test_every_figure_runs_its_cells_through_the_session(name, monkeypatch):
+    # The stub stands in for the simulator, so no simulation runs; a
+    # driver that bypassed run_matrix would miss it (and the engine).
+    engines = []
+
+    def _stub(cell, attempt=0):
+        engines.append(cell.config.engine)
+        return SimulationResult(
+            workload=cell.workload,
+            config_description="stub",
+            cycles=1,
+            stats=CoreStats(),
+        )
+
+    monkeypatch.setattr(cells, "simulate_cell", _stub)
+    figure(name=name, workloads=["kmeans"], engine="cycle")
+    assert engines, f"{name} simulated no cell through the sweep session"
+    assert set(engines) == {"cycle"}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from helpers import small_config
@@ -10,7 +12,7 @@ from repro.faults.config import FaultConfig
 from repro.faults.errors import PTWError, SimulationError, SimulationHang
 from repro.harness.checkpoint import SweepCheckpoint
 from repro.harness.experiment import run_matrix, sweep_session
-from repro.parallel import cells
+from repro.parallel import cells, pool
 from repro.parallel.cells import Cell
 from repro.parallel.pool import SweepExecutor
 
@@ -46,6 +48,30 @@ def test_parallel_results_align_with_cell_order():
     assert len(parallel) == len(matrix)
     for want, got in zip(serial, parallel):
         assert want.canonical_json() == got.canonical_json()
+
+
+def test_parallel_progress_counts_and_times_only_running_cells(monkeypatch):
+    """A cell queued behind the pool's slots is neither in flight nor
+    on the clock: the pool runs at most ``jobs`` cells at a time."""
+    in_flight, timed = [], []
+
+    class _Recording(pool.SweepProgress):
+        def launched(self, count=1):
+            super().launched(count)
+            in_flight.append(self.in_flight)
+
+        def cell_done(self, source, cell_seconds=0.0, label=""):
+            timed.append(cell_seconds)
+            super().cell_done(source, cell_seconds, label)
+
+    monkeypatch.setattr(pool, "SweepProgress", _Recording)
+    matrix = [_cell(f"c{index}") for index in range(4)]
+    started = time.monotonic()
+    SweepExecutor(jobs=2).run(matrix)
+    wall = time.monotonic() - started
+    assert len(timed) == len(matrix)
+    assert max(in_flight) <= 2
+    assert sum(timed) <= 2 * wall
 
 
 def test_parallel_sweep_populates_checkpoint_and_cache(tmp_path):

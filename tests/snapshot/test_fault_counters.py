@@ -14,8 +14,7 @@ from helpers import small_config
 
 from repro.core.results import SimulationResult
 from repro.faults.config import FaultConfig
-from repro.parallel.cells import Cell
-from repro.snapshot.runner import simulate_cell_resumable
+from repro.parallel.cells import Cell, simulate_cell
 from repro.stats.counters import CoreStats
 
 
@@ -34,7 +33,7 @@ def _paging_cell() -> Cell:
 
 
 def test_nonzero_fault_counters_roundtrip_result_json():
-    result = simulate_cell_resumable(_paging_cell())
+    result = simulate_cell(_paging_cell())
     total_faults = (
         result.stats.page_faults_minor + result.stats.page_faults_major
     )
@@ -47,7 +46,7 @@ def test_nonzero_fault_counters_roundtrip_result_json():
 
 
 def test_zero_fault_counters_are_stripped_then_restored_as_zero():
-    result = simulate_cell_resumable(Cell("clean", "bfs", small_config()))
+    result = simulate_cell(Cell("clean", "bfs", small_config()))
     data = result.to_dict()
     for field in CoreStats.FAULT_FIELDS:
         assert field not in data["stats"]
@@ -59,10 +58,10 @@ def test_zero_fault_counters_are_stripped_then_restored_as_zero():
 
 def test_fault_counters_survive_a_snapshot_restore_cycle(tmp_path):
     cell = _paging_cell()
-    baseline = simulate_cell_resumable(cell)
+    baseline = simulate_cell(cell)
     snap = str(tmp_path / "snap.json")
-    simulate_cell_resumable(cell, snapshot_path=snap, snapshot_every=150)
-    resumed = simulate_cell_resumable(
+    simulate_cell(cell, snapshot_path=snap, snapshot_every=150)
+    resumed = simulate_cell(
         cell, snapshot_path=snap, snapshot_every=1 << 30
     )
     assert resumed.canonical_json() == baseline.canonical_json()

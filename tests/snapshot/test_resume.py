@@ -23,9 +23,8 @@ import pytest
 
 from repro.core import presets
 from repro.core.config import GPUConfig, TraceConfig
-from repro.parallel.cells import Cell
+from repro.parallel.cells import Cell, simulate_cell
 from repro.prof import profiler
-from repro.snapshot.runner import simulate_cell_resumable
 
 _TINY = dict(num_cores=1, warps_per_core=8, warp_width=8)
 
@@ -79,7 +78,7 @@ def assert_resume_identical(cell: Cell, tmp_path, profiled: bool = False):
     def run(**kwargs):
         guard = profiler.profile() if profiled else contextlib.nullcontext()
         with guard:
-            return simulate_cell_resumable(cell, **kwargs)
+            return simulate_cell(cell, **kwargs)
 
     baseline = run().canonical_json()
     # Same cell, now leaving periodic snapshots behind; the snapshots
@@ -109,3 +108,16 @@ def test_resume_is_byte_identical_under_observation(
 ):
     cell = _observed(PIN_CELLS[name], traced)
     assert_resume_identical(cell, tmp_path, profiled=profiled)
+
+
+def test_stale_snapshot_is_discarded_not_resumed(tmp_path):
+    # Another cell's snapshot at the path (a pool slot reused, or an
+    # earlier attempt's) must neither be resumed nor fail the run.
+    snap = str(tmp_path / "snap.json")
+    simulate_cell(PIN_CELLS["fig02-naive"], snapshot_path=snap, snapshot_every=150)
+    assert os.path.exists(snap)
+    cell = PIN_CELLS["fig11-aug"]
+    baseline = simulate_cell(cell).canonical_json()
+    resumed = simulate_cell(cell, snapshot_path=snap, snapshot_every=1 << 30)
+    assert resumed.canonical_json() == baseline
+    assert not os.path.exists(snap), "the stale snapshot was kept"

@@ -6,8 +6,7 @@ import json
 
 from repro.core.config import GPUConfig
 from repro.core.simulator import Simulator
-from repro.parallel.cells import Cell, reseeded
-from repro.snapshot.runner import simulate_cell_resumable
+from repro.parallel.cells import Cell, reseeded, simulate_cell
 from repro.snapshot.store import try_read_snapshot
 from repro.workloads.registry import get_workload
 
@@ -31,7 +30,7 @@ def test_midrun_state_is_json_pure_and_reload_stable(tmp_path):
         "naive-tlb", "bfs", GPUConfig.preset("naive", ports=3, **_TINY)
     )
     snap = str(tmp_path / "snap.json")
-    simulate_cell_resumable(cell, snapshot_path=snap, snapshot_every=150)
+    simulate_cell(cell, snapshot_path=snap, snapshot_every=150)
     envelope = try_read_snapshot(snap)
     assert envelope is not None
     assert envelope["cycle"] > 0
