@@ -8,9 +8,11 @@ directly).  The lifecycle of one cell:
 1. **shard** — :meth:`submit_cells` keys the cell by its canonical
    config-hash identity (:func:`repro.parallel.cells.key_of`) and
    journals its wire form; duplicate submissions collapse.
-2. **lease** — a worker's poll grants ``(cell_key, attempt)`` through
-   the same :class:`repro.serve.leases.LeaseTable` fencing the job
-   dispatcher uses, attempt incremented per grant.
+2. **lease** — a worker's poll grants ``(cell_key, attempt)``, attempt
+   incremented per grant, from the ready queue of the
+   :class:`repro.serve.leases.LeaseLedger` the job dispatcher uses too
+   (first in, first out; a re-queued cell waits behind every cell not
+   yet leased).
 3. **heartbeat** — renews the lease while the worker executes; a
    fenced heartbeat tells the worker to abandon the cell.
 4. **complete/fail** — the push runs a verification pipeline before
@@ -25,7 +27,15 @@ directly).  The lifecycle of one cell:
    tick) re-queues cells whose leases lapsed, under the shared
    decorrelated-jitter backoff and the cell's bounded attempt budget;
    a cell that exhausts the budget fails *structurally* (typed error,
-   attempts attached) without sinking the sweep.
+   attempts attached) without sinking the sweep.  A worker-reported
+   failure is retried the same way.
+
+Every transition is journaled by the ledger before it takes effect,
+so a coordinator killed anywhere resumes on restart: cells that were
+mid-lease re-queue first, and a late push from their old workers is
+fenced off.  This class keeps what is the coordinator's own: the
+``/dist/*`` routes, push verification, worker liveness, the cell
+metrics and log events, and reassembly.
 
 Reassembly (:meth:`assemble`) returns results in submission order,
 parsed from the exact strings workers pushed — byte-identical to a
@@ -39,14 +49,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.results import SimulationResult
-from repro.dist.journal import (
-    CellJournal,
-    CellState,
-    STATE_DONE,
-    STATE_FAILED,
-    STATE_QUEUED,
-    STATE_RUNNING,
-)
+from repro.dist.journal import CellJournal, CellState
 from repro.dist.protocol import (
     ProtocolError,
     cell_from_wire,
@@ -58,7 +61,7 @@ from repro.obs import log as _log
 from repro.parallel.cache import ResultCache
 from repro.parallel.cells import Cell, key_of, rebuild_error
 from repro.prof.registry import MetricsRegistry, REGISTRY
-from repro.serve.leases import LeaseTable
+from repro.serve.leases import STATE_FAILED, Lease, LeaseLedger
 
 __all__ = ["DistCoordinator"]
 
@@ -78,12 +81,10 @@ class DistCoordinator:
         Shared result cache verified pushes fold into (optional).
     lease_ttl:
         Seconds a worker owns a cell between heartbeats before the
-        coordinator presumes it dead and re-queues.
+        coordinator presumes it dead and re-queues.  A worker counts
+        as live for twice this long after its last contact.
     max_attempts:
         Lease grants per cell before it fails structurally.
-    worker_ttl:
-        Seconds since last contact before a worker stops counting as
-        live (default ``2 * lease_ttl``).
     clock:
         Injectable monotonic clock (chaos tests advance a fake one).
     """
@@ -95,7 +96,6 @@ class DistCoordinator:
         registry: Optional[MetricsRegistry] = None,
         lease_ttl: float = 30.0,
         max_attempts: int = 3,
-        worker_ttl: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
         backoff_seed: int = 0,
         journal_max_bytes: Optional[int] = None,
@@ -103,31 +103,30 @@ class DistCoordinator:
         self.lock = threading.RLock()
         self.cache = cache
         self.registry = registry if registry is not None else REGISTRY
-        self.max_attempts = max_attempts
-        self.worker_ttl = worker_ttl if worker_ttl is not None else 2 * lease_ttl
+        self.worker_ttl = 2 * lease_ttl
         self.clock = clock
-        self.leases = LeaseTable(
-            ttl=lease_ttl, clock=clock, backoff_seed=backoff_seed
+        #: Every cell transition; its entries are in submission order,
+        #: which assemble() without explicit keys uses.
+        self.ledger = LeaseLedger(
+            CellJournal(journal_path, max_bytes=journal_max_bytes),
+            clock=clock,
+            ttl=lease_ttl,
+            max_attempts=max_attempts,
+            backoff_seed=backoff_seed,
         )
-        self.journal = CellJournal(journal_path, max_bytes=journal_max_bytes)
+        self._cells: Dict[str, CellState] = self.ledger.entries
         self.log = _log.get_logger("dist.coordinator")
         #: worker id → monotonic last-contact instant.
         self._workers: Dict[str, float] = {}
-        self._cells: Dict[str, CellState] = self.journal.replayed.cells
-        #: Submission order — assemble() without explicit keys uses it.
-        self._order: List[str] = list(self._cells)
         # Cells mid-lease when the previous coordinator died: their
         # leases died with it, so they re-queue (fencing discards any
         # late push from their original workers).
-        for key in self.journal.replayed.interrupted:
-            cell = self._cells[key]
-            cell.state = STATE_QUEUED
-            self.journal.record_requeue(
-                key, cell.attempts, reason="coordinator-restart"
-            )
+        for key in self.ledger.recover("coordinator-restart"):
             if _log.ENABLED:
                 self.log.warning(
-                    "dist_cell_interrupted", cell=key, attempt=cell.attempts
+                    "dist_cell_interrupted",
+                    cell=key,
+                    attempt=self._cells[key].attempts,
                 )
 
     # -- metric shorthands ---------------------------------------------
@@ -160,14 +159,10 @@ class DistCoordinator:
         return {"accepted": False, "reason": reason, "retry": retry}
 
     def _update_cell_gauges(self) -> None:
-        counts = {s: 0 for s in (STATE_QUEUED, STATE_RUNNING, STATE_DONE,
-                                 STATE_FAILED)}
-        for cell in self._cells.values():
-            counts[cell.state] = counts.get(cell.state, 0) + 1
         gauge = self.registry.gauge(
             "dist_cells", "sharded cells by state"
         )
-        for state, count in counts.items():
+        for state, count in self.ledger.counts().items():
             gauge.set(count, state=state)
 
     # -- sharding ------------------------------------------------------
@@ -186,10 +181,7 @@ class DistCoordinator:
                 keys.append(key)
                 if key in self._cells:
                     continue
-                wire = cell_to_wire(cell)
-                self.journal.record_shard(key, wire)
-                self._cells[key] = CellState(key=key, wire=wire)
-                self._order.append(key)
+                self.ledger.add(CellState(key=key, wire=cell_to_wire(cell)))
                 if _log.ENABLED:
                     self.log.info("dist_shard", cell=key)
             self._update_cell_gauges()
@@ -207,35 +199,26 @@ class DistCoordinator:
         with self.lock:
             self._touch_worker(worker)
             self._expire()
-            now = self.clock()
-            for key in self._order:
-                cell = self._cells[key]
-                if cell.state != STATE_QUEUED or cell.not_before > now:
-                    continue
-                attempt = cell.attempts + 1
-                grant = self.leases.grant(key, attempt, owner=worker)
-                cell.state = STATE_RUNNING
-                cell.attempts = attempt
-                self.journal.record_lease(
-                    key, attempt, worker, expires_unix=time.time()
-                    + self.leases.ttl
+            granted = self.ledger.grant(owner=worker)
+            if granted is None:
+                return None
+            cell, grant = granted
+            self._count("dist_leases_granted_total", "cell leases granted")
+            self._update_cell_gauges()
+            if _log.ENABLED:
+                self.log.info(
+                    "dist_lease",
+                    cell=cell.key,
+                    attempt=grant.attempt,
+                    worker=worker,
                 )
-                self._count(
-                    "dist_leases_granted_total", "cell leases granted"
-                )
-                self._update_cell_gauges()
-                if _log.ENABLED:
-                    self.log.info(
-                        "dist_lease", cell=key, attempt=attempt, worker=worker
-                    )
-                return {
-                    "key": key,
-                    "attempt": attempt,
-                    "cell": cell.wire,
-                    "ttl_s": self.leases.ttl,
-                    "expires_at": grant.expires_at,
-                }
-            return None
+            return {
+                "key": cell.key,
+                "attempt": grant.attempt,
+                "cell": cell.wire,
+                "ttl_s": self.ledger.leases.ttl,
+                "expires_at": grant.expires_at,
+            }
 
     def heartbeat(self, worker: str, key: str, attempt: int) -> bool:
         """Renew ``worker``'s lease; False means it was fenced off."""
@@ -245,17 +228,16 @@ class DistCoordinator:
             cell = self._cells.get(key)
             if cell is None or cell.terminal:
                 return False
-            live = self.leases.current(key)
-            if live is None or live.attempt != attempt:
-                if _log.ENABLED:
-                    self.log.warning(
-                        "dist_heartbeat_fenced",
-                        cell=key,
-                        attempt=attempt,
-                        worker=worker,
-                    )
-                return False
-            return self.leases.renew(live) is not None
+            if self.ledger.renew(key, attempt):
+                return True
+            if _log.ENABLED:
+                self.log.warning(
+                    "dist_heartbeat_fenced",
+                    cell=key,
+                    attempt=attempt,
+                    worker=worker,
+                )
+            return False
 
     def complete(
         self,
@@ -294,19 +276,14 @@ class DistCoordinator:
             # Fencing: exactly one push per cell ever passes this gate.
             if cell.terminal:
                 return self._stale("duplicate", key, attempt)
-            live = self.leases.current(key)
-            if live is None or live.attempt != attempt:
+            live = self.ledger.holder(key, attempt)
+            if live is None:
                 return self._stale("fenced", key, attempt)
             try:
                 result = SimulationResult.from_json(result_json)
             except (ValueError, KeyError, TypeError):
                 return self._rejected("malformed", key, retry=True)
-            self.leases.release(live)
-            self.journal.record_done(key, result_json, digest, worker)
-            cell.state = STATE_DONE
-            cell.result_json = result_json
-            cell.digest = digest
-            cell.error = None
+            self.ledger.commit(live, result_json, digest=digest, worker=worker)
             if self.cache is not None:
                 self.cache.put(cell_from_wire(cell.wire), result)
             self._count("dist_results_total", "verified cell results")
@@ -326,7 +303,8 @@ class DistCoordinator:
         message: str,
         diagnostics: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        """Fold one structured worker-side failure (fenced like a push)."""
+        """Fold one structured worker-side failure (fenced like a push);
+        the cell is retried until its attempt budget is spent."""
         with self.lock:
             self._touch_worker(worker)
             cell = self._cells.get(key)
@@ -334,46 +312,38 @@ class DistCoordinator:
                 return self._rejected("unknown", key, retry=False)
             if cell.terminal:
                 return self._stale("duplicate", key, attempt)
-            live = self.leases.current(key)
-            if live is None or live.attempt != attempt:
+            live = self.ledger.holder(key, attempt)
+            if live is None:
                 return self._stale("fenced", key, attempt)
-            self.leases.release(live)
-            self._requeue_or_fail(
-                cell, reason="worker-error",
-                error=(str(error_type), str(message), diagnostics or {}),
+            self._retry_or_fail(
+                live,
+                "worker-error",
+                str(error_type),
+                str(message),
+                diagnostics or {},
             )
             self._update_cell_gauges()
             return {"accepted": True, "reason": "recorded", "retry": False}
 
     # -- expiry / maintenance ------------------------------------------
 
-    def _requeue_or_fail(
+    def _retry_or_fail(
         self,
-        cell: CellState,
+        lease: Lease,
         reason: str,
-        error: Optional[Tuple[str, str, Dict[str, Any]]] = None,
+        error_type: str,
+        message: str,
+        diagnostics: Dict[str, Any],
     ) -> None:
         """Budgeted retry: re-queue under backoff or fail structurally."""
-        if cell.attempts >= self.max_attempts:
-            error_type, message, diagnostics = error or (
-                "CellTimeout",
-                f"lease expired {cell.attempts} times "
-                f"(workers died or wedged)",
-                {},
-            )
-            diagnostics = dict(diagnostics)
-            diagnostics.setdefault("cell_key", cell.key)
-            diagnostics["attempts"] = cell.attempts
-            cell.state = STATE_FAILED
-            cell.error = {
-                "type": error_type,
-                "message": message,
-                "attempts": cell.attempts,
-                "diagnostics": diagnostics,
-            }
-            self.journal.record_fail(
-                cell.key, error_type, message, cell.attempts
-            )
+        cell = self._cells[lease.job_id]
+        diagnostics = dict(diagnostics)
+        diagnostics.setdefault("cell_key", cell.key)
+        diagnostics["attempts"] = cell.attempts
+        delay = self.ledger.retry_or_fail(
+            lease, reason, error_type, message, diagnostics
+        )
+        if delay is None:
             self._count(
                 "dist_cells_failed_total",
                 "cells that exhausted their attempt budget",
@@ -385,14 +355,7 @@ class DistCoordinator:
                     error_type=error_type,
                     attempts=cell.attempts,
                 )
-            return
-        delay = self.leases.requeue_delay(cell.key)
-        cell.state = STATE_QUEUED
-        cell.not_before = self.clock() + delay
-        self.journal.record_requeue(
-            cell.key, cell.attempts, reason=reason, delay_s=delay
-        )
-        if _log.ENABLED:
+        elif _log.ENABLED:
             self.log.warning(
                 "dist_requeue",
                 cell=cell.key,
@@ -403,9 +366,7 @@ class DistCoordinator:
 
     def _expire(self) -> None:
         """Re-queue cells whose leases lapsed (caller holds the lock)."""
-        for lease in self.leases.expired():
-            self.leases.revoke(lease.job_id)
-            cell = self._cells.get(lease.job_id)
+        for lease in self.ledger.expire():
             self._count(
                 "dist_lease_expirations_total",
                 "leases that lapsed without a push",
@@ -417,16 +378,17 @@ class DistCoordinator:
                     attempt=lease.attempt,
                     worker=lease.owner or "-",
                 )
-            if cell is not None and not cell.terminal:
-                self._requeue_or_fail(cell, reason="lease-expired")
-        live = sum(
-            1
-            for seen in self._workers.values()
-            if self.clock() - seen <= self.worker_ttl
-        )
+            self._retry_or_fail(
+                lease,
+                "lease-expired",
+                "CellTimeout",
+                f"lease expired {lease.attempt} times "
+                f"(workers died or wedged)",
+                {},
+            )
         self.registry.gauge(
             "dist_workers_live", "workers seen within worker_ttl"
-        ).set(live)
+        ).set(self.live_workers())
 
     def maintain(self) -> None:
         """Periodic upkeep (the serve daemon calls this from its tick)."""
@@ -447,11 +409,7 @@ class DistCoordinator:
 
     def counts(self) -> Dict[str, int]:
         with self.lock:
-            out = {s: 0 for s in (STATE_QUEUED, STATE_RUNNING, STATE_DONE,
-                                  STATE_FAILED)}
-            for cell in self._cells.values():
-                out[cell.state] = out.get(cell.state, 0) + 1
-            return out
+            return self.ledger.counts()
 
     def all_terminal(self) -> bool:
         with self.lock:
@@ -484,16 +442,16 @@ class DistCoordinator:
                         "owner": lease.owner,
                         "expires_in_s": round(lease.expires_at - now, 3),
                     }
-                    for lease in self.leases.live_leases()
+                    for lease in self.ledger.leases.live_leases()
                 ],
-                "lease_ttl_s": self.leases.ttl,
-                "max_attempts": self.max_attempts,
+                "lease_ttl_s": self.ledger.leases.ttl,
+                "max_attempts": self.ledger.max_attempts,
             }
 
     def cell_states(self) -> List[Dict[str, Any]]:
         with self.lock:
             return [
-                self._cells[key].public_dict() for key in self._order
+                cell.public_dict() for cell in self._cells.values()
             ]
 
     def result_strings(
@@ -505,9 +463,9 @@ class DistCoordinator:
         ``SimulationResult.canonical_json()`` of a serial run.
         """
         with self.lock:
-            chosen = list(keys) if keys is not None else list(self._order)
+            chosen = list(keys) if keys is not None else list(self._cells)
             return [
-                self._cells[key].result_json if key in self._cells else None
+                self._cells[key].result if key in self._cells else None
                 for key in chosen
             ]
 
@@ -521,7 +479,7 @@ class DistCoordinator:
         the same earliest-failure semantics the in-process pool uses.
         """
         with self.lock:
-            chosen = list(keys) if keys is not None else list(self._order)
+            chosen = list(keys) if keys is not None else list(self._cells)
             for key in chosen:
                 cell = self._cells.get(key)
                 if cell is None:
@@ -546,7 +504,7 @@ class DistCoordinator:
                         diagnostics,
                     )
             return [
-                SimulationResult.from_json(self._cells[key].result_json)
+                SimulationResult.from_json(self._cells[key].result)
                 for key in chosen
             ]
 
@@ -601,7 +559,7 @@ class DistCoordinator:
                     chosen = (
                         [str(k) for k in keys]
                         if keys is not None
-                        else list(self._order)
+                        else list(self._cells)
                     )
                     rows = []
                     for key in chosen:
@@ -612,7 +570,7 @@ class DistCoordinator:
                             {
                                 "key": key,
                                 "state": cell.state,
-                                "result": cell.result_json,
+                                "result": cell.result,
                                 "error": cell.error,
                             }
                         )
@@ -658,4 +616,4 @@ class DistCoordinator:
         return 404, {"error": f"no such dist route {path!r}"}
 
     def close(self) -> None:
-        self.journal.close()
+        self.ledger.journal.close()

@@ -1,37 +1,30 @@
 """The coordinator's write-ahead cell journal.
 
-Same discipline as :class:`repro.serve.journal.JobJournal` (both ride
-:class:`repro.durable.WalFile`, the repo's one write path for persisted
-files): every cell transition is one fsync'd JSON line, the durable
-record leads the in-memory state, and a SIGKILL'd coordinator replays
-to exactly where it died — sharded cells come back queued, leased
-cells come back interrupted (their workers may still push, and fencing
+Same discipline as :class:`repro.serve.journal.JobJournal`, through the
+same shared lease state machine (:class:`repro.serve.leases.LeaseJournal`):
+every cell transition is one fsync'd JSON line, the durable record
+leads the in-memory state, and a SIGKILL'd coordinator replays to
+exactly where it died — sharded cells come back queued, leased cells
+come back interrupted (their workers may still push, and fencing
 decides), terminal cells keep their results verbatim.
 
-Event vocabulary (``ev``): ``shard`` (a cell enters the pool, wire
-form embedded), ``lease``, ``requeue``, ``done`` (the *exact* canonical
-result string, so reassembly after replay is byte-identical to the
-push), ``fail``.  :meth:`CellJournal.terminal_counts` is the chaos
-campaign's exactly-once oracle, and size-triggered compaction (the
-``shard`` + latest-transition rewrite) keeps lease churn from growing
-the file without bound.
+This module names the on-disk vocabulary and the cell entry.  Event
+vocabulary (``ev``): ``shard`` (a cell enters the pool, wire form under
+``cell``), ``lease`` (with the ``worker`` holding it), ``requeue``,
+``done`` (the *exact* canonical result string, so reassembly after
+replay is byte-identical to the push, plus its ``digest`` and the
+pushing ``worker``), ``fail``; every event names its cell by ``key``.
+Compaction writes cells in key order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional
 
-from repro.durable import WalFile, read_wal
+from repro.serve.leases import LeaseJournal, STATE_QUEUED, TERMINAL_STATES
 
-__all__ = ["CellJournal", "CellReplay", "CellState"]
-
-STATE_QUEUED = "queued"
-STATE_RUNNING = "running"
-STATE_DONE = "done"
-STATE_FAILED = "failed"
-
-TERMINAL_STATES = frozenset({STATE_DONE, STATE_FAILED})
+__all__ = ["CellJournal", "CellState"]
 
 
 @dataclass
@@ -44,7 +37,7 @@ class CellState:
     attempts: int = 0
     #: The exact canonical result string a worker pushed (byte-identity
     #: is preserved through the journal, not re-derived from a parse).
-    result_json: Optional[str] = None
+    result: Optional[str] = None
     digest: Optional[str] = None
     error: Optional[Dict[str, Any]] = None
     #: Monotonic instant before which the cell must not be re-leased
@@ -69,194 +62,21 @@ class CellState:
         return out
 
 
-@dataclass
-class CellReplay:
-    """What a cell-journal replay reconstructs."""
-
-    cells: Dict[str, CellState] = field(default_factory=dict)
-    terminal_counts: Dict[str, int] = field(default_factory=dict)
-    #: Keys that were mid-lease when the journal ended; their leases
-    #: died with the coordinator, so they re-queue (fencing protects
-    #: against their original workers pushing late).
-    interrupted: List[str] = field(default_factory=list)
-    duplicate_shards: int = 0
-    dropped_lines: int = 0
-
-
-class CellJournal(WalFile):
+class CellJournal(LeaseJournal):
     """Append-only, fsync'd JSONL record of every cell transition."""
 
-    def __init__(self, path: str, max_bytes: Optional[int] = None):
-        self.replayed = self._load(path)
-        super().__init__(path, max_bytes=max_bytes)
-
-    # -- replay --------------------------------------------------------
-
-    @classmethod
-    def _load(cls, path: str) -> CellReplay:
-        state = CellReplay()
-        stats: Dict[str, int] = {}
-        for event in read_wal(path, label="cell journal", stats=stats):
-            cls._apply(state, event)
-        state.dropped_lines = stats.get("dropped", 0)
-        for cell in state.cells.values():
-            if cell.state == STATE_RUNNING:
-                state.interrupted.append(cell.key)
-        return state
+    LABEL = "cell journal"
+    ENTRY = "shard"
+    KEY = "key"
+    DONE_FIELDS = ("digest",)
 
     @staticmethod
-    def _apply(state: CellReplay, event: Dict[str, Any]) -> None:
-        kind = event.get("ev")
-        if kind == "shard":
-            key = event.get("key")
-            if key is None:
-                return
-            if key in state.cells:
-                # Re-sharding the same sweep across a coordinator
-                # restart: content-derived keys make this the same cell.
-                state.duplicate_shards += 1
-                return
-            state.cells[key] = CellState(key=key, wire=event.get("cell") or {})
-            return
-        cell = state.cells.get(event.get("key"))
-        if cell is None:
-            return  # transition orphaned by a torn shard line
-        if kind == "lease":
-            cell.state = STATE_RUNNING
-            cell.attempts = int(event.get("attempt", cell.attempts + 1))
-        elif kind == "requeue":
-            cell.state = STATE_QUEUED
-            cell.attempts = int(event.get("attempt", cell.attempts))
-        elif kind == "done":
-            cell.state = STATE_DONE
-            cell.result_json = event.get("result")
-            cell.digest = event.get("digest")
-            cell.error = None
-            state.terminal_counts[cell.key] = (
-                state.terminal_counts.get(cell.key, 0) + 1
-            )
-        elif kind == "fail":
-            cell.state = STATE_FAILED
-            cell.error = {
-                "type": event.get("error_type", "Error"),
-                "message": event.get("error", ""),
-                "attempts": event.get("attempts", cell.attempts),
-            }
-            state.terminal_counts[cell.key] = (
-                state.terminal_counts.get(cell.key, 0) + 1
-            )
+    def entry_fields(entry: CellState) -> Dict[str, Any]:
+        return {"key": entry.key, "cell": entry.wire}
 
-    @classmethod
-    def terminal_counts(cls, path: str) -> Dict[str, int]:
-        """Terminal events per cell key (the exactly-once oracle)."""
-        return cls._load(path).terminal_counts
-
-    # -- compaction ----------------------------------------------------
-
-    def live_events(self) -> List[Dict[str, Any]]:
-        """One ``shard`` per cell plus its latest transition."""
-        state = self._load(self.path)
-        events: List[Dict[str, Any]] = []
-        for key in sorted(state.cells):
-            cell = state.cells[key]
-            events.append({"ev": "shard", "key": key, "cell": cell.wire})
-            if cell.state == STATE_DONE:
-                events.append(
-                    {
-                        "ev": "done",
-                        "key": key,
-                        "result": cell.result_json,
-                        "digest": cell.digest,
-                    }
-                )
-            elif cell.state == STATE_FAILED:
-                error = cell.error or {}
-                events.append(
-                    {
-                        "ev": "fail",
-                        "key": key,
-                        "error_type": error.get("type", "Error"),
-                        "error": error.get("message", ""),
-                        "attempts": error.get("attempts", cell.attempts),
-                    }
-                )
-            elif cell.state == STATE_RUNNING:
-                events.append(
-                    {
-                        "ev": "lease",
-                        "key": key,
-                        "attempt": cell.attempts,
-                        "expires_unix": 0.0,
-                    }
-                )
-            elif cell.attempts:
-                events.append(
-                    {
-                        "ev": "requeue",
-                        "key": key,
-                        "attempt": cell.attempts,
-                        "reason": "compacted",
-                        "delay_s": 0.0,
-                    }
-                )
-        return events
-
-    # -- appends -------------------------------------------------------
-
-    def record_shard(self, key: str, wire: Dict[str, Any]) -> None:
-        self.append({"ev": "shard", "key": key, "cell": wire})
-
-    def record_lease(
-        self, key: str, attempt: int, worker: str, expires_unix: float
-    ) -> None:
-        self.append(
-            {
-                "ev": "lease",
-                "key": key,
-                "attempt": attempt,
-                "worker": worker,
-                "expires_unix": expires_unix,
-            }
-        )
-
-    def record_requeue(
-        self, key: str, attempt: int, reason: str, delay_s: float = 0.0
-    ) -> None:
-        self.append(
-            {
-                "ev": "requeue",
-                "key": key,
-                "attempt": attempt,
-                "reason": reason,
-                "delay_s": round(delay_s, 6),
-            }
-        )
-
-    def record_done(
-        self, key: str, result_json: str, digest: str, worker: str
-    ) -> None:
-        self.append(
-            {
-                "ev": "done",
-                "key": key,
-                "result": result_json,
-                "digest": digest,
-                "worker": worker,
-            }
-        )
-
-    def record_fail(
-        self, key: str, error_type: str, message: str, attempts: int
-    ) -> None:
-        self.append(
-            {
-                "ev": "fail",
-                "key": key,
-                "error_type": error_type,
-                "error": message,
-                "attempts": attempts,
-            }
-        )
-
-    def __enter__(self) -> "CellJournal":
-        return self
+    @staticmethod
+    def entry_of(event: Dict[str, Any]) -> Optional[CellState]:
+        key = event.get("key")
+        if key is None:
+            return None
+        return CellState(key=key, wire=event.get("cell") or {})

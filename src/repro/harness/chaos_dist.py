@@ -326,7 +326,7 @@ def _scenario_faulty_fleet(
                     "byte-identical to the serial oracle"
                 )
             complaint = terminal_once(
-                CellJournal.terminal_counts(coordinator.journal.path), keys
+                CellJournal.terminal_counts(coordinator.ledger.journal.path), keys
             )
             if complaint:
                 campaign.fail(f"faulty fleet: {complaint}")
@@ -502,7 +502,7 @@ def _scenario_partition(
                     "to the serial oracle"
                 )
             complaint = terminal_once(
-                CellJournal.terminal_counts(coordinator.journal.path), keys
+                CellJournal.terminal_counts(coordinator.ledger.journal.path), keys
             )
             if complaint:
                 campaign.fail(f"partition: {complaint}")
@@ -651,7 +651,7 @@ def _scenario_duplicate_and_torn(
                     "the serial oracle"
                 )
             complaint = terminal_once(
-                CellJournal.terminal_counts(coordinator.journal.path), keys
+                CellJournal.terminal_counts(coordinator.ledger.journal.path), keys
             )
             if complaint:
                 campaign.fail(f"duplicate/torn: {complaint}")

@@ -211,7 +211,7 @@ def run_server_campaign(
         def wedging_run_job(job: Job) -> Any:
             attempts_seen.append(1)
             if len(attempts_seen) == 1:
-                # Attempt 1 wedges well past the TTL; its eventual
+                # Attempt 1 wedges well past its lease; its eventual
                 # result must be fenced off by the lease table.
                 first_attempt_blocked.wait(timeout=10.0)
                 return {"from": "wedged-attempt"}
@@ -220,7 +220,7 @@ def run_server_campaign(
         app = ServeApp(
             ServeConfig(
                 journal=os.path.join(tmp, "journal.jsonl"),
-                lease_ttl_s=0.15,
+                deadline_s=0.15,
                 tick_s=0.01,
                 max_attempts=3,
                 slots=2,
@@ -244,7 +244,7 @@ def run_server_campaign(
         first_attempt_blocked.set()  # unwedge; late result must be dropped
         time.sleep(0.1)
         final_view = app.job_view(lease_job)
-        expirations = app.leases.expired_total
+        expirations = app.ledger.leases.expired_total
         if final_view["state"] != "done":
             campaign.fail(
                 f"lease expiry: retry ended {final_view['state']!r} "

@@ -142,6 +142,9 @@ def _worker_entry(
     """
     import traceback
 
+    # A spawned process starts with logging off; the run log's path
+    # rides the environment it inherits.
+    _log.configure_from_env()
     heartbeat = _Heartbeat(os.path.join(spool, f"hb-{index}"))
     snap_path = os.path.join(spool, f"snap-{index}.json")
     try:
@@ -256,7 +259,6 @@ class SupervisedPool:
         snapshot_every: int = DEFAULT_SNAPSHOT_CYCLES,
         chaos: Optional[Callable[["SupervisedPool"], None]] = None,
         on_outcome: Optional[Callable[[int, str, Any], None]] = None,
-        restart_backoff: Optional[Backoff] = None,
     ):
         self.retries = retries
         self.timeout = timeout
@@ -269,11 +271,7 @@ class SupervisedPool:
         # host that just OOM-killed a worker will kill an instant
         # replacement too); the same policy serves the lease re-queue
         # in repro.serve.  Capped at 1s so chaos campaigns stay quick.
-        self.restart_backoff = (
-            restart_backoff
-            if restart_backoff is not None
-            else Backoff(base=0.05, cap=1.0, seed=0)
-        )
+        self.restart_backoff = Backoff(base=0.05, cap=1.0, seed=0)
         self.health = PoolHealth(jobs)
         self.active: Dict[int, _Worker] = {}
         self.spool: Optional[str] = None

@@ -8,15 +8,18 @@ The pieces, bottom-up:
 
 - :mod:`repro.serve.jobs` — the job model: request validation against
   the keyword-only API schema, content-derived job ids (identical
-  requests collapse to one job), terminal/retryable state machine.
-- :mod:`repro.serve.journal` — the write-ahead job journal: every state
-  transition is one fsync'd JSONL line (the SweepCheckpoint torn-line
-  discipline), so a killed daemon replays to exactly the state it died
-  in — zero lost and zero duplicated work.
-- :mod:`repro.serve.leases` — lease-based dispatch: a job runs under a
-  time-bounded lease; an expired lease (dead or wedged executor) is
-  re-queued with decorrelated-jitter backoff under a bounded attempt
-  budget, and a stale executor's late result is discarded.
+  requests collapse to one job).
+- :mod:`repro.serve.leases` — the lease state machine served jobs and
+  sharded cells share: the journal base class, the lease table, and the
+  ledger that journals every transition first.  A job runs under a
+  lease that lasts its deadline; an expired lease (dead or wedged
+  executor) is re-queued with decorrelated-jitter backoff under a
+  bounded attempt budget, and a stale executor's late result is
+  discarded.
+- :mod:`repro.serve.journal` — the write-ahead job journal's on-disk
+  vocabulary: every state transition is one fsync'd JSONL line, so a
+  killed daemon replays to exactly the state it died in — zero lost
+  and zero duplicated work.
 - :mod:`repro.serve.admission` — backpressure: a bounded queue sheds
   load with ``429`` past its high-water mark and ``503`` while
   draining; readiness (including slot-shrink degradation) is one

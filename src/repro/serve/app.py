@@ -12,16 +12,18 @@ One process, three moving parts:
   (``python -m repro.harness top --url`` renders it as the live ops
   view);
 - the **dispatcher** (one background thread): leases queued jobs to
-  executor threads while slots are free, re-queues expired leases with
-  backoff, fails jobs that exhaust their attempt budget, and shrinks
-  the slot count (→ serial fallback) when infrastructure failures
-  streak.  It wakes as soon as a job is admitted or an executor
-  commits; ``tick_s`` only bounds the wait, for lease expiry and
-  backoff;
-- the **journal** (:mod:`repro.serve.journal`): every transition is
-  fsync'd *before* the server acts on it, which is the entire
-  crash-safety story — kill the daemon anywhere, restart it on the
-  same journal, and every job continues to exactly one terminal state.
+  executor threads while slots are free, and shrinks the slot count
+  (→ serial fallback) when infrastructure failures streak.  It wakes
+  as soon as a job is admitted or an executor commits; ``tick_s`` only
+  bounds the wait, for lease expiry and backoff;
+- the **ledger** (:class:`repro.serve.leases.LeaseLedger` over the
+  job journal, :mod:`repro.serve.journal`): every transition — admit,
+  lease, expiry, re-queue under backoff or fail past the attempt
+  budget, fenced commit, drain — is fsync'd *before* the server acts on
+  it, which is the entire crash-safety story: kill the daemon anywhere,
+  restart it on the same journal, and every job continues to exactly
+  one terminal state.  A job's lease lasts its deadline plus
+  ``LEASE_GRACE_S``; a job that fails is terminal.
 
 Execution reuses the sweep substrate end to end: cells run through
 :class:`repro.parallel.pool.SweepExecutor` (with ``cell_jobs > 1``
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import signal
 import threading
 import time
@@ -66,21 +69,23 @@ from repro.serve.admission import AdmissionController, Readiness
 from repro.serve.jobs import (
     Job,
     RequestError,
-    STATE_DONE,
-    STATE_FAILED,
-    STATE_QUEUED,
-    STATE_RUNNING,
     job_id_for,
     normalize_request,
 )
 from repro.serve.journal import JobJournal
-from repro.serve.leases import Lease, LeaseTable
+from repro.serve.leases import STATE_DONE, STATE_FAILED, Lease, LeaseLedger
 
 __all__ = ["ServeApp", "ServeConfig", "main", "make_server"]
 
 #: Largest request body read (413 beyond it).  The biggest real body, a
 #: ``/dist/shard`` of a large sweep, is a few MB.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Seconds a job's lease outlasts its deadline.  The deadline guard
+#: raises inside the executor at the deadline; the grace covers the
+#: commit that follows.  A job with no deadline holds its lease until
+#: it commits.
+LEASE_GRACE_S = 1.0
 
 
 @dataclass
@@ -105,8 +110,8 @@ class ServeConfig:
     #: Queue high-water mark: non-terminal jobs beyond this are shed
     #: with 429.
     high_water: int = 64
-    lease_ttl_s: float = 120.0
-    #: Default per-job wall-clock budget (None = unbounded).
+    #: Default per-job wall-clock budget (None = unbounded).  A job's
+    #: lease lasts its budget plus ``LEASE_GRACE_S``.
     deadline_s: Optional[float] = 600.0
     #: Lease grants per job before it fails terminally.
     max_attempts: int = 3
@@ -122,8 +127,8 @@ class ServeConfig:
     #: Cell journal for the distributed sweep coordinator; None leaves
     #: the ``/dist/*`` routes off (single-machine daemon).
     dist_journal: Optional[str] = None
-    #: Lease lifetime for remote workers (much shorter than job leases:
-    #: workers heartbeat at ttl/3 while executing).
+    #: Lease lifetime for remote workers (workers heartbeat at ttl/3
+    #: while executing).
     dist_lease_ttl_s: float = 30.0
     #: Lease grants per cell before it fails structurally.
     dist_max_attempts: int = 3
@@ -149,10 +154,9 @@ class ServeApp:
         self.clock = clock
         self._run_job_fn = run_job if run_job is not None else self._run_job
         self.lock = threading.RLock()
-        self.jobs: Dict[str, Job] = {}
-        self._queue: List[str] = []  # FIFO of queued job ids
-        self.journal: Optional[JobJournal] = None
-        self.leases = LeaseTable(ttl=config.lease_ttl_s, clock=clock)
+        #: Every job transition (journal, ready queue, leases); built
+        #: by :meth:`start`, which opens and replays the journal.
+        self.ledger: Optional[LeaseLedger] = None
         self.admission = AdmissionController(
             config.high_water, retry_after_s=config.retry_after_s
         )
@@ -209,9 +213,9 @@ class ServeApp:
         reg = self.registry
         reg.gauge(
             "serve_queue_depth", help="jobs queued and awaiting a lease"
-        ).set(len(self._queue))
+        ).set(len(self.ledger.ready))
         reg.gauge("serve_in_flight", help="jobs currently leased").set(
-            self.leases.live_count
+            self.ledger.leases.live_count
         )
         reg.gauge(
             "serve_slots", help="current executor slots (shrinks when degraded)"
@@ -225,18 +229,21 @@ class ServeApp:
             "serve_http_requests_total", help="HTTP requests by route and code"
         ).inc(method=method, route=route, code=str(code))
 
+    def _count_requeue(self, reason: str) -> None:
+        self.registry.counter(
+            "serve_requeues_total", help="lease re-queues by reason"
+        ).inc(reason=reason)
+
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> None:
         """Open (and replay) the journal, then start dispatching."""
-        self.journal = JobJournal(
-            self.config.journal,
-            max_bytes=(
-                int(self.config.journal_max_mb * 1024 * 1024)
-                if self.config.journal_max_mb is not None
-                else None
-            ),
+        max_bytes = (
+            int(self.config.journal_max_mb * 1024 * 1024)
+            if self.config.journal_max_mb is not None
+            else None
         )
+        journal = JobJournal(self.config.journal, max_bytes=max_bytes)
         if self.config.dist_journal:
             from repro.dist.coordinator import DistCoordinator
 
@@ -247,42 +254,24 @@ class ServeApp:
                 lease_ttl=self.config.dist_lease_ttl_s,
                 max_attempts=self.config.dist_max_attempts,
                 clock=self.clock,
-                journal_max_bytes=(
-                    int(self.config.journal_max_mb * 1024 * 1024)
-                    if self.config.journal_max_mb is not None
-                    else None
-                ),
+                journal_max_bytes=max_bytes,
             )
-        replayed = self.journal.replayed
         with self.lock:
-            self.jobs = replayed.jobs
+            self.ledger = LeaseLedger(journal, clock=self.clock)
             # Interrupted jobs (leased when the last incarnation died)
             # re-queue first — their submitters have waited longest —
             # then the still-queued ones in submission order.
-            for job_id in replayed.interrupted:
-                job = self.jobs[job_id]
-                job.state = STATE_QUEUED
-                self.journal.record_requeue(
-                    job_id, job.attempts, reason="recovered"
-                )
-                self.registry.counter(
-                    "serve_requeues_total", help="lease re-queues by reason"
-                ).inc(reason="recovered")
-            self._queue = [
-                job.id
-                for job in sorted(
-                    self.jobs.values(), key=lambda j: j.submitted_unix
-                )
-                if job.state == STATE_QUEUED
-            ]
+            recovered = self.ledger.recover("recovered")
+            for _ in recovered:
+                self._count_requeue("recovered")
             self.readiness.started = True
             self._observe_gauges()
             if _log.ENABLED:
                 _log.get_logger("serve").info(
                     "serve_start",
-                    jobs=len(self.jobs),
-                    requeued=len(replayed.interrupted),
-                    queued=len(self._queue),
+                    jobs=len(self.ledger.entries),
+                    requeued=len(recovered),
+                    queued=len(self.ledger.ready),
                     slots=self.health.slots,
                 )
         self._dispatcher = threading.Thread(
@@ -298,8 +287,8 @@ class ServeApp:
             if _log.ENABLED:
                 _log.get_logger("serve").info(
                     "drain_begin",
-                    queued=len(self._queue),
-                    in_flight=self.leases.live_count,
+                    queued=len(self.ledger.ready),
+                    in_flight=self.ledger.leases.live_count,
                 )
 
     def drain(self, grace_s: Optional[float] = None) -> int:
@@ -314,43 +303,22 @@ class ServeApp:
         deadline = self.clock() + grace
         while self.clock() < deadline:
             with self.lock:
-                if self.leases.live_count == 0:
+                if self.ledger.leases.live_count == 0:
                     break
             time.sleep(self.config.tick_s)
-        requeued = 0
         with self.lock:
             # Whatever is still leased will not finish in time: fence
             # the leases off (late results are discarded) and journal
             # the re-queue so the next incarnation runs these jobs.
-            for job_id in self.leases.live_job_ids():
-                job = self.jobs.get(job_id)
-                if job is None:
-                    continue
-                self.leases.revoke(job_id)
-                job.state = STATE_QUEUED
-                assert self.journal is not None
-                self.journal.record_requeue(
-                    job_id, job.attempts, reason="drain"
-                )
-                self.registry.counter(
-                    "serve_requeues_total", help="lease re-queues by reason"
-                ).inc(reason="drain")
-                requeued += 1
+            requeued = self.ledger.leases.live_job_ids()
+            for job_id in requeued:
+                self.ledger.requeue(job_id, "drain")
+                self._count_requeue("drain")
             self._observe_gauges()
-        self._stop.set()
-        self._wake.set()
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=5.0)
-        with self.lock:
-            if self.journal is not None:
-                self.journal.close()
-                self.journal = None
-            if self.coordinator is not None:
-                self.coordinator.close()
-                self.coordinator = None
+        self.close()
         if _log.ENABLED:
-            _log.get_logger("serve").info("drain_end", requeued=requeued)
-        return requeued
+            _log.get_logger("serve").info("drain_end", requeued=len(requeued))
+        return len(requeued)
 
     def close(self) -> None:
         """Hard stop (tests): no grace, no re-queue of the queue."""
@@ -359,9 +327,8 @@ class ServeApp:
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=5.0)
         with self.lock:
-            if self.journal is not None:
-                self.journal.close()
-                self.journal = None
+            if self.ledger is not None:
+                self.ledger.journal.close()
             if self.coordinator is not None:
                 self.coordinator.close()
                 self.coordinator = None
@@ -376,8 +343,9 @@ class ServeApp:
             return 400, {"error": str(exc)}
         job_id = job_id_for(normalized)
         with self.lock:
-            existing = self.jobs.get(job_id)
-            depth = sum(1 for j in self.jobs.values() if not j.terminal)
+            jobs = self.ledger.entries
+            existing = jobs.get(job_id)
+            depth = sum(1 for j in jobs.values() if not j.terminal)
             verdict = self.admission.decide(
                 queue_depth=depth,
                 draining=self.readiness.draining,
@@ -411,10 +379,7 @@ class ServeApp:
             )
             # Journal first, act second: the submit line is durable
             # before the client ever sees the 201.
-            assert self.journal is not None
-            self.journal.record_submit(job)
-            self.jobs[job.id] = job
-            self._queue.append(job.id)
+            self.ledger.add(job)
             self._observe_gauges()
             if _log.ENABLED:
                 self._job_log(job).info(
@@ -428,7 +393,7 @@ class ServeApp:
 
     def job_view(self, job_id: str) -> Optional[Dict[str, Any]]:
         with self.lock:
-            job = self.jobs.get(job_id)
+            job = self.ledger.entries.get(job_id)
             return None if job is None else job.public_dict()
 
     def jobs_view(self) -> List[Dict[str, Any]]:
@@ -436,7 +401,8 @@ class ServeApp:
             return [
                 job.public_dict(include_result=False)
                 for job in sorted(
-                    self.jobs.values(), key=lambda j: j.submitted_unix
+                    self.ledger.entries.values(),
+                    key=lambda j: j.submitted_unix,
                 )
             ]
 
@@ -462,8 +428,8 @@ class ServeApp:
         with self.lock:
             self.readiness.current_slots = self.health.slots
             extra: Dict[str, Any] = {
-                "queue_depth": len(self._queue),
-                "in_flight": self.leases.live_count,
+                "queue_depth": len(self.ledger.ready),
+                "in_flight": self.ledger.leases.live_count,
             }
             fleet = self._dist_fleet_view()
             if fleet is not None:
@@ -488,54 +454,43 @@ class ServeApp:
 
     def _tick(self) -> None:
         """One supervision step: expire leases, then fill free slots."""
-        now = self.clock()
         if self.coordinator is not None:
             # Dist upkeep first (its own lock): expire worker leases,
             # re-queue their cells, refresh fleet gauges.
             self.coordinator.maintain()
         with self.lock:
-            for lease in self.leases.expired():
+            for lease in self.ledger.expire():
                 self._on_lease_expired(lease)
             if self.readiness.draining:
                 return
-            while self._queue and self.leases.live_count < self.health.slots:
-                job_id = self._next_runnable(now)
-                if job_id is None:
+            while self.ledger.leases.live_count < self.health.slots:
+                granted = self.ledger.grant(ttl=self._lease_ttl)
+                if granted is None:
                     break
-                self._lease_and_launch(job_id)
+                self._launch(*granted)
             self.readiness.current_slots = self.health.slots
             self._observe_gauges()
 
-    def _next_runnable(self, now: float) -> Optional[str]:
-        for index, job_id in enumerate(self._queue):
-            job = self.jobs.get(job_id)
-            if job is None or job.state != STATE_QUEUED:
-                self._queue.pop(index)
-                return None  # table/queue drifted; next tick continues
-            if job.not_before <= now:
-                self._queue.pop(index)
-                return job_id
-        return None
+    def _deadline(self, job: Job) -> Optional[float]:
+        """The job's wall-clock budget (None or 0: unbounded)."""
+        if job.deadline_s is not None:
+            return job.deadline_s
+        return self.config.deadline_s
 
-    def _lease_and_launch(self, job_id: str) -> None:
-        job = self.jobs[job_id]
-        job.attempts += 1
-        job.state = STATE_RUNNING
-        lease = self.leases.grant(job_id, job.attempts)
-        assert self.journal is not None
-        self.journal.record_lease(
-            job_id,
-            job.attempts,
-            expires_unix=time.time() + self.config.lease_ttl_s,
-        )
+    def _lease_ttl(self, job: Job) -> float:
+        deadline = self._deadline(job)
+        return deadline + LEASE_GRACE_S if deadline else math.inf
+
+    def _launch(self, job: Job, lease: Lease) -> None:
         if _log.ENABLED:
+            ttl = self._lease_ttl(job)
             self._job_log(job).info(
-                "lease_granted", ttl_s=self.config.lease_ttl_s
+                "lease_granted", ttl_s=None if math.isinf(ttl) else ttl
             )
         thread = threading.Thread(
             target=self._execute,
             args=(job.copy(), lease),
-            name=f"serve-exec-{job_id}",
+            name=f"serve-exec-{job.id}",
             daemon=True,
         )
         self._executors.append(thread)
@@ -544,46 +499,27 @@ class ServeApp:
 
     def _on_lease_expired(self, lease: Lease) -> None:
         """A leaseholder went dark: fence it off and re-queue or fail."""
-        job = self.jobs.get(lease.job_id)
-        self.leases.revoke(lease.job_id)
         self.registry.counter(
             "serve_lease_expirations_total",
             help="leases that expired before their executor committed",
         ).inc()
         self.health.on_crash()
-        if job is None or job.terminal:
-            return
-        assert self.journal is not None
-        if job.attempts >= job.max_attempts:
-            message = (
-                f"lease expired on attempt {job.attempts}/"
-                f"{job.max_attempts}; executor presumed dead or wedged"
-            )
-            self.journal.record_fail(
-                job.id, "LeaseExpired", message, job.attempts
-            )
-            job.state = STATE_FAILED
-            job.error = {
-                "type": "LeaseExpired",
-                "message": message,
-                "attempts": job.attempts,
-            }
+        job = self.ledger.entries[lease.job_id]
+        delay = self.ledger.retry_or_fail(
+            lease,
+            "lease-expired",
+            "LeaseExpired",
+            f"lease expired on attempt {job.attempts}/{job.max_attempts}; "
+            "executor presumed dead or wedged",
+        )
+        if delay is None:
             self._count_terminal(STATE_FAILED)
             if _log.ENABLED:
                 self._job_log(job).error(
                     "lease_expired", outcome="failed", attempts=job.attempts
                 )
             return
-        delay = self.leases.requeue_delay(job.id)
-        job.state = STATE_QUEUED
-        job.not_before = self.clock() + delay
-        self.journal.record_requeue(
-            job.id, job.attempts, reason="lease-expired", delay_s=delay
-        )
-        self.registry.counter(
-            "serve_requeues_total", help="lease re-queues by reason"
-        ).inc(reason="lease-expired")
-        self._queue.append(job.id)
+        self._count_requeue("lease-expired")
         if _log.ENABLED:
             self._job_log(job).warning(
                 "lease_expired",
@@ -615,7 +551,15 @@ class ServeApp:
             failure = (type(exc).__name__, str(exc))
         elapsed = self.clock() - started
         with self.lock:
-            if not self.leases.release(lease):
+            # A failed job is terminal: its error is deterministic, so a
+            # retry would only repeat it.
+            if failure is None:
+                committed = self.ledger.commit(
+                    lease, result, elapsed_s=round(elapsed, 6)
+                )
+            else:
+                committed = self.ledger.fail(lease, *failure)
+            if not committed:
                 # Fenced off: the lease expired (or drain revoked it)
                 # and the job moved on without us.  Exactly-once means
                 # this late outcome must be discarded.
@@ -629,13 +573,8 @@ class ServeApp:
                         elapsed_s=round(elapsed, 3),
                     )
                 return
-            live = self.jobs[job.id]
-            assert self.journal is not None
+            live = self.ledger.entries[job.id]
             if failure is None:
-                self.journal.record_done(live.id, result, elapsed_s=elapsed)
-                live.state = STATE_DONE
-                live.result = result
-                live.error = None
                 self.health.on_success()
                 self._count_terminal(STATE_DONE)
                 if _log.ENABLED:
@@ -643,16 +582,6 @@ class ServeApp:
                         "job_done", elapsed_s=round(elapsed, 3)
                     )
             else:
-                error_type, message = failure
-                self.journal.record_fail(
-                    live.id, error_type, message, live.attempts
-                )
-                live.state = STATE_FAILED
-                live.error = {
-                    "type": error_type,
-                    "message": message,
-                    "attempts": live.attempts,
-                }
                 if infrastructure:
                     self.health.on_crash()
                 else:
@@ -663,7 +592,7 @@ class ServeApp:
                 if _log.ENABLED:
                     self._job_log(live).error(
                         "job_failed",
-                        error=error_type,
+                        error=failure[0],
                         infrastructure=infrastructure,
                         elapsed_s=round(elapsed, 3),
                     )
@@ -675,11 +604,7 @@ class ServeApp:
 
     def _run_job(self, job: Job) -> Any:
         """Default executor: map the job onto the repro.api substrate."""
-        deadline = (
-            job.deadline_s
-            if job.deadline_s is not None
-            else self.config.deadline_s
-        )
+        deadline = self._deadline(job)
         with wall_clock_guard(deadline or 0.0, label=f"job {job.id}"):
             if job.kind == "simulate":
                 cell = Cell(
@@ -946,19 +871,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="queue depth past which POST /jobs returns 429 (default 64)",
     )
     parser.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=120.0,
-        metavar="SECONDS",
-        help="lease lifetime; an executor silent past this is presumed "
-        "dead and its job re-queued (default 120)",
-    )
-    parser.add_argument(
         "--deadline",
         type=float,
         default=600.0,
         metavar="SECONDS",
-        help="default per-job wall-clock budget (default 600; 0 = none)",
+        help="default per-job wall-clock budget; a job's lease lasts "
+        "its budget plus a second's grace (default 600; 0 = none)",
     )
     parser.add_argument(
         "--max-attempts",
@@ -1015,7 +933,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         slots=max(1, args.slots),
         cell_jobs=max(1, args.cell_jobs),
         high_water=max(1, args.high_water),
-        lease_ttl_s=args.lease_ttl,
         deadline_s=args.deadline if args.deadline > 0 else None,
         max_attempts=max(1, args.max_attempts),
         retries=max(0, args.retries),

@@ -51,31 +51,18 @@ from typing import Any, Dict, List, Optional
 
 from repro.core.config import GPUConfig, canonical_config_json
 from repro.core.presets import preset_names
+from repro.serve.leases import STATE_QUEUED, TERMINAL_STATES
 from repro.workloads.base import TIMING_MISS_SCALE
 from repro.workloads.registry import workload_names
 
 __all__ = [
     "Job",
     "RequestError",
-    "STATE_DONE",
-    "STATE_FAILED",
-    "STATE_QUEUED",
-    "STATE_RUNNING",
-    "TERMINAL_STATES",
     "job_id_for",
     "normalize_request",
 ]
 
 KINDS = ("simulate", "sweep", "figure")
-
-STATE_QUEUED = "queued"
-STATE_RUNNING = "running"
-STATE_DONE = "done"
-STATE_FAILED = "failed"
-
-#: States a job never leaves.  The chaos campaign asserts every job
-#: reaches exactly one of these exactly once across daemon restarts.
-TERMINAL_STATES = frozenset({STATE_DONE, STATE_FAILED})
 
 
 class RequestError(ValueError):

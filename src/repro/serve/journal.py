@@ -1,256 +1,49 @@
 """The write-ahead job journal: the server's only source of truth.
 
-Every job state transition is one JSON line appended to the journal —
-``flush`` + ``fsync`` before the server acts on it, exactly the
-:class:`repro.harness.checkpoint.SweepCheckpoint` discipline — so the
-durable record always *leads* the in-memory state.  A SIGKILL at any
-instant leaves a journal whose replay reconstructs the server exactly:
+Every job state transition is one JSON line, fsync'd before the server
+acts on it, so a SIGKILL at any instant leaves a journal whose replay
+reconstructs the server: submitted jobs come back ``queued``, jobs
+mid-lease come back interrupted (the server re-queues them — their
+lease died with the process), terminal jobs stay terminal with their
+result, a torn final line is dropped with a :class:`RuntimeWarning`,
+and a duplicate ``submit`` (a client retrying a lost response across a
+restart) replays to the one existing job.
 
-- jobs journaled as submitted but never leased come back ``queued``;
-- jobs leased but not terminal were running when the process died —
-  replay re-queues them (their lease died with the leaseholder), so no
-  work is lost;
-- jobs with a terminal event stay terminal, result attached, so no
-  work is repeated;
-- a crash mid-append tears at most the final line, which replay drops
-  with a :class:`RuntimeWarning` (the transition it recorded simply
-  re-happens);
-- a duplicate ``submit`` for an id already seen (a client retrying a
-  lost response across a restart) replays to the one existing job.
-
-Event vocabulary (the ``ev`` field): ``submit``, ``lease``,
-``requeue``, ``done``, ``fail``.  The journal is append-only between
-compactions; :meth:`JobJournal.terminal_counts` exists so the chaos
-campaign can assert every job reached a terminal state exactly once
-across any number of crashes.
-
-The append-only mechanics — torn-tail repair at open, fsync'd appends,
-torn-line-tolerant replay, and size-triggered **compaction** through an
-atomic rewrite — live in :class:`repro.durable.WalFile`, the one write
-path every persisted file in the repo goes through (the distributed
-sweep's cell journal, :mod:`repro.dist.journal`, and the sweep
-checkpoint ride it too).  Compaction preserves the replay contract
-exactly: every job replays to the same state, attempts, and result,
-and every terminal job still counts exactly one terminal event.
+Replay, compaction, the appenders and :meth:`JobJournal.terminal_counts`
+(the chaos campaign's exactly-once oracle) are the shared lease state
+machine, :class:`repro.serve.leases.LeaseJournal`; this class only
+names the job journal's on-disk vocabulary.  Event vocabulary (the
+``ev`` field): ``submit`` (the job's durable fields under ``job``),
+``lease``, ``requeue``, ``done`` (``result``, plus ``elapsed_s``),
+``fail``; every event but ``submit`` names its job by ``id``.
+Compaction writes jobs in submission-time order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
-from repro.durable import WalFile, read_wal
-from repro.serve.jobs import (
-    Job,
-    STATE_DONE,
-    STATE_FAILED,
-    STATE_QUEUED,
-    STATE_RUNNING,
-)
+from repro.serve.jobs import Job
+from repro.serve.leases import LeaseJournal
 
-__all__ = ["JobJournal", "ReplayState"]
+__all__ = ["JobJournal"]
 
 
-@dataclass
-class ReplayState:
-    """What a journal replay reconstructs."""
+class JobJournal(LeaseJournal):
+    """Append-only, fsync'd JSONL record of every job transition."""
 
-    jobs: Dict[str, Job] = field(default_factory=dict)
-    #: id → number of terminal (done/fail) events seen.  Exactly-once
-    #: means every value here is 1.
-    terminal_counts: Dict[str, int] = field(default_factory=dict)
-    #: ids that were mid-lease when the journal ended (crashed while
-    #: running); the server re-queues these on startup.
-    interrupted: List[str] = field(default_factory=list)
-    duplicate_submits: int = 0
-    #: Torn lines dropped during replay (each also warns).
-    dropped_lines: int = 0
-
-
-class JobJournal(WalFile):
-    """Append-only, fsync'd JSONL record of every job transition.
-
-    ``max_bytes`` bounds the file's growth: once an append pushes past
-    it, the live state (one ``submit`` per job plus its latest
-    transition) is rewritten to a fresh segment atomically.  Superseded
-    churn — expired-lease re-queues, duplicate submits — is what gets
-    discarded; results, attempts, and terminal states survive verbatim.
-    """
-
-    def __init__(self, path: str, max_bytes: Optional[int] = None):
-        self.replayed = self._load(path)
-        super().__init__(path, max_bytes=max_bytes)
-
-    # -- replay --------------------------------------------------------
-
-    @classmethod
-    def _load(cls, path: str) -> ReplayState:
-        state = ReplayState()
-        stats: Dict[str, int] = {}
-        for event in read_wal(path, label="job journal", stats=stats):
-            cls._apply(state, event)
-        state.dropped_lines = stats.get("dropped", 0)
-        for job in state.jobs.values():
-            if job.state == STATE_RUNNING:
-                state.interrupted.append(job.id)
-        return state
+    LABEL = "job journal"
+    ENTRY = "submit"
+    KEY = "id"
+    ORDER_BY = "submitted_unix"
 
     @staticmethod
-    def _apply(state: ReplayState, event: Dict[str, Any]) -> None:
-        kind = event.get("ev")
-        if kind == "submit":
-            payload = event.get("job") or {}
-            job_id = payload.get("id")
-            if job_id is None:
-                return
-            if job_id in state.jobs:
-                # A client re-submitting across a lost response: the
-                # id is content-derived, so this is the same job.
-                state.duplicate_submits += 1
-                return
-            state.jobs[job_id] = Job.from_journal_dict(payload)
-            return
-        job = state.jobs.get(event.get("id"))
-        if job is None:
-            return  # terminal/lease event orphaned by a torn submit
-        if kind == "lease":
-            job.state = STATE_RUNNING
-            job.attempts = int(event.get("attempt", job.attempts + 1))
-        elif kind == "requeue":
-            job.state = STATE_QUEUED
-            job.attempts = int(event.get("attempt", job.attempts))
-        elif kind == "done":
-            job.state = STATE_DONE
-            job.result = event.get("result")
-            job.error = None
-            state.terminal_counts[job.id] = (
-                state.terminal_counts.get(job.id, 0) + 1
-            )
-        elif kind == "fail":
-            job.state = STATE_FAILED
-            job.error = {
-                "type": event.get("error_type", "Error"),
-                "message": event.get("error", ""),
-                "attempts": event.get("attempts", job.attempts),
-            }
-            state.terminal_counts[job.id] = (
-                state.terminal_counts.get(job.id, 0) + 1
-            )
+    def entry_fields(entry: Job) -> Dict[str, Any]:
+        return {"job": entry.journal_dict()}
 
-    @classmethod
-    def terminal_counts(cls, path: str) -> Dict[str, int]:
-        """Terminal events per job id in the journal at ``path``.
-
-        Read-only (no append handle is opened); the chaos campaign
-        calls this on a dead server's journal.
-        """
-        return cls._load(path).terminal_counts
-
-    # -- compaction ----------------------------------------------------
-
-    def live_events(self) -> List[Dict[str, Any]]:
-        """One ``submit`` per job plus its latest transition.
-
-        Replaying the compacted segment reconstructs every job with the
-        same state, attempts, result, and error — and terminal jobs
-        keep exactly one terminal event, so
-        :meth:`terminal_counts`-based exactly-once assertions hold
-        across compactions.
-        """
-        state = self._load(self.path)
-        events: List[Dict[str, Any]] = []
-        for job in sorted(
-            state.jobs.values(), key=lambda j: j.submitted_unix
-        ):
-            events.append({"ev": "submit", "job": job.journal_dict()})
-            if job.state == STATE_DONE:
-                events.append(
-                    {"ev": "done", "id": job.id, "result": job.result}
-                )
-            elif job.state == STATE_FAILED:
-                error = job.error or {}
-                events.append(
-                    {
-                        "ev": "fail",
-                        "id": job.id,
-                        "error_type": error.get("type", "Error"),
-                        "error": error.get("message", ""),
-                        "attempts": error.get("attempts", job.attempts),
-                    }
-                )
-            elif job.state == STATE_RUNNING:
-                # Replay marks mid-lease jobs interrupted and re-queues
-                # them — exactly what the uncompacted journal does.
-                events.append(
-                    {
-                        "ev": "lease",
-                        "id": job.id,
-                        "attempt": job.attempts,
-                        "expires_unix": 0.0,
-                    }
-                )
-            elif job.attempts:
-                events.append(
-                    {
-                        "ev": "requeue",
-                        "id": job.id,
-                        "attempt": job.attempts,
-                        "reason": "compacted",
-                        "delay_s": 0.0,
-                    }
-                )
-        return events
-
-    # -- appends -------------------------------------------------------
-
-    def record_submit(self, job: Job) -> None:
-        self.append({"ev": "submit", "job": job.journal_dict()})
-
-    def record_lease(
-        self, job_id: str, attempt: int, expires_unix: float
-    ) -> None:
-        self.append(
-            {
-                "ev": "lease",
-                "id": job_id,
-                "attempt": attempt,
-                "expires_unix": expires_unix,
-            }
-        )
-
-    def record_requeue(
-        self, job_id: str, attempt: int, reason: str, delay_s: float = 0.0
-    ) -> None:
-        self.append(
-            {
-                "ev": "requeue",
-                "id": job_id,
-                "attempt": attempt,
-                "reason": reason,
-                "delay_s": round(delay_s, 6),
-            }
-        )
-
-    def record_done(
-        self, job_id: str, result: Any, elapsed_s: Optional[float] = None
-    ) -> None:
-        event: Dict[str, Any] = {"ev": "done", "id": job_id, "result": result}
-        if elapsed_s is not None:
-            event["elapsed_s"] = round(elapsed_s, 6)
-        self.append(event)
-
-    def record_fail(
-        self, job_id: str, error_type: str, message: str, attempts: int
-    ) -> None:
-        self.append(
-            {
-                "ev": "fail",
-                "id": job_id,
-                "error_type": error_type,
-                "error": message,
-                "attempts": attempts,
-            }
-        )
-
-    def __enter__(self) -> "JobJournal":
-        return self
+    @staticmethod
+    def entry_of(event: Dict[str, Any]) -> Optional[Job]:
+        payload = event.get("job") or {}
+        if payload.get("id") is None:
+            return None
+        return Job.from_journal_dict(payload)

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dist.journal import CellJournal
+from repro.dist.journal import CellJournal, CellState
 
 
 def test_torn_final_line_is_dropped_with_a_warning(tmp_path):
     path = str(tmp_path / "cells.jsonl")
     with CellJournal(path) as journal:
-        journal.record_shard("k1", {"label": "a"})
-        journal.record_done("k1", '{"cycles": 1}', "sha256:1", "w1")
+        journal.record_entry(CellState(key="k1", wire={"label": "a"}))
+        journal.record_done(
+            "k1", '{"cycles": 1}', digest="sha256:1", worker="w1"
+        )
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"ev": "shard", "key": "torn-mid-app')
     with pytest.warns(RuntimeWarning, match="truncated"):
@@ -19,8 +21,8 @@ def test_torn_final_line_is_dropped_with_a_warning(tmp_path):
     with journal:
         replayed = journal.replayed
     assert replayed.dropped_lines == 1
-    assert replayed.cells["k1"].state == "done"
-    assert "torn-mid-app" not in replayed.cells
+    assert replayed.entries["k1"].state == "done"
+    assert "torn-mid-app" not in replayed.entries
 
 
 def test_cell_recorded_after_a_torn_line_survives_the_next_open(tmp_path):
@@ -29,17 +31,19 @@ def test_cell_recorded_after_a_torn_line_survives_the_next_open(tmp_path):
     # line precedes them.
     path = str(tmp_path / "cells.jsonl")
     with CellJournal(path) as journal:
-        journal.record_shard("k1", {"label": "a"})
+        journal.record_entry(CellState(key="k1", wire={"label": "a"}))
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"ev": "lease", "key": "k1')  # torn, no newline
     with pytest.warns(RuntimeWarning, match="truncated"):
         journal = CellJournal(path)
     with journal:
-        journal.record_done("k1", '{"cycles": 2}', "sha256:2", "w1")
+        journal.record_done(
+            "k1", '{"cycles": 2}', digest="sha256:2", worker="w1"
+        )
     with pytest.warns(RuntimeWarning, match="truncated"):
         journal = CellJournal(path)
     with journal:
         replayed = journal.replayed
-    assert replayed.cells["k1"].state == "done"
-    assert replayed.cells["k1"].result_json == '{"cycles": 2}'
+    assert replayed.entries["k1"].state == "done"
+    assert replayed.entries["k1"].result == '{"cycles": 2}'
     assert replayed.terminal_counts == {"k1": 1}

@@ -108,6 +108,19 @@ class TestShardAndLease:
         coordinator.close()
 
 
+    def test_requeued_cell_waits_behind_cells_never_leased(self, tmp_path):
+        clock = FakeClock()
+        coordinator = _coordinator(tmp_path, clock, lease_ttl=5.0)
+        keys = coordinator.submit_cells(_cells(3))
+        assert coordinator.lease("w1")["key"] == keys[0]
+        clock.advance(6.0)  # the lease lapses: keys[0] re-queues
+        coordinator.maintain()
+        clock.advance(5.0)  # past its backoff
+        order = [coordinator.lease("w2")["key"] for _ in range(3)]
+        assert order == [keys[1], keys[2], keys[0]]
+        coordinator.close()
+
+
 class TestVerificationPipeline:
     def test_unknown_key_is_rejected(self, tmp_path, canned):
         _, result_json = canned

@@ -242,10 +242,10 @@ class TestFencedWorker:
 
         def run_and_get_fenced(cell):
             # Simulate the lease being revoked while the cell runs.
-            lease = coordinator.leases.current(
+            lease = coordinator.ledger.leases.current(
                 coordinator.cell_states()[0]["key"]
             )
-            coordinator.leases.revoke(lease.job_id)
+            coordinator.ledger.leases.revoke(lease.job_id)
             # The worker's own heartbeat discovers the fence.
             status, body = transport.request(
                 "POST",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 
@@ -139,6 +140,20 @@ def test_poisoned_cell_reports_its_config_hash():
     assert "cfg:" + config_hash(poisoned.config)[:24] in diagnostics["cell_key"]
     # The original worker-side traceback survives the process boundary.
     assert "PTWError" in diagnostics.get("worker_traceback", "")
+
+
+def test_pool_workers_write_the_run_log(tmp_path, monkeypatch):
+    # Each spawned worker configures the run log from the environment
+    # it inherits, so every simulated cell logs its own run_start.
+    path = tmp_path / "run.jsonl"
+    monkeypatch.setenv("REPRO_LOG_JSONL", str(path))
+    cells = _cells()
+    SweepExecutor(jobs=2).run(cells)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    starts = [r for r in records if r["event"] == "run_start"]
+    assert sorted(r["workload"] for r in starts) == sorted(
+        cell.workload for cell in cells
+    )
 
 
 def test_pool_health_shrinks_after_consecutive_crashes():

@@ -119,7 +119,7 @@ class TestSubmit:
             assert status == 400 and "error" in body
         finally:
             app.close()
-        assert JobJournal(app.config.journal).replayed.jobs == {}
+        assert JobJournal(app.config.journal).replayed.entries == {}
 
     def test_high_water_sheds_with_429(self, tmp_path):
         gate = threading.Event()
@@ -160,7 +160,7 @@ class TestLeaseExpiry:
         app = _app(
             tmp_path,
             lambda job: release.wait(30),
-            lease_ttl_s=0.03,
+            deadline_s=0.03,
             max_attempts=2,
         )
         app.start()
@@ -188,7 +188,7 @@ class TestLeaseExpiry:
                 return {"from": "wedged"}
             return {"from": "retry"}
 
-        app = _app(tmp_path, run, lease_ttl_s=0.03, max_attempts=3)
+        app = _app(tmp_path, run, deadline_s=0.03, max_attempts=3)
         app.start()
         try:
             _status, body = app.submit(_request())
@@ -204,6 +204,63 @@ class TestLeaseExpiry:
         assert JobJournal.terminal_counts(app.config.journal) == {
             body["id"]: 1
         }
+
+
+class TestLeaseLastsTheDeadline:
+    @staticmethod
+    def _skewed_app(tmp_path, skew, calls, **overrides):
+        """An app whose monotonic clock jumps 300 s each time its job
+        runs: past any fixed lease a healthy job might outlive."""
+
+        def run(job):
+            calls.append(job.id)
+            skew[0] += 300.0
+            time.sleep(0.1)  # dispatcher ticks see the jumped clock
+            return {"ok": True}
+
+        config = dict(
+            journal=str(tmp_path / "journal.jsonl"), tick_s=0.005, slots=2
+        )
+        config.update(overrides)
+        return ServeApp(
+            ServeConfig(**config),
+            registry=MetricsRegistry(),
+            clock=lambda: time.monotonic() + skew[0],
+            run_job=run,
+        )
+
+    def test_healthy_job_within_its_deadline_runs_once(self, tmp_path):
+        skew, calls = [0.0], []
+        app = self._skewed_app(tmp_path, skew, calls)  # deadline 600 s
+        app.start()
+        try:
+            _status, body = app.submit(_request())
+            view = _wait_terminal(app, body["id"])
+            assert view["state"] == "done"
+            assert view["attempts"] == 1
+            assert calls == [body["id"]]
+        finally:
+            app.close()
+
+    def test_job_without_deadline_holds_its_lease(self, tmp_path):
+        skew, calls = [0.0], []
+        app = self._skewed_app(tmp_path, skew, calls, deadline_s=None)
+        app.start()
+        try:
+            _status, body = app.submit(_request())
+            view = _wait_terminal(app, body["id"])
+            assert (view["state"], view["attempts"]) == ("done", 1)
+            assert calls == [body["id"]]
+        finally:
+            app.close()
+
+        def strict(constant):
+            raise ValueError(f"journal holds {constant}")
+
+        with open(app.config.journal, encoding="utf-8") as handle:
+            events = [json.loads(line, parse_constant=strict) for line in handle]
+        leases = [event for event in events if event["ev"] == "lease"]
+        assert [event["expires_unix"] for event in leases] == [None]
 
 
 class TestDrain:
@@ -223,7 +280,7 @@ class TestDrain:
         wedge.set()
         assert requeued == 1
         replayed = JobJournal(app.config.journal).replayed
-        assert replayed.jobs[body["id"]].state == "queued"
+        assert replayed.entries[body["id"]].state == "queued"
 
         app2 = _app(tmp_path, lambda job: {"finished": "second-life"})
         app2.start()
@@ -287,7 +344,7 @@ class TestRestartReplay:
 
         job = Job.from_request(normalize_request(_request()))
         with JobJournal(journal_path) as journal:
-            journal.record_submit(job)
+            journal.record_entry(job)
             journal.record_lease(job.id, 1, expires_unix=0.0)
         app = _app(tmp_path, lambda j: {"recovered": True})
         app.start()

@@ -26,11 +26,11 @@ def test_full_lifecycle_replays_to_done(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     job = _job()
     with JobJournal(path) as journal:
-        journal.record_submit(job)
+        journal.record_entry(job)
         journal.record_lease(job.id, 1, expires_unix=0.0)
         journal.record_done(job.id, {"cycles": 42})
     replayed = JobJournal(path).replayed
-    restored = replayed.jobs[job.id]
+    restored = replayed.entries[job.id]
     assert restored.state == "done"
     assert restored.result == {"cycles": 42}
     assert replayed.interrupted == []
@@ -43,26 +43,26 @@ def test_leased_but_not_terminal_is_interrupted(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     job = _job()
     with JobJournal(path) as journal:
-        journal.record_submit(job)
+        journal.record_entry(job)
         journal.record_lease(job.id, 1, expires_unix=0.0)
     replayed = JobJournal(path).replayed
     assert replayed.interrupted == [job.id]
-    assert replayed.jobs[job.id].attempts == 1
+    assert replayed.entries[job.id].attempts == 1
 
 
 def test_torn_final_line_is_dropped_with_a_warning(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     job = _job()
     with JobJournal(path) as journal:
-        journal.record_submit(job)
+        journal.record_entry(job)
         journal.record_done(job.id, {"cycles": 1})
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"ev": "submit", "job": {"id": "torn-mid-app')
     with pytest.warns(RuntimeWarning, match="truncated"):
         replayed = JobJournal(path).replayed
     assert replayed.dropped_lines == 1
-    assert replayed.jobs[job.id].state == "done"
-    assert "torn-mid-app" not in replayed.jobs
+    assert replayed.entries[job.id].state == "done"
+    assert "torn-mid-app" not in replayed.entries
 
 
 def test_append_after_torn_line_starts_clean(tmp_path):
@@ -72,7 +72,7 @@ def test_append_after_torn_line_starts_clean(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     job = _job()
     with JobJournal(path) as journal:
-        journal.record_submit(job)
+        journal.record_entry(job)
     with open(path, "a", encoding="utf-8") as handle:
         handle.write('{"ev": "lease", "id": "' + job.id)  # torn, no \n
     with pytest.warns(RuntimeWarning, match="truncated"):
@@ -81,7 +81,7 @@ def test_append_after_torn_line_starts_clean(tmp_path):
         journal.record_done(job.id, {"cycles": 2})
     with pytest.warns(RuntimeWarning, match="truncated"):
         replayed = JobJournal(path).replayed
-    assert replayed.jobs[job.id].state == "done"
+    assert replayed.entries[job.id].state == "done"
     assert replayed.terminal_counts == {job.id: 1}
 
 
@@ -91,13 +91,13 @@ def test_duplicate_submit_replays_to_one_job(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     job = _job()
     with JobJournal(path) as journal:
-        journal.record_submit(job)
-        journal.record_submit(job)
+        journal.record_entry(job)
+        journal.record_entry(job)
         journal.record_done(job.id, {"cycles": 7})
     replayed = JobJournal(path).replayed
-    assert len(replayed.jobs) == 1
-    assert replayed.duplicate_submits == 1
-    assert replayed.jobs[job.id].state == "done"
+    assert len(replayed.entries) == 1
+    assert replayed.duplicates == 1
+    assert replayed.entries[job.id].state == "done"
     assert replayed.terminal_counts == {job.id: 1}
 
 
@@ -105,7 +105,7 @@ def test_requeue_then_done_counts_terminal_once(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     job = _job()
     with JobJournal(path) as journal:
-        journal.record_submit(job)
+        journal.record_entry(job)
         journal.record_lease(job.id, 1, expires_unix=0.0)
         journal.record_requeue(job.id, 1, reason="lease-expired", delay_s=0.1)
         journal.record_lease(job.id, 2, expires_unix=0.0)
@@ -118,10 +118,10 @@ def test_failed_job_replays_with_structured_error(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     job = _job()
     with JobJournal(path) as journal:
-        journal.record_submit(job)
+        journal.record_entry(job)
         journal.record_lease(job.id, 1, expires_unix=0.0)
         journal.record_fail(job.id, "PTWError", "walk failed", 1)
-    restored = JobJournal(path).replayed.jobs[job.id]
+    restored = JobJournal(path).replayed.entries[job.id]
     assert restored.state == "failed"
     assert restored.error["type"] == "PTWError"
     assert restored.error["attempts"] == 1
@@ -136,7 +136,7 @@ def test_orphaned_event_is_ignored(tmp_path):
             json.dumps({"ev": "done", "id": "jdeadbeef", "result": 1}) + "\n"
         )
     replayed = JobJournal(path).replayed
-    assert replayed.jobs == {}
+    assert replayed.entries == {}
     assert replayed.terminal_counts == {}
 
 
@@ -146,7 +146,7 @@ def test_every_append_is_flushed_to_disk(tmp_path):
     path = str(tmp_path / "journal.jsonl")
     job = _job()
     journal = JobJournal(path)
-    journal.record_submit(job)
+    journal.record_entry(job)
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.readlines()
     assert len(lines) == 1 and lines[0].endswith("\n")
@@ -157,5 +157,5 @@ def test_every_append_is_flushed_to_disk(tmp_path):
 def test_journal_creates_parent_directory(tmp_path):
     path = str(tmp_path / "nested" / "dir" / "journal.jsonl")
     with JobJournal(path) as journal:
-        journal.record_submit(_job())
+        journal.record_entry(_job())
     assert os.path.exists(path)

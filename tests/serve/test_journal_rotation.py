@@ -39,7 +39,7 @@ def _snapshot(path: str):
     state = JobJournal._load(path)
     return {
         job_id: (job.state, job.attempts, job.result, job.error)
-        for job_id, job in state.jobs.items()
+        for job_id, job in state.entries.items()
     }
 
 
@@ -53,7 +53,7 @@ class TestCompaction:
         journal = JobJournal(path, max_bytes=max_bytes)
         done, failed, queued = _job(1), _job(2), _job(3)
         for job in (done, failed, queued):
-            journal.record_submit(job)
+            journal.record_entry(job)
         journal.record_lease(done.id, 1, expires_unix=0.0)
         journal.record_done(done.id, {"answer": 42}, elapsed_s=0.5)
         journal.record_lease(failed.id, 1, expires_unix=0.0)
@@ -71,8 +71,8 @@ class TestCompaction:
         assert os.path.getsize(path) < max_bytes
         assert _snapshot(path) == before
         state = JobJournal._load(path)
-        assert state.jobs[done.id].result == {"answer": 42}
-        assert state.jobs[queued.id].attempts == attempt
+        assert state.entries[done.id].result == {"answer": 42}
+        assert state.entries[queued.id].attempts == attempt
         # Exactly-once still pins across the rotation.
         assert JobJournal.terminal_counts(path) == {done.id: 1, failed.id: 1}
 
@@ -80,21 +80,21 @@ class TestCompaction:
         path = str(tmp_path / "journal.jsonl")
         journal = JobJournal(path, max_bytes=1)  # compact on every append
         job = _job(1)
-        journal.record_submit(job)
+        journal.record_entry(job)
         journal.record_lease(job.id, 1, expires_unix=0.0)
         assert journal.compactions >= 1
         journal.close()
         replayed = JobJournal(path)
         assert replayed.replayed.interrupted == [job.id]
-        assert replayed.replayed.jobs[job.id].attempts == 1
+        assert replayed.replayed.entries[job.id].attempts == 1
         replayed.close()
 
     def test_appends_after_rotation_stay_parseable(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
         journal = JobJournal(path, max_bytes=1)
         first, second = _job(1), _job(2)
-        journal.record_submit(first)   # rotates immediately
-        journal.record_submit(second)  # appended to the fresh segment
+        journal.record_entry(first)   # rotates immediately
+        journal.record_entry(second)  # appended to the fresh segment
         journal.record_done(second.id, {"ok": True})
         journal.close()
         snapshot = _snapshot(path)
@@ -109,7 +109,7 @@ class TestTornTailAcrossRotation:
         path = str(tmp_path / "journal.jsonl")
         journal = JobJournal(path, max_bytes=1)
         job = _job(1)
-        journal.record_submit(job)
+        journal.record_entry(job)
         journal.record_done(job.id, {"answer": 1})
         assert journal.compactions >= 1
         journal.close()
@@ -120,7 +120,7 @@ class TestTornTailAcrossRotation:
             warnings.simplefilter("always")
             reopened = JobJournal(path)
         assert any("truncated" in str(w.message) for w in caught)
-        assert reopened.replayed.jobs[job.id].state == "done"
+        assert reopened.replayed.entries[job.id].state == "done"
         assert reopened.replayed.terminal_counts == {job.id: 1}
         # The repaired tail must keep later appends parseable.
         reopened.record_requeue(job.id, 1, reason="recovered")
@@ -133,7 +133,7 @@ class TestTornTailAcrossRotation:
         path = str(tmp_path / "journal.jsonl")
         first, second = _job(1), _job(2)
         journal = JobJournal(path)
-        journal.record_submit(first)
+        journal.record_entry(first)
         journal.record_done(first.id, {"answer": 1})
         journal.close()
         with open(path, "a", encoding="utf-8") as handle:
@@ -143,7 +143,7 @@ class TestTornTailAcrossRotation:
         with warnings.catch_warnings(record=True):
             warnings.simplefilter("always")
             journal = JobJournal(path, max_bytes=1)
-            journal.record_submit(second)
+            journal.record_entry(second)
         assert journal.compactions >= 1
         journal.close()
         # The compacted segment is clean: replay emits no warnings.
@@ -160,7 +160,7 @@ class TestCrashMidCompaction:
         path = str(tmp_path / "journal.jsonl")
         job = _job(1)
         journal = JobJournal(path)
-        journal.record_submit(job)
+        journal.record_entry(job)
         journal.record_done(job.id, {"answer": 1})
         journal.close()
         # A compaction that died before its os.replace commit point.
@@ -169,7 +169,7 @@ class TestCrashMidCompaction:
             handle.write('{"ev": "submit", "job": {"id": "half-writ')
         reopened = JobJournal(path)
         assert not os.path.exists(tmp)
-        assert reopened.replayed.jobs[job.id].state == "done"
+        assert reopened.replayed.entries[job.id].state == "done"
         reopened.close()
 
 
@@ -189,8 +189,8 @@ class TestReplayCompat:
                 + "\n"
             )
         state = JobJournal._load(path)
-        assert state.jobs[job.id].state == "queued"
-        assert state.jobs[job.id].attempts == 2
+        assert state.entries[job.id].state == "queued"
+        assert state.entries[job.id].attempts == 2
 
 
 @pytest.mark.parametrize("max_bytes", [None, 1])

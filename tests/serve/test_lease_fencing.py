@@ -34,7 +34,7 @@ def _app(tmp_path, run_job, **overrides):
         journal=str(tmp_path / "journal.jsonl"),
         tick_s=0.005,
         slots=2,
-        lease_ttl_s=0.15,
+        deadline_s=0.15,
         max_attempts=3,
     )
     defaults.update(overrides)

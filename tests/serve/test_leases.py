@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.serve.leases import LeaseTable
+from repro.serve.jobs import Job
+from repro.serve.journal import JobJournal
+from repro.serve.leases import LeaseLedger, LeaseTable
 
 
 class FakeClock:
@@ -100,3 +102,37 @@ def test_revoke_keeps_backoff_growing_but_release_resets_it():
     lease = table.grant("j1", attempt=3)
     assert table.release(lease) is True
     assert table.requeue_delay("j1") == first  # streak reset on commit
+
+
+def test_ledger_queue_is_fifo_with_recovered_entries_first(tmp_path):
+    path = str(tmp_path / "journal.jsonl")
+    with JobJournal(path) as journal:
+        for n in range(3):
+            journal.record_entry(Job(id=f"j{n}", kind="figure", params={}))
+        journal.record_lease("j2", 1, expires_unix=None)  # then a crash
+    ledger = LeaseLedger(JobJournal(path), clock=FakeClock())
+    assert ledger.recover("recovered") == ["j2"]
+    assert ledger.ready == ["j2", "j0", "j1"]
+    entry, lease = ledger.grant()
+    assert (entry.id, lease.attempt) == ("j2", 2)
+    delay = ledger.retry_or_fail(lease, "lease-expired", "LeaseExpired", "")
+    assert delay is not None  # attempt 2 of 3: re-queued, at the back
+    assert ledger.ready == ["j0", "j1", "j2"]
+    ledger.journal.close()
+    assert JobJournal(path).replayed.entries["j2"].state == "queued"
+
+
+def test_ledger_fails_an_entry_past_its_budget(tmp_path):
+    path = str(tmp_path / "journal.jsonl")
+    journal = JobJournal(path)
+    ledger = LeaseLedger(journal, clock=FakeClock())
+    ledger.recover("recovered")
+    ledger.add(Job(id="j0", kind="figure", params={}, max_attempts=1))
+    _entry, lease = ledger.grant()
+    assert ledger.retry_or_fail(lease, "r", "LeaseExpired", "gone") is None
+    assert ledger.entries["j0"].error == {
+        "type": "LeaseExpired", "message": "gone", "attempts": 1,
+    }
+    assert not ledger.commit(lease, {"late": True})  # fenced off
+    journal.close()
+    assert JobJournal.terminal_counts(path) == {"j0": 1}

@@ -4,7 +4,9 @@ Every route the HTTP layer answers is exercised over a real socket on
 a fixed app state — a fake monotonic clock, ``time.time`` pinned, a
 fake executor and a private registry — and each answer's status,
 ``Content-Type`` and body must equal its entry in
-``golden/routes.json``.  A change to ``serve/app.py`` that moves any
+``golden/routes.json``.  A second daemon with the sweep coordinator on
+drives every ``/dist/*`` route through one fixed cell history.  A
+change to ``serve/app.py`` or ``dist/coordinator.py`` that moves any
 byte a client reads fails here, one test id per exchange.
 
 To regenerate the golden file after a deliberate wire-format change::
@@ -26,6 +28,9 @@ from typing import Dict, Iterator, List, Optional
 
 import pytest
 
+from repro.core.config import GPUConfig, config_hash
+from repro.dist.protocol import cell_to_wire, result_digest
+from repro.parallel.cells import Cell
 from repro.prof.registry import MetricsRegistry
 from repro.serve import app as app_module
 from repro.serve.app import ServeApp, ServeConfig, make_server
@@ -58,16 +63,53 @@ class _PinnedJob(Job):
     )
 
 
+#: The three cells the ``/dist/*`` exchanges shard, and the (minimal but
+#: valid) result string a worker pushes for any of them.
+DIST_CELLS = [
+    Cell(
+        label=f"c{index}",
+        workload="bfs",
+        config=GPUConfig.preset(
+            preset, num_cores=1, warps_per_core=8, warp_width=8
+        ),
+        miss_scale=1.0,
+    )
+    for index, preset in enumerate(("naive", "augmented", "no_tlb"))
+]
+DIST_RESULT = '{"config_description":"golden","cycles":1234,"workload":"bfs"}'
+
+
+class _Clock:
+    """The fake monotonic clock: it moves only when a test moves it."""
+
+    def __init__(self) -> None:
+        self.now = 100.0
+
+    def __call__(self) -> float:
+        return self.now
+
+
 @contextmanager
-def _pinned_daemon(directory: pathlib.Path) -> Iterator[tuple]:
-    """A started app behind a real HTTP server, clocks pinned."""
+def _pinned_daemon(
+    directory: pathlib.Path, dist: bool = False
+) -> Iterator[tuple]:
+    """A started app behind a real HTTP server, clocks pinned; ``dist``
+    turns the sweep coordinator on, with a two-attempt cell budget."""
+    clock = _Clock()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(time, "time", lambda: PINNED_UNIX)
         patch.setattr(app_module, "Job", _PinnedJob)
         app = ServeApp(
-            ServeConfig(journal=str(directory / "journal.jsonl"), tick_s=0.005),
+            ServeConfig(
+                journal=str(directory / "journal.jsonl"),
+                tick_s=0.005,
+                dist_journal=(
+                    str(directory / "cells.jsonl") if dist else None
+                ),
+                dist_max_attempts=2,
+            ),
             registry=MetricsRegistry(),
-            clock=lambda: 100.0,
+            clock=clock,
             run_job=lambda job: {"answer": 42},
         )
         app.start()
@@ -78,7 +120,7 @@ def _pinned_daemon(directory: pathlib.Path) -> Iterator[tuple]:
             daemon=True,
         ).start()
         try:
-            yield app, httpd.server_address[1]
+            yield app, httpd.server_address[1], clock
         finally:
             httpd.shutdown()
             httpd.server_close()
@@ -121,11 +163,93 @@ def _wait_done(app: ServeApp, job_id: str) -> None:
         time.sleep(0.005)
 
 
+def _body(payload: Dict[str, object]) -> bytes:
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def _record_dist(directory: pathlib.Path) -> List[Dict[str, object]]:
+    """Drive every ``/dist/*`` route through one fixed cell history."""
+    out: List[Dict[str, object]] = []
+    with _pinned_daemon(directory, dist=True) as (_app, port, clock):
+
+        def add(name: str, path: str, payload=None) -> Dict[str, object]:
+            method = "GET" if payload is None else "POST"
+            body = None if payload is None else _body(payload)
+            entry = {"name": name, **_exchange(port, method, path, body)}
+            out.append(entry)
+            return json.loads(entry["body"])
+
+        def push(worker, lease, cell, **changes) -> Dict[str, object]:
+            payload = {
+                "worker": worker,
+                "key": lease["key"],
+                "attempt": lease["attempt"],
+                "config_hash": config_hash(cell.config),
+                "digest": result_digest(DIST_RESULT),
+                "result": DIST_RESULT,
+            }
+            payload.update(changes)
+            return payload
+
+        def fail(worker, lease) -> Dict[str, object]:
+            return {
+                "worker": worker,
+                "key": lease["key"],
+                "attempt": lease["attempt"],
+                "error_type": "PTWError",
+                "error": "every walk failed",
+                "diagnostics": {"series": "golden"},
+            }
+
+        wires = [cell_to_wire(cell) for cell in DIST_CELLS]
+        add("dist-shard", "/dist/shard", {"cells": wires})
+        first = add("dist-lease", "/dist/lease", {"worker": "w1"})["lease"]
+        add("dist-status-leased", "/dist/status")
+        token = {"worker": "w1", "key": first["key"]}
+        add(
+            "dist-heartbeat-live",
+            "/dist/heartbeat",
+            dict(token, attempt=first["attempt"]),
+        )
+        add(
+            "dist-heartbeat-fenced",
+            "/dist/heartbeat",
+            dict(token, attempt=first["attempt"] + 1),
+        )
+        add(
+            "dist-complete-torn",
+            "/dist/complete",
+            push("w1", first, DIST_CELLS[0], result=DIST_RESULT[:20]),
+        )
+        done = push("w1", first, DIST_CELLS[0])
+        add("dist-complete-accepted", "/dist/complete", done)
+        add("dist-complete-duplicate", "/dist/complete", done)
+        second = add("dist-lease-second", "/dist/lease", {"worker": "w2"})
+        second = second["lease"]
+        add(
+            "dist-complete-fenced",
+            "/dist/complete",
+            push("w2", dict(second, attempt=2), DIST_CELLS[1]),
+        )
+        add("dist-fail-retried", "/dist/fail", fail("w2", second))
+        # The failed cell waits out its backoff; the never-leased one
+        # is the only cell runnable meanwhile.
+        add("dist-lease-third", "/dist/lease", {"worker": "w1"})
+        add("dist-lease-idle", "/dist/lease", {"worker": "w2"})
+        clock.now += 10.0  # past any backoff, inside the lease TTL
+        retry = add("dist-lease-retry", "/dist/lease", {"worker": "w2"})
+        add("dist-fail-final", "/dist/fail", fail("w2", retry["lease"]))
+        add("dist-status", "/dist/status")
+        add("dist-cells", "/dist/cells")
+        add("dist-assemble", "/dist/assemble", {})
+    return out
+
+
 def record(directory: pathlib.Path) -> List[Dict[str, object]]:
     """Drive every route once, in a fixed order; one named record each."""
     submit = json.dumps(REQUEST).encode("utf-8")
     out: List[Dict[str, object]] = []
-    with _pinned_daemon(directory) as (app, port):
+    with _pinned_daemon(directory) as (app, port, _clock):
 
         def add(name: str, *args, **kwargs) -> Dict[str, object]:
             entry = {"name": name, **_exchange(port, *args, **kwargs)}
@@ -161,7 +285,9 @@ def record(directory: pathlib.Path) -> List[Dict[str, object]]:
         app.begin_drain()
         add("readyz-draining", "GET", "/readyz")
         add("submit-503-draining", "POST", "/jobs", submit)
-    return out
+    dist = directory / "dist"
+    dist.mkdir()
+    return out + _record_dist(dist)
 
 
 @pytest.fixture(scope="module")
