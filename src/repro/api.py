@@ -21,7 +21,7 @@ byte-identical to a serial run.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.core.config import GPUConfig
 from repro.core.results import SimulationResult
@@ -109,19 +109,17 @@ def _simulate(
     workload: Union[Workload, str],
     form: Optional[str],
     miss_scale: float,
-    attach: Optional[Callable[[Simulator], Any]] = None,
+    poll: Optional[Callable[[], None]] = None,
 ) -> SimulationResult:
     """Build ``workload`` for ``machine``, run it, record the result.
 
-    ``attach``, when given, receives the fresh simulator before it runs
-    and returns its safe-point ``poll`` hook: a resumable sweep cell
-    (:func:`repro.parallel.cells.simulate_cell`) restores its snapshot
-    and installs its snapshot policy there.
+    ``poll`` is the issue loop's per-iteration hook (see
+    :meth:`repro.core.simulator.Simulator.run`): a pool worker's cell
+    (:func:`repro.parallel.cells.simulate_cell`) heartbeats from it.
     """
     work_source = _resolve_workload(workload)
     work = work_source.build(machine, form=form, miss_scale=miss_scale)
-    simulator = Simulator(machine, work, work_source.name)
-    result = simulator.run(attach(simulator) if attach is not None else None)
+    result = Simulator(machine, work, work_source.name).run(poll)
     # Observation-only mirror of the run's counters into the unified
     # metrics registry; never feeds back into results.  The engine label
     # keeps per-engine series separable (and lets tests pin that both

@@ -12,7 +12,6 @@ cross-check counter invariants afterwards.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import asdict
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.config import GPUConfig, TraceConfig
@@ -186,21 +185,6 @@ class Simulator:
             )
             for core_id, work in enumerate(per_core_work)
         ]
-        # Re-entrant run state: which core is executing and the
-        # cross-core aggregates accumulated so far.  Kept on the
-        # instance so a snapshot taken from the per-core ``poll`` hook
-        # (see :meth:`run`) captures a resumable simulation.
-        self._core_cursor = 0
-        self._merged = CoreStats(cores=0)
-        self._l1_hits = 0
-        self._l1_misses = 0
-        self._total_l1_miss_latency = 0
-        self._walk_cycles = 0
-        self._walks = 0
-        self._tracer = None
-        # Ring-sink state restored from a snapshot before run() has
-        # built the tracer; applied (and cleared) once it exists.
-        self._pending_ring_state: Optional[dict] = None
 
     def _map_pages(self, per_core_work: Sequence[CoreWork]) -> None:
         """Pre-map every touched page (4 KB, or 2 MB in large-page mode).
@@ -243,11 +227,8 @@ class Simulator:
         (``tests/obs/test_overhead.py`` asserts this).
 
         ``poll``, when given, is forwarded to each core's issue loop
-        and called with the *core* at every safe point; a callback that
-        captures this simulator may call :meth:`state_dict` there to
-        snapshot the whole run (see :mod:`repro.snapshot`).  A run
-        resumed via :meth:`load_state` continues from the saved core
-        cursor — finished cores are not re-executed.
+        and called with no arguments at the top of every iteration (the
+        supervised pool's worker heartbeat rides on it).
         """
         trace_config = (
             _TRACE_OVERRIDE
@@ -258,21 +239,14 @@ class Simulator:
         if trace_config.enabled:
             tracer = obs_tracer.build_tracer(trace_config)
             obs_tracer.install(tracer)
-            self._tracer = tracer
             if trace_config.interval_cycles:
                 for core in self.cores:
                     core.sampler = IntervalSampler(
                         trace_config.interval_cycles, core_id=core.core_id
                     )
-                    if core._pending_sampler_state is not None:
-                        core.sampler.load_state(core._pending_sampler_state)
-                        core._pending_sampler_state = None
-            if self._pending_ring_state is not None:
-                ring = tracer.ring()
-                if ring is not None:
-                    ring.load_state(self._pending_ring_state)
-                self._pending_ring_state = None
-        merged = self._merged
+        merged = CoreStats(cores=0)
+        l1_hits = l1_misses = total_l1_miss_latency = 0
+        walk_cycles = walks = 0
         run_log = None
         if _log.ENABLED:
             run_log = _log.get_logger(
@@ -286,13 +260,11 @@ class Simulator:
                 cores=len(self.cores),
                 traced=trace_config.enabled,
                 spans=_spans.ENABLED,
-                resumed=self._core_cursor > 0,
             )
         if _prof.ENABLED:
             _prof.begin(_prof.PHASE_SIMULATE)
         try:
-            while self._core_cursor < len(self.cores):
-                core = self.cores[self._core_cursor]
+            for core in self.cores:
                 try:
                     stats = core.run(poll)
                 except SimulationError as exc:
@@ -310,13 +282,12 @@ class Simulator:
                     raise
                 merged.merge(stats)
                 hits, misses, miss_latency = core.steady_memory_counters()
-                self._l1_hits += hits
-                self._l1_misses += misses
-                self._total_l1_miss_latency += miss_latency
+                l1_hits += hits
+                l1_misses += misses
+                total_l1_miss_latency += miss_latency
                 core_walks, _, _, core_walk_cycles = core.steady_walker_counters()
-                self._walk_cycles += core_walk_cycles
-                self._walks += core_walks
-                self._core_cursor += 1
+                walk_cycles += core_walk_cycles
+                walks += core_walks
         finally:
             if _prof.ENABLED:
                 # Closes the simulate frame plus any frames an error
@@ -324,12 +295,6 @@ class Simulator:
                 _prof.end_through(_prof.PHASE_SIMULATE)
             if tracer is not None:
                 obs_tracer.uninstall()
-                self._tracer = None
-        l1_hits = self._l1_hits
-        l1_misses = self._l1_misses
-        total_l1_miss_latency = self._total_l1_miss_latency
-        walk_cycles = self._walk_cycles
-        walks = self._walks
         if self.faults is not None and self.faults.model is not None:
             model = self.faults.model
             merged.page_faults_minor = model.minor_faults
@@ -385,74 +350,6 @@ class Simulator:
                 tlb_misses=merged.tlb_misses,
             )
         return result
-
-    # ------------------------------------------------------------------
-    # Snapshot protocol
-    # ------------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Snapshot the full simulation, valid at core safe points.
-
-        The returned structure is JSON-safe; :mod:`repro.snapshot`
-        wraps it in a versioned envelope and persists it atomically.
-        Loading it into a freshly constructed simulator (same config,
-        same workload) and calling :meth:`run` again produces a result
-        byte-identical to the uninterrupted run.
-        """
-        ring_state = None
-        if self._tracer is not None:
-            ring = self._tracer.ring()
-            if ring is not None:
-                ring_state = ring.state_dict()
-        return {
-            "core_cursor": self._core_cursor,
-            "merged": asdict(self._merged),
-            "agg": {
-                "l1_hits": self._l1_hits,
-                "l1_misses": self._l1_misses,
-                "total_l1_miss_latency": self._total_l1_miss_latency,
-                "walk_cycles": self._walk_cycles,
-                "walks": self._walks,
-            },
-            "memory": self.memory.state_dict(),
-            "page_table": self.page_table.state_dict(),
-            "frame_map": [[vpn, pfn] for vpn, pfn in self.frame_map.items()],
-            "faults": (
-                self.faults.state_dict() if self.faults is not None else None
-            ),
-            "shared": [s.state_dict() for s in self.shared_per_core],
-            "cores": [core.state_dict() for core in self.cores],
-            "ring": ring_state,
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot.
-
-        Must be called on a simulator built from the identical config
-        and workload (the snapshot envelope pins the config hash);
-        constructor side effects — pre-mapped pages, TBC region-0
-        launches — are overwritten wholesale.
-        """
-        self._core_cursor = state["core_cursor"]
-        self._merged = CoreStats(**state["merged"])
-        agg = state["agg"]
-        self._l1_hits = agg["l1_hits"]
-        self._l1_misses = agg["l1_misses"]
-        self._total_l1_miss_latency = agg["total_l1_miss_latency"]
-        self._walk_cycles = agg["walk_cycles"]
-        self._walks = agg["walks"]
-        self.memory.load_state(state["memory"])
-        self.page_table.load_state(state["page_table"])
-        # Cores alias this exact dict object; mutate it in place.
-        self.frame_map.clear()
-        self.frame_map.update({vpn: pfn for vpn, pfn in state["frame_map"]})
-        if self.faults is not None and state["faults"] is not None:
-            self.faults.load_state(state["faults"])
-        for shared, shared_state in zip(self.shared_per_core, state["shared"]):
-            shared.load_state(shared_state)
-        for core, core_state in zip(self.cores, state["cores"]):
-            core.load_state(core_state)
-        self._pending_ring_state = state["ring"]
 
     def _check_invariants(self, merged: CoreStats) -> None:
         """Cheap post-run consistency checks on the aggregated counters.

@@ -7,8 +7,7 @@ with event-driven mechanics — skipping dead time via a next-event scan
 and coalescing each memory instruction once, memoized by identity — and
 is byte-identical to the cycle engine on every simulated quantity.
 Both run every observer natively (tracing, spans, interval sampling,
-profiling, snapshots); ``tests/engines`` pins that they agree under
-each one.
+profiling); ``tests/engines`` pins that they agree under each one.
 
 The engine is picked by name through ``GPUConfig(engine=...)``,
 ``repro.api``'s ``engine=`` keyword and ``--engine`` on every harness

@@ -2,10 +2,9 @@
 
 An engine owns the *issue loop* of one shader core — the strategy that
 decides how simulated time advances — while the core object keeps all
-architectural state (warps, TLB, caches, walkers, counters).  Snapshots
-are therefore the core's own ``state_dict`` / ``load_state``: one taken
-under either engine restores under the other, and every safe point
-(issue-loop top, where ``poll`` runs) is a valid snapshot point.
+architectural state (warps, TLB, caches, walkers, counters).  A run is
+one call: :meth:`SimEngine.run` starts at cycle 0 and returns when the
+core's work is done.
 """
 
 from __future__ import annotations
@@ -28,14 +27,9 @@ class SimEngine:
     def __init__(self, core):
         self.core = core
 
-    def run(self, poll=None):
-        """Execute the core's work to completion; return its CoreStats."""
-        raise NotImplementedError
-
-    def step_to(self, cycle: int, poll=None) -> int:
-        """Advance the core to the first safe point at or past ``cycle``.
-
-        Returns the core's clock.  Does not finalize statistics; call
-        :meth:`run` afterwards to finish the remaining work.
-        """
+    def run(self, poll=None) -> int:
+        """Run the core's issue loop to completion; return the cycle
+        the run ends at (the later of the clock and the last warp's
+        completion).  ``poll``, when given, is called with no arguments
+        at the top of every iteration."""
         raise NotImplementedError

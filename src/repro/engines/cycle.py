@@ -30,60 +30,24 @@ class CycleEngine(SimEngine):
 
     name = "cycle"
 
-    def run(self, poll=None):
-        """Execute the core's work to completion; return its counters.
-
-        ``poll``, when given, is called with the core at the top of
-        every issue-loop iteration — a *safe point* where the hot locals
-        (clock, finish horizon, warmup progress) have been synced back
-        to the core, so ``state_dict()`` taken inside the callback
-        captures a resumable core.
+    def run(self, poll=None) -> int:
+        """See :meth:`repro.engines.base.SimEngine.run`.
 
         Raises :class:`repro.faults.errors.SimulationHang` when the
         forward-progress watchdog detects no instruction retired for
         the configured window.
         """
         core = self.core
-        if not core._run_begun:
-            core.begin_run()
-        self._loop(poll, None)
-        return core._finalize_run()
-
-    def step_to(self, cycle: int, poll=None) -> int:
-        """Advance to the first safe point at or past ``cycle``."""
-        core = self.core
-        if not core._run_begun:
-            core.begin_run()
-        self._loop(poll, cycle)
-        return core._now
-
-    def _loop(self, poll, stop_at) -> bool:
-        """The issue loop; returns True when the core ran out of work.
-
-        With ``stop_at`` set, returns (False) at the first safe point
-        whose clock is at or past it, locals synced back to the core.
-        """
-        core = self.core
         watchdog = core._watchdog
         blocking = core.config.tlb.enabled and core.config.tlb.blocking
         warmup_budget = core._warmup_budget
-        now = core._now
-        finish = core._finish
-        issued_total = core._issued_total
-        measuring = core._measuring
+        now = 0
+        finish = 0
+        issued_total = 0
+        measuring = warmup_budget == 0
         while True:
-            if stop_at is not None and now >= stop_at:
-                core._now = now
-                core._finish = finish
-                core._issued_total = issued_total
-                core._measuring = measuring
-                return False
             if poll is not None:
-                core._now = now
-                core._finish = finish
-                core._issued_total = issued_total
-                core._measuring = measuring
-                poll(core)
+                poll()
             if _trace.ENABLED:
                 _trace.CORE = core.core_id
                 _trace.NOW = now
@@ -197,8 +161,4 @@ class CycleEngine(SimEngine):
             if not measuring and issued_total >= warmup_budget:
                 measuring = True
                 core._begin_measurement(now)
-        core._now = now
-        core._finish = finish
-        core._issued_total = issued_total
-        core._measuring = measuring
-        return True
+        return max(now, finish)

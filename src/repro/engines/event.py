@@ -4,8 +4,8 @@ Byte-identity is the contract.  The cycle loop already *decides*
 sparsely — most iterations either issue exactly one instruction or jump
 the clock to the next warp-ready event — so this engine replays the
 identical decision sequence with cheaper mechanics and produces results
-(CoreStats, result JSON, snapshots, spans, traces) indistinguishable
-from the cycle engine's.  Three mechanical changes carry the speedup:
+(CoreStats, result JSON, spans, traces) indistinguishable from the
+cycle engine's.  Three mechanical changes carry the speedup:
 
 - **No per-iteration rebuild.**  The cycle loop re-filters the live-warp
   list and re-allocates candidate wrappers every iteration; here live
@@ -26,8 +26,8 @@ from the cycle engine's.  Three mechanical changes carry the speedup:
 
 There is one issue loop (:meth:`EventEngine._loop`) and one memory path:
 an ``issue_memory`` closure over a per-line ``access`` closure, both
-built at every ``run()``/``step_to()`` entry.  Observers are installed
-between runs, never mid-run, so each entry binds what is on as
+built at every ``run()`` entry.  Observers are installed between
+runs, never mid-run, so each entry binds what is on as
 booleans: tracing (TraceEvents at the cycle engine's exact stamps and
 order), the interval sampler (the same loop-top clock visits), span
 recording (fills for the shared ``_record_spans`` assembler), fault
@@ -326,18 +326,8 @@ class EventEngine(SimEngine):
 
     # -- execution -----------------------------------------------------
 
-    def run(self, poll=None):
-        self._drive(poll, None)
-        return self.core._finalize_run()
-
-    def step_to(self, cycle: int, poll=None) -> int:
-        self._drive(poll, cycle)
-        return self.core._now
-
-    def _drive(self, poll, stop_at) -> None:
-        core = self.core
-        if not core._run_begun:
-            core.begin_run()
+    def run(self, poll=None) -> int:
+        """See :meth:`repro.engines.base.SimEngine.run`."""
         # The loop allocates at a very high rate (trace tuples, span
         # fills, heap entries) but creates no reference cycles, so the
         # cyclic collector only burns time rescanning the trace ring's
@@ -347,7 +337,7 @@ class EventEngine(SimEngine):
         if was_collecting:
             _gc.disable()
         try:
-            self._loop(poll, stop_at)
+            return self._loop(poll)
         finally:
             if was_collecting:
                 _gc.enable()
@@ -419,26 +409,25 @@ class EventEngine(SimEngine):
 
     # -- the issue loop ------------------------------------------------
 
-    def _loop(self, poll, stop_at) -> None:
+    def _loop(self, poll) -> int:
         """Event-driven replay of the reference loop's decisions.
 
         The loop-top clock sequence is exactly the reference loop's
         (every iteration either issues or jumps, 1:1), so the trace
         context and the interval sampler see the identical cycle
         visits; WARP_STALL pairs fire on idle jumps and
-        SCHEDULER_DECISION after every selection.  With ``stop_at``
-        set, returns at the first safe point whose clock is at or past
-        it, locals synced back to the core.
+        SCHEDULER_DECISION after every selection.  Returns the run's
+        end cycle.
         """
         core = self.core
         watchdog = core._watchdog
         cfg = core.config
         blocking = cfg.tlb.enabled and cfg.tlb.blocking
         warmup_budget = core._warmup_budget
-        now = core._now
-        finish = core._finish
-        issued_total = core._issued_total
-        measuring = core._measuring
+        now = 0
+        finish = 0
+        issued_total = 0
+        measuring = warmup_budget == 0
         stats = core.stats
         sched = core.scheduler
         rr = type(sched) is RoundRobinScheduler
@@ -455,14 +444,8 @@ class EventEngine(SimEngine):
         ready_entries, wait_heap, seq = self._readiness_split(now)
 
         while True:
-            if stop_at is not None and now >= stop_at:
-                break
             if poll is not None:
-                core._now = now
-                core._finish = finish
-                core._issued_total = issued_total
-                core._measuring = measuring
-                poll(core)
+                poll()
             if traced:
                 _trace.CORE = core_id
                 _trace.NOW = now
@@ -673,10 +656,7 @@ class EventEngine(SimEngine):
                 measuring = True
                 core._begin_measurement(now)
                 stats = core.stats  # _begin_measurement replaces it
-        core._now = now
-        core._finish = finish
-        core._issued_total = issued_total
-        core._measuring = measuring
+        return max(now, finish)
 
     # -- the memory path -----------------------------------------------
 

@@ -59,15 +59,3 @@ class FaultContext:
         if model is None and injector is None:
             return None
         return cls(config=config, model=model, injector=injector)
-
-    def state_dict(self) -> dict:
-        return {
-            "model": self.model.state_dict() if self.model else None,
-            "injector": self.injector.state_dict() if self.injector else None,
-        }
-
-    def load_state(self, state: dict) -> None:
-        if self.model is not None and state["model"] is not None:
-            self.model.load_state(state["model"])
-        if self.injector is not None and state["injector"] is not None:
-            self.injector.load_state(state["injector"])

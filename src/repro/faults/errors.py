@@ -76,12 +76,13 @@ class CellTimeout(SimulationError):
 class WorkerCrashed(SimulationError):
     """A supervised sweep worker died and exhausted its restart budget.
 
-    The supervised pool (:mod:`repro.parallel.supervisor`) restarts a
-    killed/OOMed/hung worker from its latest snapshot a bounded number
-    of times; when the budget runs out, the *cell* fails with this
-    error — the sweep itself continues, and the failure is recorded to
-    the checkpoint like any structured simulator error.  ``diagnostics``
-    carries the cell key, spawn count, and the last observed exit code.
+    The supervised pool (:mod:`repro.parallel.supervisor`) respawns a
+    killed/OOMed/hung worker, which re-runs its cell from the start, a
+    bounded number of times; when the budget runs out, the *cell* fails
+    with this error — the sweep itself continues, and the failure is
+    recorded to the checkpoint like any structured simulator error.
+    ``diagnostics`` carries the cell key, spawn count, and the last
+    observed exit code.
     """
 
 

@@ -46,26 +46,6 @@ class FaultInjector:
         if len(self.log) < _LOG_LIMIT:
             self.log.append((kind, site))
 
-    def state_dict(self) -> dict:
-        from repro.snapshot.codec import encode_rng
-
-        return {
-            "rng": encode_rng(self._rng),
-            "log": [[kind, site] for kind, site in self.log],
-            "ptw_errors_injected": self.ptw_errors_injected,
-            "shootdowns_injected": self.shootdowns_injected,
-            "invalidations_injected": self.invalidations_injected,
-        }
-
-    def load_state(self, state: dict) -> None:
-        from repro.snapshot.codec import decode_rng
-
-        self._rng = decode_rng(state["rng"])
-        self.log = [(kind, site) for kind, site in state["log"]]
-        self.ptw_errors_injected = state["ptw_errors_injected"]
-        self.shootdowns_injected = state["shootdowns_injected"]
-        self.invalidations_injected = state["invalidations_injected"]
-
     def ptw_transient_error(self, paddr: int) -> bool:
         """Whether the walk load of ``paddr`` suffers a transient error."""
         rate = self.config.ptw_error_rate

@@ -122,26 +122,6 @@ class FaultModel:
             return 0
         return self._pending.get(self._key(vpn), 0)
 
-    def state_dict(self) -> dict:
-        from repro.snapshot.codec import encode_rng
-
-        return {
-            "rng": encode_rng(self._rng),
-            "pending": [[key, ready] for key, ready in self._pending.items()],
-            "minor_faults": self.minor_faults,
-            "major_faults": self.major_faults,
-            "fault_stall_cycles": self.fault_stall_cycles,
-        }
-
-    def load_state(self, state: dict) -> None:
-        from repro.snapshot.codec import decode_rng
-
-        self._rng = decode_rng(state["rng"])
-        self._pending = {key: ready for key, ready in state["pending"]}
-        self.minor_faults = state["minor_faults"]
-        self.major_faults = state["major_faults"]
-        self.fault_stall_cycles = state["fault_stall_cycles"]
-
     @property
     def faults(self) -> int:
         """Total faults handled (minor + major)."""

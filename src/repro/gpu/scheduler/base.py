@@ -68,13 +68,6 @@ class WarpScheduler:
     def on_tlb_evict(self, vpn: int, owner_warp: Optional[int]) -> None:
         """A translation was evicted; ``owner_warp`` last touched it."""
 
-    def state_dict(self) -> dict:
-        """Snapshot scheduler state; stateless bases return ``{}``."""
-        return {}
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot."""
-
 
 class RoundRobinScheduler(WarpScheduler):
     """Loose round-robin: the GPU default the paper's baseline uses."""
@@ -92,12 +85,6 @@ class RoundRobinScheduler(WarpScheduler):
         )
         self._next = (chosen.warp_id + 1) % self.num_warps
         return chosen.warp_id
-
-    def state_dict(self) -> dict:
-        return {"next": self._next}
-
-    def load_state(self, state: dict) -> None:
-        self._next = state["next"]
 
 
 class GreedyThenOldestScheduler(WarpScheduler):
@@ -123,10 +110,3 @@ class GreedyThenOldestScheduler(WarpScheduler):
     def on_warp_done(self, warp_id: int) -> None:
         if self._current == warp_id:
             self._current = None
-
-    def state_dict(self) -> dict:
-        return {"current": self._current, "last_issue": list(self._last_issue)}
-
-    def load_state(self, state: dict) -> None:
-        self._current = state["current"]
-        self._last_issue = list(state["last_issue"])

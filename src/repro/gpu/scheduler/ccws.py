@@ -85,32 +85,6 @@ class LostLocalityScheduler(WarpScheduler):
         self._done[warp_id] = True
         self.scores[warp_id] = 0.0
 
-    def state_dict(self) -> dict:
-        """Snapshot the score table, VTA, and selection state.
-
-        Scores are floats; JSON round-trips Python floats exactly
-        (shortest-repr), so decayed scores restore bit-for-bit.
-        Covers TA-CCWS too, which adds no mutable state.
-        """
-        return {
-            "vta": self.vta.state_dict(),
-            "scores": list(self.scores),
-            "done": list(self._done),
-            "last_decay": self._last_decay,
-            "rr_next": self._rr_next,
-            "throttled_cycles": self.throttled_cycles,
-            "vta_hits": self.vta_hits,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.vta.load_state(state["vta"])
-        self.scores = [float(score) for score in state["scores"]]
-        self._done = list(state["done"])
-        self._last_decay = state["last_decay"]
-        self._rr_next = state["rr_next"]
-        self.throttled_cycles = state["throttled_cycles"]
-        self.vta_hits = state["vta_hits"]
-
     # -- throttled selection -------------------------------------------
 
     def _allowed_pool(self) -> Optional[set]:

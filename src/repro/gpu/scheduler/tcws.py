@@ -88,15 +88,6 @@ class TCWSScheduler(LostLocalityScheduler):
         if owner_warp is not None:
             self.vta.insert(owner_warp, vpn)
 
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["tlb_vta_hits"] = self.tlb_vta_hits
-        return state
-
-    def load_state(self, state: dict) -> None:
-        super().load_state(state)
-        self.tlb_vta_hits = state["tlb_vta_hits"]
-
     def storage_tags(self) -> int:
         """Total VTA tags — the hardware-cost comparison of Section 7.2."""
         return self.vta.storage_tags()

@@ -25,7 +25,7 @@ Matrix gating compaction in ``tlb-tbc`` mode (Section 8.2).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import GPUConfig
@@ -33,7 +33,7 @@ from repro.engines import DEFAULT_ENGINE, get_engine
 from repro.faults.context import FaultContext
 from repro.faults.watchdog import Watchdog
 from repro.gpu.coalescer import coalesce
-from repro.gpu.instruction import ComputeInstruction, MemoryInstruction, WarpTrace
+from repro.gpu.instruction import MemoryInstruction, WarpTrace
 from repro.gpu.scheduler.base import Candidate
 from repro.gpu.scheduler.factory import make_scheduler
 from repro.gpu.tbc.blocks import ThreadBlock
@@ -63,26 +63,6 @@ class _BlockRun:
     slot_base: int
     region_index: int = 0
     live_warps: int = 0
-
-
-def _encode_instruction(instr) -> list:
-    """JSON-safe encoding of a warp instruction (snapshot protocol)."""
-    if isinstance(instr, ComputeInstruction):
-        return ["c", instr.latency]
-    return [
-        "m",
-        list(instr.addresses),
-        list(instr.origins) if instr.origins is not None else None,
-    ]
-
-
-def _decode_instruction(entry: list):
-    if entry[0] == "c":
-        return ComputeInstruction(latency=entry[1])
-    return MemoryInstruction(
-        addresses=tuple(entry[1]),
-        origins=tuple(entry[2]) if entry[2] is not None else None,
-    )
 
 
 class ShaderCore:
@@ -215,27 +195,16 @@ class ShaderCore:
                 for index, trace in enumerate(work)
             ]
 
-        # Re-entrant run state.  The issue loop keeps these in locals
-        # for speed and syncs them back at safe points, so a snapshot
-        # taken from the ``poll`` hook (see :meth:`run`) captures a
-        # resumable core; :meth:`begin_run` re-initializes them.
-        self._run_begun = False
-        self._now = 0
-        self._finish = 0
-        self._issued_total = 0
-        self._measuring = True
+        # Run state: :meth:`run` sets the warmup budget and watchdog the
+        # engines read, :meth:`_begin_measurement` the measured window.
         self._warmup_budget = 0
         self._measure_from = 0
         self._warm_mem = (0, 0, 0)
         self._warm_walker = (0, 0, 0, 0)
         self._watchdog: Optional[Watchdog] = None
-        # Sampler state restored from a snapshot before the simulator
-        # has installed samplers; applied (and cleared) in Simulator.run.
-        self._pending_sampler_state: Optional[dict] = None
 
         #: The issue-loop strategy (see :mod:`repro.engines`).  Engines
-        #: keep no simulated state — swapping one mid-run at a safe
-        #: point is legal — so the core remains the snapshot unit.
+        #: keep no simulated state: the core holds all of it.
         self.engine = get_engine(getattr(config, "engine", DEFAULT_ENGINE))(self)
 
     # ------------------------------------------------------------------
@@ -319,21 +288,26 @@ class ShaderCore:
             self.walker.total_walk_cycles - wc0,
         )
 
-    def begin_run(self) -> None:
-        """Initialize a fresh run's loop state (and validate warmup).
+    def run(self, poll=None) -> CoreStats:
+        """Execute the core's work to completion; return its counters.
 
-        Split from :meth:`run` so a snapshot restore can skip it: a
-        resumed core re-enters the issue loop with its saved clock,
-        warmup progress, and watchdog instead of starting over.
+        The issue loop itself lives in the configured engine
+        (``config.engine``; see :mod:`repro.engines`) — the cycle engine
+        is the faithful per-iteration reference loop, the event engine
+        the byte-identical fast path.  ``poll``, when given, is called
+        with no arguments at the top of every issue-loop iteration;
+        normal runs pass None and pay one branch per iteration.
+
+        Raises :class:`repro.faults.errors.SimulationHang` when the
+        forward-progress watchdog (``config.faults.watchdog_cycles``)
+        detects a deadlock/livelock — no instruction retired for the
+        configured window.
         """
         self._watchdog = None
         if self.config.faults.watchdog_cycles > 0:
             self._watchdog = Watchdog(
                 self.config.faults.watchdog_cycles, core_id=self.core_id
             )
-        self._measure_from = 0
-        self._warm_mem = (0, 0, 0)
-        self._warm_walker = (0, 0, 0, 0)
         warmup_budget = self.config.warmup_instructions * max(len(self.warps), 1)
         if warmup_budget and self.warps and not self._block_runs:
             total = sum(len(w.trace.instructions) for w in self.warps)
@@ -345,189 +319,12 @@ class ShaderCore:
                     f"be measured"
                 )
         self._warmup_budget = warmup_budget
-        self._now = 0
-        self._finish = 0
-        self._issued_total = 0
-        self._measuring = warmup_budget == 0
-        self._run_begun = True
-
-    def run(self, poll=None) -> CoreStats:
-        """Execute the core's work to completion; return its counters.
-
-        The issue loop itself lives in the configured engine
-        (``config.engine``; see :mod:`repro.engines`) — the cycle engine
-        is the faithful per-iteration reference loop, the event engine
-        the byte-identical fast path.  ``poll``, when given, is called
-        with this core at the top of every issue-loop iteration — a
-        *safe point* where the hot locals (clock, finish horizon, warmup
-        progress) have been synced back to the instance, so
-        ``state_dict()`` taken inside the callback captures a resumable
-        core.  Normal runs pass None and pay one branch per iteration.
-
-        Raises :class:`repro.faults.errors.SimulationHang` when the
-        forward-progress watchdog (``config.faults.watchdog_cycles``)
-        detects a deadlock/livelock — no instruction retired for the
-        configured window.
-        """
-        return self.engine.run(poll)
-
-    def _finalize_run(self) -> CoreStats:
-        """Close out a completed run (engines call this exactly once)."""
-        end = max(self._now, self._finish)
+        end = self.engine.run(poll)
         if self.sampler is not None:
             self.sampler.finalize(end, self.stats)
         self.stats.cycles = end - self._measure_from
         self._record_fault_counters()
         return self.stats
-
-    # ------------------------------------------------------------------
-    # Snapshot protocol
-    # ------------------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Snapshot the core, valid at safe points (loop top / not yet
-        begun / finished).
-
-        Linear-mode warp traces are rebuilt deterministically from the
-        workload, so only per-warp progress is stored.  TBC dynamic
-        warps are compacted from live CPM state at launch time and
-        cannot be regenerated, so their traces serialize in full.
-        """
-        if self._block_runs:
-            run_index = {id(run): i for i, run in enumerate(self._block_runs)}
-            warps: list = [
-                {
-                    "warp_id": w.trace.warp_id,
-                    "block_id": w.trace.block_id,
-                    "instructions": [
-                        _encode_instruction(i) for i in w.trace.instructions
-                    ],
-                    "pc": w.pc,
-                    "ready_at": w.ready_at,
-                    "issued": w.issued,
-                    "block_run": run_index.get(
-                        id(getattr(w, "block_run", None))
-                    ),
-                }
-                for w in self.warps
-            ]
-        else:
-            warps = [[w.pc, w.ready_at, w.issued] for w in self.warps]
-        return {
-            "run_begun": self._run_begun,
-            "loop": {
-                "now": self._now,
-                "finish": self._finish,
-                "issued_total": self._issued_total,
-                "measuring": self._measuring,
-                "warmup_budget": self._warmup_budget,
-                "measure_from": self._measure_from,
-                "warm_mem": list(self._warm_mem),
-                "warm_walker": list(self._warm_walker),
-                "watchdog_last_progress": (
-                    self._watchdog.last_progress
-                    if self._watchdog is not None
-                    else None
-                ),
-            },
-            "stats": asdict(self.stats),
-            "shootdowns": self._shootdowns,
-            "injected_invalidations": self._injected_invalidations,
-            "stall_seq": self._stall_seq,
-            "tlb_blocked_until": self.tlb_blocked_until,
-            "tlb_port_busy_until": self.tlb_port_busy_until,
-            "pending_walks": [
-                [vpn, ready] for vpn, ready in self._pending_walks.items()
-            ],
-            "memory": self.memory.state_dict(),
-            "scheduler": self.scheduler.state_dict(),
-            "tlb": self.tlb.state_dict() if self.tlb is not None else None,
-            "walker": (
-                self.walker.state_dict() if self.walker is not None else None
-            ),
-            "cpm": self.cpm.state_dict() if self.cpm is not None else None,
-            "sampler": (
-                self.sampler.state_dict() if self.sampler is not None else None
-            ),
-            "warps": warps,
-            "block_runs": [
-                [run.region_index, run.live_warps] for run in self._block_runs
-            ],
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot onto this freshly
-        constructed core (constructor side effects are overwritten)."""
-        self._run_begun = state["run_begun"]
-        self.stats = CoreStats(**state["stats"])
-        self._shootdowns = state["shootdowns"]
-        self._injected_invalidations = state["injected_invalidations"]
-        self._stall_seq = state["stall_seq"]
-        self.tlb_blocked_until = state["tlb_blocked_until"]
-        self.tlb_port_busy_until = state["tlb_port_busy_until"]
-        self._pending_walks = {
-            vpn: ready for vpn, ready in state["pending_walks"]
-        }
-        self.memory.load_state(state["memory"])
-        self.scheduler.load_state(state["scheduler"])
-        if self.tlb is not None and state["tlb"] is not None:
-            self.tlb.load_state(state["tlb"])
-        if self.walker is not None and state["walker"] is not None:
-            self.walker.load_state(state["walker"])
-        if self.cpm is not None and state["cpm"] is not None:
-            self.cpm.load_state(state["cpm"])
-        # The simulator installs samplers inside run(); stash the state
-        # until then (Simulator.run applies it after installation).
-        self._pending_sampler_state = state["sampler"]
-        if self._block_runs:
-            for run, (region_index, live_warps) in zip(
-                self._block_runs, state["block_runs"]
-            ):
-                run.region_index = region_index
-                run.live_warps = live_warps
-            self.warps = []
-            for wstate in state["warps"]:
-                trace = WarpTrace(
-                    warp_id=wstate["warp_id"],
-                    instructions=[
-                        _decode_instruction(i) for i in wstate["instructions"]
-                    ],
-                    block_id=wstate["block_id"],
-                )
-                warp = Warp(
-                    trace=trace,
-                    pc=wstate["pc"],
-                    ready_at=wstate["ready_at"],
-                    issued=wstate["issued"],
-                )
-                if wstate["block_run"] is not None:
-                    warp.block_run = self._block_runs[  # type: ignore[attr-defined]
-                        wstate["block_run"]
-                    ]
-                self.warps.append(warp)
-        else:
-            for warp, (pc, ready_at, issued) in zip(
-                self.warps, state["warps"]
-            ):
-                warp.pc = pc
-                warp.ready_at = ready_at
-                warp.issued = issued
-        loop = state["loop"]
-        self._now = loop["now"]
-        self._finish = loop["finish"]
-        self._issued_total = loop["issued_total"]
-        self._measuring = loop["measuring"]
-        self._warmup_budget = loop["warmup_budget"]
-        self._measure_from = loop["measure_from"]
-        self._warm_mem = tuple(loop["warm_mem"])
-        self._warm_walker = tuple(loop["warm_walker"])
-        self._watchdog = None
-        if self._run_begun and self.config.faults.watchdog_cycles > 0:
-            self._watchdog = Watchdog(
-                self.config.faults.watchdog_cycles, core_id=self.core_id
-            )
-            if loop["watchdog_last_progress"] is not None:
-                self._watchdog.last_progress = loop["watchdog_last_progress"]
 
     def _record_fault_counters(self) -> None:
         """Copy whole-run fault tallies into the (possibly reset) stats."""

@@ -102,26 +102,6 @@ class CommonPageMatrix:
         self._counters.clear()
         self.flushes += 1
 
-    def state_dict(self) -> dict:
-        """Snapshot counters as ``[a, b, value]`` triples (tuple keys do
-        not survive JSON) plus flush bookkeeping."""
-        return {
-            "counters": [
-                [a, b, value] for (a, b), value in self._counters.items()
-            ],
-            "last_flush": self._last_flush,
-            "updates": self.updates,
-            "flushes": self.flushes,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._counters = {
-            (a, b): value for a, b, value in state["counters"]
-        }
-        self._last_flush = state["last_flush"]
-        self.updates = state["updates"]
-        self.flushes = state["flushes"]
-
     def storage_bits(self) -> int:
         """Hardware cost: counters × width (0.8 KB at 48×47×3 bits)."""
         return self.num_warps * (self.num_warps - 1) * self.counter_bits

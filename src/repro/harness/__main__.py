@@ -49,8 +49,8 @@ attribution — where each missed translation's cycles went (see
 run (see :mod:`repro.harness.faults`); ``bench`` profiles a calibrated
 figure matrix and records a ``BENCH_<n>.json`` perf-trajectory report
 (see :mod:`repro.harness.bench`); ``chaos`` is the seeded recovery
-campaign — SIGKILLed workers, torn checkpoint/snapshot files, injected
-faults — proving recovered sweeps byte-identical to clean serial runs
+campaign — SIGKILLed workers, torn checkpoint files, injected faults —
+proving recovered sweeps byte-identical to clean serial runs
 (see :mod:`repro.harness.chaos`; ``chaos --server`` attacks the serve
 daemon instead — SIGKILL mid-sweep, torn journal, expired leases,
 admission floods, and ``chaos --distributed`` attacks the

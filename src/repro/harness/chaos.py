@@ -4,17 +4,16 @@ A seeded chaos campaign that attacks the sweep machinery the way real
 infrastructure does — SIGKILLed workers, files truncated mid-write,
 faults injected mid-sweep — and verifies the recovery guarantees hold:
 
-1. **kill/resume** — a supervised sweep whose chaos hook SIGKILLs the
-   first worker seen with an on-disk snapshot (guaranteeing the resume
-   path runs) plus further seeded kills; the recovered results must be
+1. **kill/restart** — a supervised sweep whose chaos hook SIGKILLs the
+   first worker seen after its first heartbeat (so at least one cell
+   is killed mid-run and re-run from the start by a respawned worker)
+   plus further seeded kills; every killed worker must have been
+   respawned once per kill, and the recovered results must be
    byte-identical to a clean serial run, with no degradation warnings.
 2. **torn checkpoint** — a checkpoint with a truncated trailing line
    must load with a warning (never raise), keep every complete entry,
    and resume to byte-identical results.
-3. **truncated snapshot** — a mid-run snapshot cut off halfway must be
-   rejected cleanly and the cell recomputed from scratch,
-   byte-identical.
-4. **mid-sweep faults** — a poisoned cell (every page walk fails) must
+3. **mid-sweep faults** — a poisoned cell (every page walk fails) must
    fail with its structured :class:`~repro.faults.errors.PTWError`
    while every healthy cell completes byte-identically.
 
@@ -62,13 +61,9 @@ from repro.engines import available_engines
 from repro.faults.config import FaultConfig
 from repro.faults.errors import PTWError, SimulationError
 from repro.harness.checkpoint import SweepCheckpoint
-from repro.parallel.cells import Cell, execute_cell, simulate_cell
+from repro.parallel.cells import Cell, execute_cell
 from repro.parallel.pool import SweepExecutor
 from repro.serve.client import ServeClient, ServeHTTPError
-
-#: Mid-cell snapshot period for chaos runs: small, so even the tiny
-#: campaign cells leave snapshots for the killer to target.
-SNAPSHOT_EVERY = 1_000
 
 #: Restarts per cell during the kill campaign — generous, so seeded
 #: extra kills cannot exhaust a budget and mask the identity check.
@@ -265,20 +260,22 @@ def _poisoned_cell() -> Cell:
 
 
 class _Killer:
-    """The seeded chaos hook: SIGKILLs snapshotted workers mid-sweep.
+    """The seeded chaos hook: SIGKILLs live workers mid-cell.
 
-    The *first* worker observed with an on-disk snapshot is always
-    killed (so at least one restart resumes from a snapshot); after
-    that, each supervision tick rolls the seeded RNG per snapshotted
-    worker, up to ``max_kills`` total.  Workers close to their restart
-    budget are spared — the campaign proves recovery, exhaustion has
-    its own test.
+    The *first* worker observed after its first heartbeat is always
+    killed (so at least one cell is re-run by a respawned worker);
+    after that, each supervision tick rolls the seeded RNG per beating
+    worker, up to ``max_kills`` total.  A worker already dead, one that
+    has written its outcome, and one close to its restart budget are
+    spared — the campaign proves recovery, exhaustion has its own test.
     """
 
     def __init__(self, seed: int, max_kills: int):
         self.rng = random.Random(seed)
         self.max_kills = max_kills
         self.kills = 0
+        #: Slot index → (the killed cell's worker, kills it took).
+        self.victims: Dict[int, tuple] = {}
 
     def __call__(self, pool) -> None:
         if self.kills >= self.max_kills:
@@ -286,7 +283,11 @@ class _Killer:
         for index, worker in list(pool.active.items()):
             if worker.pid is None or worker.spawns > RESTART_BUDGET - 1:
                 continue
-            if not os.path.exists(pool.snapshot_path(index)):
+            if worker.respawn_at is not None or worker.process.exitcode is not None:
+                continue
+            if not os.path.exists(pool.heartbeat_path(index)):
+                continue
+            if os.path.exists(pool.outcome_path(index)):
                 continue
             if self.kills > 0 and self.rng.random() >= 0.10:
                 continue
@@ -295,8 +296,19 @@ class _Killer:
             except ProcessLookupError:
                 continue
             self.kills += 1
+            taken = self.victims.get(index, (worker, 0))[1]
+            self.victims[index] = (worker, taken + 1)
             if self.kills >= self.max_kills:
                 return
+
+    def unrestarted(self) -> List[str]:
+        """Killed cells whose worker was not respawned once per kill."""
+        return [
+            f"{worker.cell.describe()} (killed {kills}x, spawned "
+            f"{worker.spawns}x)"
+            for worker, kills in self.victims.values()
+            if worker.spawns != kills + 1
+        ]
 
 
 def _canonical(results) -> List[str]:
@@ -322,35 +334,37 @@ def run_campaign(
     baseline = oracle(matrix)
     campaign.step("baseline done", f"{time.monotonic() - started:.1f}s")
 
-    # -- 1. kill/resume -----------------------------------------------
+    # -- 1. kill/restart ----------------------------------------------
     killer = _Killer(seed, max_kills=max(kills_wanted, 1))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         executor = SweepExecutor(
-            jobs=jobs,
-            chaos=killer,
-            snapshot_every=SNAPSHOT_EVERY,
-            restart_budget=RESTART_BUDGET,
-            stale_after=30.0,
+            jobs=jobs, chaos=killer, restart_budget=RESTART_BUDGET
         )
         recovered = _canonical(executor.run(matrix))
     if killer.kills < 1:
         campaign.fail(
-            "kill/resume: no worker was killed — the campaign never "
-            "exercised the resume path"
+            "kill/restart: no worker was killed — the campaign never "
+            "exercised the restart path"
+        )
+    unrestarted = killer.unrestarted()
+    if unrestarted:
+        campaign.fail(
+            "kill/restart: killed workers not respawned once per kill: "
+            + "; ".join(unrestarted)
         )
     if recovered != baseline:
         campaign.fail(
-            "kill/resume: recovered results differ from the clean "
+            "kill/restart: recovered results differ from the clean "
             "serial run"
         )
     if caught:
         rendered = "; ".join(str(w.message) for w in caught)
         campaign.fail(
-            f"kill/resume: sweep degraded with warnings ({rendered})"
+            f"kill/restart: sweep degraded with warnings ({rendered})"
         )
     campaign.step(
-        "kill/resume",
+        "kill/restart",
         f"{killer.kills} worker(s) SIGKILLed, results "
         + ("identical" if recovered == baseline else "MISMATCH"),
     )
@@ -393,47 +407,15 @@ def run_campaign(
             + ("identical" if resumed == baseline else "MISMATCH"),
         )
 
-        # -- 3. truncated snapshot ------------------------------------
-        snap_path = os.path.join(tmp, "snap.json")
-        cell = matrix[0]
-        # A bare simulate_cell (unlike execute_cell) leaves its last
-        # periodic snapshot on disk — a tight period guarantees one
-        # exists even for these tiny cells.  Tear it in half and prove
-        # the resume path recomputes rather than wedges.
-        simulate_cell(cell, snapshot_path=snap_path, snapshot_every=200)
-        if os.path.exists(snap_path):
-            size = os.path.getsize(snap_path)
-            with open(snap_path, "r+b") as handle:
-                handle.truncate(size // 2)
-            recomputed = execute_cell(
-                cell, snapshot_path=snap_path
-            ).canonical_json()
-            if recomputed != baseline[0]:
-                campaign.fail(
-                    "truncated snapshot: recomputed cell differs from "
-                    "baseline"
-                )
-            campaign.step(
-                "truncated snapshot",
-                f"torn at {size // 2}/{size} bytes, "
-                + ("identical" if recomputed == baseline[0] else "MISMATCH"),
-            )
-        else:
-            campaign.fail(
-                "truncated snapshot: no snapshot file was produced"
-            )
-
-    # -- 4. mid-sweep faults ------------------------------------------
+    # -- 3. mid-sweep faults ------------------------------------------
     poisoned = on_engine(_poisoned_cell(), engine)
     chaos_matrix = matrix[:2] + [poisoned] + matrix[2:]
     poisoned_index = 2
     error: Optional[SimulationError] = None
     try:
-        SweepExecutor(
-            jobs=jobs,
-            snapshot_every=SNAPSHOT_EVERY,
-            restart_budget=RESTART_BUDGET,
-        ).run(chaos_matrix)
+        SweepExecutor(jobs=jobs, restart_budget=RESTART_BUDGET).run(
+            chaos_matrix
+        )
         campaign.fail(
             "mid-sweep faults: the poisoned cell did not raise"
         )

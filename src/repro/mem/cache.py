@@ -192,25 +192,6 @@ class SetAssociativeCache:
         """Empty the cache (e.g. on a TLB shootdown / context switch)."""
         self._sets.clear()
 
-    def state_dict(self) -> dict:
-        """Snapshot sets (LRU order and allocating warps) and counters."""
-        return {
-            "sets": [
-                [index, [[line, warp] for line, warp in cache_set.items()]]
-                for index, cache_set in self._sets.items()
-            ],
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._sets = {
-            index: {line: warp for line, warp in lines}
-            for index, lines in state["sets"]
-        }
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-
     @property
     def resident_lines(self) -> int:
         """Number of lines currently held."""

@@ -37,18 +37,6 @@ class DRAMChannel:
         self.requests += 1
         return start + self.access_latency
 
-    def state_dict(self) -> dict:
-        return {
-            "busy_until": self.busy_until,
-            "requests": self.requests,
-            "total_queue_delay": self.total_queue_delay,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.busy_until = state["busy_until"]
-        self.requests = state["requests"]
-        self.total_queue_delay = state["total_queue_delay"]
-
 
 class DRAM:
     """A set of DRAM channels addressed by line-address interleaving."""
@@ -93,13 +81,6 @@ class DRAM:
                 queued=start - now,
             )
         return ready
-
-    def state_dict(self) -> dict:
-        return {"channels": [ch.state_dict() for ch in self.channels]}
-
-    def load_state(self, state: dict) -> None:
-        for channel, channel_state in zip(self.channels, state["channels"]):
-            channel.load_state(channel_state)
 
     @property
     def requests(self) -> int:

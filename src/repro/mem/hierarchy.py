@@ -149,27 +149,6 @@ class SharedMemory:
             _prof.end()
         return MemAccessResult(ready + self.interconnect_latency, "dram")
 
-    def state_dict(self) -> dict:
-        return {
-            "l2_banks": [bank.state_dict() for bank in self.l2_banks],
-            "bank_busy_until": list(self._bank_busy_until),
-            "dram": self.dram.state_dict(),
-            "l2_hits": self.l2_hits,
-            "l2_misses": self.l2_misses,
-            "ptw_refs": self.ptw_refs,
-            "ptw_l2_hits": self.ptw_l2_hits,
-        }
-
-    def load_state(self, state: dict) -> None:
-        for bank, bank_state in zip(self.l2_banks, state["l2_banks"]):
-            bank.load_state(bank_state)
-        self._bank_busy_until = list(state["bank_busy_until"])
-        self.dram.load_state(state["dram"])
-        self.l2_hits = state["l2_hits"]
-        self.l2_misses = state["l2_misses"]
-        self.ptw_refs = state["ptw_refs"]
-        self.ptw_l2_hits = state["ptw_l2_hits"]
-
     @property
     def ptw_l2_hit_rate(self) -> float:
         """Fraction of page-walk references that hit in the L2."""
@@ -239,23 +218,6 @@ class CoreMemory:
         return MemAccessResult(
             ready, shared.level, access.evicted_line, access.evicted_warp
         )
-
-    def state_dict(self) -> dict:
-        """Per-core L1 state; the shared levels snapshot separately."""
-        return {
-            "l1": self.l1.state_dict(),
-            "mshrs": self.mshrs.state_dict(),
-            "l1_hits": self.l1_hits,
-            "l1_misses": self.l1_misses,
-            "total_miss_latency": self.total_miss_latency,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.l1.load_state(state["l1"])
-        self.mshrs.load_state(state["mshrs"])
-        self.l1_hits = state["l1_hits"]
-        self.l1_misses = state["l1_misses"]
-        self.total_miss_latency = state["total_miss_latency"]
 
     @property
     def average_miss_latency(self) -> float:

@@ -130,26 +130,6 @@ class MSHRFile:
                 return ready
             heapq.heappop(heap)
 
-    def state_dict(self) -> dict:
-        """Snapshot in-flight misses (insertion order) and counters."""
-        return {
-            "inflight": [[line, ready] for line, ready in self._inflight.items()],
-            "merges": self.merges,
-            "allocations": self.allocations,
-            "stalls": self.stalls,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._inflight = {line: ready for line, ready in state["inflight"]}
-        self._min_ready = (
-            min(self._inflight.values()) if self._inflight else _NEVER
-        )
-        self._heap = [(ready, line) for line, ready in self._inflight.items()]
-        heapq.heapify(self._heap)
-        self.merges = state["merges"]
-        self.allocations = state["allocations"]
-        self.stalls = state["stalls"]
-
     def allocate(self, line_addr: int, ready_time: int, now: int) -> None:
         """Record a new outstanding miss filling at ``ready_time``."""
         self._expire(now)

@@ -92,15 +92,3 @@ class IntervalSampler:
         """The core restarted its counters (end of warmup): realign the
         baselines so the next row's deltas stay non-negative."""
         self._last = {name: 0 for name in self.fields}
-
-    def state_dict(self) -> dict:
-        return {
-            "rows": [dict(row) for row in self.rows],
-            "next": self._next,
-            "last": dict(self._last),
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.rows = [dict(row) for row in state["rows"]]
-        self._next = state["next"]
-        self._last = dict(state["last"])

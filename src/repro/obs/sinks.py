@@ -120,32 +120,6 @@ class RingBufferSink:
         self._trimmed += len(self._raw)
         self._raw.clear()
 
-    def state_dict(self) -> dict:
-        """Snapshot retained events and the recorded total, so post-hoc
-        histograms over a resumed run see the same event stream."""
-        return {
-            "events": [event.as_dict() for event in self.events()],
-            "recorded": self.recorded,
-        }
-
-    def load_state(self, state: dict) -> None:
-        # Restore IN PLACE: the tracer's installed fast path (and any
-        # hot loop that grabbed it) closes over the storage *list
-        # object*, so replacing the list would silently divert every
-        # post-restore event into an orphan.
-        self._raw[:] = [
-            TraceEvent(
-                entry["kind"],
-                entry["cycle"],
-                core=entry.get("core", -1),
-                track=entry.get("track", "core"),
-                dur=entry.get("dur"),
-                args=entry.get("args"),
-            )
-            for entry in state["events"]
-        ]
-        self._trimmed = state["recorded"] - len(self._raw)
-
 
 class JsonlSink:
     """Streams events as JSON Lines to ``path`` (or a file-like object)."""

@@ -5,8 +5,8 @@ embarrassingly parallel; this package fans them out to a multiprocess
 pool while keeping the output *byte-identical* to a serial run:
 
 - :mod:`repro.parallel.cells` — the picklable unit of work and the one
-  execution path every simulated cell takes (retries, timeouts,
-  mid-cell snapshots);
+  execution path every simulated cell takes (retries, timeouts, the
+  pool worker's heartbeat);
 - :mod:`repro.parallel.cache` — a content-addressed result cache keyed
   by canonical config hash + workload + code-version salt, so reruns
   and overlapping figures skip already-simulated cells;

@@ -13,21 +13,20 @@ cell — figure sweeps, served jobs and dist workers (all through
 :class:`repro.parallel.pool.SweepExecutor`), serially or on the
 supervised pool's workers: bounded retries with seed perturbation on
 structured simulator errors, each attempt under a wall-clock
-:func:`repro.faults.watchdog.wall_clock_guard`, and, when given a
-snapshot path, mid-cell snapshots a restarted worker resumes from.
-:func:`simulate_cell` runs one attempt.
+:func:`repro.faults.watchdog.wall_clock_guard`, and, on a pool worker,
+a heartbeat relayed from the issue loop.  :func:`simulate_cell` runs one
+attempt.  A cell is never resumed: a worker that dies re-runs its cell
+from the start, and purity makes the re-run byte-identical.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses as _dc
-import functools
-import os
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.core.config import GPUConfig, config_hash
+from repro.core.config import GPUConfig
 from repro.core.results import SimulationResult
 from repro.faults import errors as _errors
 from repro.faults.errors import SimulationError
@@ -62,50 +61,39 @@ def reseeded(config: GPUConfig, attempt: int) -> GPUConfig:
     return _dc.replace(config, faults=faults)
 
 
-#: Default mid-cell snapshot period, in simulated cycles of the
-#: executing core.
-DEFAULT_SNAPSHOT_CYCLES = 50_000
+#: Issue-loop polls between heartbeat relays: the poll hook fires every
+#: iteration, and the heartbeat is cheap but not free.
+_HEARTBEAT_MASK = 0xFF
 
 
 def simulate_cell(
     cell: Cell,
     attempt: int = 0,
     *,
-    snapshot_path: Optional[str] = None,
-    snapshot_every: int = DEFAULT_SNAPSHOT_CYCLES,
     heartbeat: Optional[Callable[[], None]] = None,
 ) -> SimulationResult:
     """Simulate one attempt of ``cell`` (the monkeypatchable seam).
 
-    With ``snapshot_path`` the run is resumable: it restarts from the
-    snapshot there when that one is of exactly this cell and attempt
-    (see :meth:`repro.snapshot.runner.SnapshotPolicy.bind`), writes a
-    new one every ``snapshot_every`` simulated cycles, relays
-    ``heartbeat`` from the safe-point hook, and leaves its last snapshot
-    on disk.  A resumed run's result is byte-identical to an
-    uninterrupted one.
+    ``heartbeat``, when given, is called from the issue loop's poll
+    hook every 256 iterations: a supervising parent can then tell a
+    slow worker from a hung one.
     """
     from repro.api import _simulate
 
-    config = reseeded(cell.config, attempt)
-    attach = None
-    if snapshot_path is not None:
-        # Imported here: repro.snapshot.runner imports this module.
-        from repro.snapshot import SnapshotPolicy
+    poll = None
+    if heartbeat is not None:
+        polls = itertools.count(1)
 
-        policy = SnapshotPolicy(
-            snapshot_path, every_cycles=snapshot_every, heartbeat=heartbeat
-        )
-        attach = functools.partial(
-            policy.bind,
-            config_hash=config_hash(config),
-            workload=cell.workload,
-            form=cell.form,
-            miss_scale=cell.miss_scale,
-            attempt=attempt,
-        )
+        def poll() -> None:
+            if not next(polls) & _HEARTBEAT_MASK:
+                heartbeat()
+
     return _simulate(
-        config, cell.workload, cell.form, cell.miss_scale, attach=attach
+        reseeded(cell.config, attempt),
+        cell.workload,
+        cell.form,
+        cell.miss_scale,
+        poll=poll,
     )
 
 
@@ -115,8 +103,6 @@ def execute_cell(
     timeout: Optional[float] = None,
     backoff: Optional[Backoff] = None,
     *,
-    snapshot_path: Optional[str] = None,
-    snapshot_every: int = DEFAULT_SNAPSHOT_CYCLES,
     heartbeat: Optional[Callable[[], None]] = None,
 ) -> SimulationResult:
     """Run ``cell`` with retries and a per-attempt wall-clock bound.
@@ -127,19 +113,11 @@ def execute_cell(
     de-correlate).  Raises the final :class:`SimulationError` — with
     series/workload/attempt context attached — once every attempt has
     failed; any non-structured exception propagates immediately.
-
-    With ``snapshot_path`` every attempt runs resumably (see
-    :func:`simulate_cell`; the supervised pool's restart path), and the
-    snapshot is removed when the attempt ends: a retry reseeds the fault
-    config, so it could never resume the previous attempt's snapshot.
+    ``heartbeat`` is relayed to every attempt (see :func:`simulate_cell`).
     """
-    snapshot: Dict[str, Any] = {}
-    if snapshot_path is not None:
-        snapshot = dict(
-            snapshot_path=snapshot_path,
-            snapshot_every=snapshot_every,
-            heartbeat=heartbeat,
-        )
+    relay: Dict[str, Any] = {}
+    if heartbeat is not None:
+        relay["heartbeat"] = heartbeat
     attempts = retries + 1
     if backoff is None and retries > 0:
         backoff = for_cell_retries(seed=cell.config.faults.seed)
@@ -147,13 +125,9 @@ def execute_cell(
     for attempt in range(attempts):
         try:
             with wall_clock_guard(timeout or 0.0, label=cell.describe()):
-                return simulate_cell(cell, attempt, **snapshot)
+                return simulate_cell(cell, attempt, **relay)
         except SimulationError as exc:
             last_error = exc
-        finally:
-            if snapshot_path is not None:
-                with contextlib.suppress(OSError):
-                    os.remove(snapshot_path)
         if attempt + 1 < attempts and backoff is not None:
             backoff.sleep()
     assert last_error is not None

@@ -50,17 +50,10 @@ from repro.core.results import SimulationResult
 from repro.faults.errors import SimulationError
 from repro.parallel import progress as _progress
 from repro.parallel.cache import ResultCache
-from repro.parallel.cells import (
-    DEFAULT_SNAPSHOT_CYCLES,
-    Cell,
-    execute_cell,
-    key_of,
-    rebuild_error,
-)
+from repro.parallel.cells import Cell, execute_cell, key_of, rebuild_error
 from repro.parallel.progress import SweepProgress
 from repro.parallel.supervisor import (
     DEFAULT_RESTART_BUDGET,
-    DEFAULT_STALE_AFTER,
     PoolEnvironmentFailure,
     SupervisedPool,
 )
@@ -86,8 +79,6 @@ class SweepExecutor:
         timeout: Optional[float] = None,
         progress_stream: Optional[TextIO] = None,
         restart_budget: int = DEFAULT_RESTART_BUDGET,
-        stale_after: float = DEFAULT_STALE_AFTER,
-        snapshot_every: int = DEFAULT_SNAPSHOT_CYCLES,
         chaos: Optional[Callable[[SupervisedPool], None]] = None,
     ):
         self.jobs = max(1, jobs if jobs is not None else 1)
@@ -97,11 +88,8 @@ class SweepExecutor:
         self.timeout = timeout
         self.progress_stream = progress_stream
         # Supervision knobs (parallel path only): worker restarts per
-        # cell, heartbeat staleness before a kill, mid-cell snapshot
-        # period, and the chaos harness's fault-injection hook.
+        # cell and the chaos harness's fault-injection hook.
         self.restart_budget = restart_budget
-        self.stale_after = stale_after
-        self.snapshot_every = snapshot_every
         self.chaos = chaos
 
     # -- lookup helpers ------------------------------------------------
@@ -211,8 +199,9 @@ class SweepExecutor:
         # Spawned (not forked) workers: each starts from a clean
         # interpreter, so no tracer/RNG/file-handle state leaks from the
         # parent and results cannot depend on inherited globals.  The
-        # SupervisedPool additionally heartbeats, snapshots, and
-        # restarts killed/hung workers (see repro.parallel.supervisor).
+        # SupervisedPool additionally heartbeats, kills hung workers,
+        # and re-runs a killed worker's cell (see
+        # repro.parallel.supervisor).
         errors: Dict[int, SimulationError] = {}
         started_at: Dict[int, float] = {}
 
@@ -245,8 +234,6 @@ class SweepExecutor:
             retries=self.retries,
             timeout=self.timeout,
             restart_budget=self.restart_budget,
-            stale_after=self.stale_after,
-            snapshot_every=self.snapshot_every,
             chaos=self.chaos,
             on_outcome=on_outcome,
         )

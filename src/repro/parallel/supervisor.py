@@ -1,16 +1,13 @@
-"""The supervised worker pool: heartbeats, snapshots, bounded restarts.
+"""The supervised worker pool: heartbeats, hung-worker kills, bounded restarts.
 
 One spawned process per sweep cell (up to the slot count), supervised
 through a spool directory rather than pipes — pipes die with the
 process, files survive it:
 
 - ``hb-<index>``: touched by the worker as its *first* action and
-  periodically from the simulator's safe-point poll hook.  The parent
-  reads its mtime; staleness beyond ``stale_after`` seconds means the
+  periodically from the issue loop's poll hook.  The parent reads its
+  mtime; staleness beyond ``DEFAULT_STALE_AFTER`` seconds means the
   worker is hung and gets SIGKILLed.
-- ``snap-<index>.json``: the worker's periodic mid-cell snapshot
-  (:mod:`repro.snapshot`), written atomically.  A restarted worker
-  resumes from it instead of recomputing the cell from scratch.
 - ``out-<index>.json``: the worker's final outcome (result or
   structured error), written atomically, so the parent never reads a
   torn result.
@@ -18,8 +15,8 @@ process, files survive it:
 Failure taxonomy:
 
 - **dead** (exit code set, no outcome, heartbeat seen): SIGKILL/OOM —
-  restart from the latest snapshot, up to ``restart_budget`` times per
-  cell; exhaustion fails the *cell* with
+  respawn, and the new worker re-runs the cell from the start, up to
+  ``restart_budget`` times per cell; exhaustion fails the *cell* with
   :class:`repro.faults.errors.WorkerCrashed`, never the sweep.
 - **hung** (alive, heartbeat stale): SIGKILLed, then as above.
 - **environment** (dead before its first heartbeat): the interpreter
@@ -33,10 +30,11 @@ Repeated crashes additionally shrink the slot count (see
 concurrent workers instead of thrashing every cell through its restart
 budget.
 
-Determinism: cells are self-contained and the resume path is pinned
-byte-identical to an uninterrupted run, so results never depend on
-which worker ran a cell, how often it was killed, or where the
-snapshots landed.
+Determinism: a cell's result is a pure function of its
+:class:`~repro.parallel.cells.Cell`, so a re-run is byte-identical and
+results never depend on which worker ran a cell or how often it was
+killed.  Figure cells are short (well under a second serially), so a
+re-run loses little.
 """
 
 from __future__ import annotations
@@ -53,13 +51,7 @@ from repro.durable import atomic_write
 from repro.faults.errors import SimulationError, WorkerCrashed
 from repro.obs import log as _log
 from repro.parallel.backoff import Backoff
-from repro.parallel.cells import (
-    DEFAULT_SNAPSHOT_CYCLES,
-    Cell,
-    error_payload,
-    execute_cell,
-    key_of,
-)
+from repro.parallel.cells import Cell, error_payload, execute_cell, key_of
 
 #: Parent poll period, seconds (also the chaos hook's tick).
 _TICK_SECONDS = 0.05
@@ -130,7 +122,6 @@ def _worker_entry(
     retries: int,
     timeout: Optional[float],
     spool: str,
-    snapshot_every: int,
 ) -> None:
     """Spawned-process entry: run one cell, leave an outcome file.
 
@@ -146,15 +137,9 @@ def _worker_entry(
     # rides the environment it inherits.
     _log.configure_from_env()
     heartbeat = _Heartbeat(os.path.join(spool, f"hb-{index}"))
-    snap_path = os.path.join(spool, f"snap-{index}.json")
     try:
         result = execute_cell(
-            cell,
-            retries=retries,
-            timeout=timeout,
-            snapshot_path=snap_path,
-            snapshot_every=snapshot_every,
-            heartbeat=heartbeat,
+            cell, retries=retries, timeout=timeout, heartbeat=heartbeat
         )
         outcome: Dict[str, Any] = {"status": "ok", "result": result.to_dict()}
     except SimulationError as exc:
@@ -231,15 +216,10 @@ class SupervisedPool:
         Per-attempt wall-clock bound inside the worker.
     restart_budget:
         Worker restarts per cell before the cell fails.
-    stale_after:
-        Heartbeat staleness (seconds) after which a live worker counts
-        as hung and is killed.
-    snapshot_every:
-        Mid-cell snapshot period in simulated cycles.
     chaos:
         Optional callback invoked once per supervision tick with this
-        pool — the chaos harness uses it to kill workers and corrupt
-        spool files mid-sweep.  Production sweeps pass ``None``.
+        pool — the chaos harness uses it to kill workers mid-sweep.
+        Production sweeps pass ``None``.
     on_outcome:
         Callback ``(index, status, payload)`` fired with
         ``("spawned", None)`` when a cell's first worker starts (the
@@ -255,16 +235,12 @@ class SupervisedPool:
         retries: int = 0,
         timeout: Optional[float] = None,
         restart_budget: int = DEFAULT_RESTART_BUDGET,
-        stale_after: float = DEFAULT_STALE_AFTER,
-        snapshot_every: int = DEFAULT_SNAPSHOT_CYCLES,
         chaos: Optional[Callable[["SupervisedPool"], None]] = None,
         on_outcome: Optional[Callable[[int, str, Any], None]] = None,
     ):
         self.retries = retries
         self.timeout = timeout
         self.restart_budget = max(0, restart_budget)
-        self.stale_after = stale_after
-        self.snapshot_every = snapshot_every
         self.chaos = chaos
         self.on_outcome = on_outcome
         # Crashed workers respawn after a decorrelated-jitter delay (a
@@ -284,10 +260,6 @@ class SupervisedPool:
         assert self.spool is not None
         return os.path.join(self.spool, f"hb-{index}")
 
-    def snapshot_path(self, index: int) -> str:
-        assert self.spool is not None
-        return os.path.join(self.spool, f"snap-{index}.json")
-
     def outcome_path(self, index: int) -> str:
         assert self.spool is not None
         return os.path.join(self.spool, f"out-{index}.json")
@@ -306,14 +278,13 @@ class SupervisedPool:
                 self.retries,
                 self.timeout,
                 self.spool,
-                self.snapshot_every,
             ),
             daemon=True,
         )
         worker.spawns += 1
         # Staleness countdown starts at spawn: a worker that never
         # heartbeats at all must still trip the deadline eventually.
-        worker.deadline = time.monotonic() + self.stale_after
+        worker.deadline = time.monotonic() + DEFAULT_STALE_AFTER
         worker.process.start()
         if _log.ENABLED:
             self._worker_log(worker).debug(
@@ -400,7 +371,6 @@ class SupervisedPool:
         for path in (
             self.heartbeat_path(worker.index),
             self.outcome_path(worker.index),
-            self.snapshot_path(worker.index),
         ):
             try:
                 os.remove(path)
@@ -483,7 +453,7 @@ class SupervisedPool:
                         self._handle_crash(worker, "died")
                         continue
                     stale = (
-                        age > self.stale_after
+                        age > DEFAULT_STALE_AFTER
                         if age is not None
                         else time.monotonic() > worker.deadline
                     )

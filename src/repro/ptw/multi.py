@@ -78,13 +78,6 @@ class WalkerPool:
             refs=refs,
         )
 
-    def state_dict(self) -> dict:
-        return {"walkers": [walker.state_dict() for walker in self.walkers]}
-
-    def load_state(self, state: dict) -> None:
-        for walker, walker_state in zip(self.walkers, state["walkers"]):
-            walker.load_state(walker_state)
-
     @property
     def walks(self) -> int:
         """Total walks completed across the pool."""

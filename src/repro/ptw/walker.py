@@ -314,32 +314,6 @@ class PageTableWalker:
             refs=refs,
         )
 
-    def state_dict(self) -> dict:
-        """Snapshot the walker's occupancy and counters (covers the
-        scheduled subclass, which adds no mutable state)."""
-        return {
-            "busy_until": self.busy_until,
-            "walks": self.walks,
-            "refs_issued": self.refs_issued,
-            "refs_naive": self.refs_naive,
-            "total_walk_cycles": self.total_walk_cycles,
-            "walk_seq": self._walk_seq,
-            "transient_errors": self.transient_errors,
-            "load_retries": self.load_retries,
-            "walk_timeouts": self.walk_timeouts,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self.busy_until = state["busy_until"]
-        self.walks = state["walks"]
-        self.refs_issued = state["refs_issued"]
-        self.refs_naive = state["refs_naive"]
-        self.total_walk_cycles = state["total_walk_cycles"]
-        self._walk_seq = state["walk_seq"]
-        self.transient_errors = state["transient_errors"]
-        self.load_retries = state["load_retries"]
-        self.walk_timeouts = state["walk_timeouts"]
-
     @property
     def average_walk_cycles(self) -> float:
         """Average cycles per completed walk including queueing delay."""

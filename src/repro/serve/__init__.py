@@ -35,8 +35,9 @@ The pieces, bottom-up:
 
 Everything rides the substrate PRs 3–5 built: execution lands on
 :class:`repro.parallel.pool.SweepExecutor` (and through it the
-supervised, snapshot-restartable worker pool), results dedup through
-the content-addressed :class:`repro.parallel.cache.ResultCache`, and
+supervised worker pool, which re-runs a killed worker's cell),
+results dedup through the content-addressed
+:class:`repro.parallel.cache.ResultCache`, and
 ``python -m repro.harness chaos --server`` SIGKILLs the daemon
 mid-sweep to prove recovery is byte-identical.
 """

@@ -27,8 +27,8 @@ One process, three moving parts:
 
 Execution reuses the sweep substrate end to end: cells run through
 :class:`repro.parallel.pool.SweepExecutor` (with ``cell_jobs > 1``
-that means the supervised, snapshot-restarting worker pool), identical
-work dedups through the content-addressed
+that means the supervised worker pool, which re-runs a killed
+worker's cell), identical work dedups through the content-addressed
 :class:`repro.parallel.cache.ResultCache`, and per-job wall-clock
 deadlines ride :func:`repro.faults.watchdog.wall_clock_guard`.
 
@@ -105,7 +105,7 @@ class ServeConfig:
     #: a single figure job can itself fan cells out to worker processes.
     slots: int = 2
     #: Worker processes per job's sweep; >1 routes cells through the
-    #: supervised (snapshot-restarting) pool.
+    #: supervised pool.
     cell_jobs: int = 1
     #: Queue high-water mark: non-terminal jobs beyond this are shed
     #: with 429.

@@ -19,7 +19,8 @@ This module holds that machine once:
   ``fail``) at open, torn lines dropped with a warning by
   :func:`repro.durable.read_wal`; the same ``_apply`` keeps the open
   journal's state current after every append, and size-triggered
-  compaction rewrites one entry event plus its latest transition.
+  compaction rewrites one entry event plus its latest transition (a
+  terminal one carrying the entry's attempt count).
   :class:`repro.serve.journal.JobJournal` and
   :class:`repro.dist.journal.CellJournal` only name the on-disk
   vocabulary (``submit``/``job``/``id`` against ``shard``/``cell``/
@@ -315,17 +316,23 @@ class LeaseJournal(WalFile):
             entry.attempts = int(event.get("attempt", entry.attempts))
         elif kind == "done":
             entry.state = STATE_DONE
+            # Only a compacted line carries ``attempt``; elsewhere the
+            # lease before it already counted the attempt.
+            entry.attempts = int(event.get("attempt", entry.attempts))
             entry.result = event.get("result")
             for name in cls.DONE_FIELDS:
                 setattr(entry, name, event.get(name))
             entry.error = None
         elif kind == "fail":
             entry.state = STATE_FAILED
+            entry.attempts = int(event.get("attempt", entry.attempts))
             entry.error = {
                 "type": event.get("error_type", "Error"),
                 "message": event.get("error", ""),
                 "attempts": event.get("attempts", entry.attempts),
             }
+            if "diagnostics" in event:
+                entry.error["diagnostics"] = event["diagnostics"]
         else:
             return
         if entry.state in TERMINAL_STATES:
@@ -347,7 +354,8 @@ class LeaseJournal(WalFile):
 
         A running entry keeps its lease (replay marks it interrupted,
         exactly as the uncompacted journal does); a queued one that
-        was leased before keeps its attempt count in a ``requeue``.
+        was leased before keeps its attempt count in a ``requeue``, and
+        a terminal one in its ``done``/``fail`` line's ``attempt``.
         """
         replay = self._load(self.path)
         events: List[Dict[str, Any]] = []
@@ -358,9 +366,19 @@ class LeaseJournal(WalFile):
             events.append({"ev": self.ENTRY, **self.entry_fields(entry)})
             if entry.state == STATE_DONE:
                 kept = {name: getattr(entry, name) for name in self.DONE_FIELDS}
-                events.append(self._event("done", key, result=entry.result, **kept))
+                events.append(
+                    self._event(
+                        "done",
+                        key,
+                        result=entry.result,
+                        attempt=entry.attempts,
+                        **kept,
+                    )
+                )
             elif entry.state == STATE_FAILED:
                 error = entry.error or {}
+                diagnostics = error.get("diagnostics")
+                extra = {} if diagnostics is None else {"diagnostics": diagnostics}
                 events.append(
                     self._event(
                         "fail",
@@ -368,6 +386,8 @@ class LeaseJournal(WalFile):
                         error_type=error.get("type", "Error"),
                         error=error.get("message", ""),
                         attempts=error.get("attempts", entry.attempts),
+                        attempt=entry.attempts,
+                        **extra,
                     )
                 )
             elif entry.state == STATE_RUNNING:
@@ -434,8 +454,16 @@ class LeaseJournal(WalFile):
         self._record(self._event("done", key, result=result, **extra))
 
     def record_fail(
-        self, key: str, error_type: str, message: str, attempts: int
+        self,
+        key: str,
+        error_type: str,
+        message: str,
+        attempts: int,
+        diagnostics: Optional[Dict[str, Any]] = None,
     ) -> None:
+        """``diagnostics`` (a failed cell's worker series, traceback and
+        cell key) is journaled only when given."""
+        extra = {} if diagnostics is None else {"diagnostics": diagnostics}
         self._record(
             self._event(
                 "fail",
@@ -443,6 +471,7 @@ class LeaseJournal(WalFile):
                 error_type=error_type,
                 error=message,
                 attempts=attempts,
+                **extra,
             )
         )
 
@@ -630,8 +659,6 @@ class LeaseLedger:
         message: str,
         diagnostics: Optional[Dict[str, Any]] = None,
     ) -> None:
-        entry = self.entries[key]
-        self.journal.record_fail(key, error_type, message, entry.attempts)
-        if diagnostics is not None:
-            # In memory only: a replayed failure carries none.
-            entry.error["diagnostics"] = diagnostics
+        self.journal.record_fail(
+            key, error_type, message, self.entries[key].attempts, diagnostics
+        )

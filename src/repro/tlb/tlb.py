@@ -222,28 +222,6 @@ class SetAssociativeTLB:
         del tlb_set[vpn]
         return True
 
-    def state_dict(self) -> dict:
-        """Snapshot sets (LRU order preserved), counters, histories."""
-        return {
-            "sets": [
-                [index, [[e.vpn, e.pfn, list(e.history)] for e in tlb_set.values()]]
-                for index, tlb_set in self._sets.items()
-            ],
-            "hits": self.hits,
-            "misses": self.misses,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._sets = {
-            index: {
-                vpn: _TLBEntry(vpn=vpn, pfn=pfn, history=list(history))
-                for vpn, pfn, history in entries
-            }
-            for index, entries in state["sets"]
-        }
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-
     @property
     def resident(self) -> int:
         """Number of translations currently held."""

@@ -81,30 +81,6 @@ class VictimTagArray:
         """Clear all warps' arrays."""
         self._arrays.clear()
 
-    def state_dict(self) -> dict:
-        """Snapshot every warp's sets with tag LRU order preserved."""
-        return {
-            "arrays": [
-                [
-                    warp_id,
-                    [[index, list(tags)] for index, tags in warp_sets.items()],
-                ]
-                for warp_id, warp_sets in self._arrays.items()
-            ],
-            "probes": self.probes,
-            "probe_hits": self.probe_hits,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._arrays = {
-            warp_id: {
-                index: {tag: None for tag in tags} for index, tags in sets
-            }
-            for warp_id, sets in state["arrays"]
-        }
-        self.probes = state["probes"]
-        self.probe_hits = state["probe_hits"]
-
     @property
     def hit_rate(self) -> float:
         """Fraction of probes that found their tag."""

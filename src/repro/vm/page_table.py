@@ -322,29 +322,3 @@ class PageTable:
     def iter_mappings(self) -> Iterator[Tuple[int, int]]:
         """Yield ``(vpn, pfn)`` for every 4 KB mapping (excludes 2 MB)."""
         return iter(self._mapped_4k.items())
-
-    def state_dict(self) -> dict:
-        """Snapshot the radix tree, root, and mapping indices.
-
-        Node bases and entry indices are int keys, so everything
-        serializes as ``[key, value]`` pairs.
-        """
-        return {
-            "root": self._root,
-            "nodes": [
-                [base, [[index, entry] for index, entry in entries.items()]]
-                for base, entries in self._nodes.items()
-            ],
-            "mapped_4k": [[vpn, pfn] for vpn, pfn in self._mapped_4k.items()],
-            "mapped_2m": [[vpn, pfn] for vpn, pfn in self._mapped_2m.items()],
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._walk_cache.clear()
-        self._root = state["root"]
-        self._nodes = {
-            base: {index: entry for index, entry in entries}
-            for base, entries in state["nodes"]
-        }
-        self._mapped_4k = {vpn: pfn for vpn, pfn in state["mapped_4k"]}
-        self._mapped_2m = {vpn: pfn for vpn, pfn in state["mapped_2m"]}

@@ -92,18 +92,6 @@ class PhysicalMemory:
         self._free.append(pfn)
         self._allocated -= 1
 
-    def state_dict(self) -> dict:
-        return {
-            "next_frame": self._next_frame,
-            "free": list(self._free),
-            "allocated": self._allocated,
-        }
-
-    def load_state(self, state: dict) -> None:
-        self._next_frame = state["next_frame"]
-        self._free = list(state["free"])
-        self._allocated = state["allocated"]
-
     @staticmethod
     def frame_base(pfn: int) -> int:
         """Physical byte address of the start of frame ``pfn``."""

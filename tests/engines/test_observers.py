@@ -179,7 +179,6 @@ def test_observed_event_run_never_touches_cycle_engine(
         )
 
     monkeypatch.setattr(CycleEngine, "run", poisoned)
-    monkeypatch.setattr(CycleEngine, "step_to", poisoned)
     out = _observed_run("naive", "event", tmp_path)
     assert out["spans"]["requests"] > 0
     assert out["raw_trace"]

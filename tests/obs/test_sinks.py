@@ -51,21 +51,6 @@ class TestRingBufferSink:
         sink.clear()
         assert len(sink) == 0
 
-    def test_load_state_keeps_cached_record_path_live(self):
-        # The installed tracer publishes sink.record_raw as the
-        # module-level fast path; a snapshot restore must not strand
-        # it on an orphaned storage list (events recorded after a
-        # resume would silently vanish from the ring).
-        donor = RingBufferSink(capacity=4)
-        donor.record(ev(cycle=1))
-        donor.record(ev(cycle=2))
-        sink = RingBufferSink(capacity=4)
-        cached = sink.record_raw  # what install() hands hot loops
-        sink.load_state(donor.state_dict())
-        cached((TLB_LOOKUP, 3, 0, "tlb", None, {}))
-        assert [e.cycle for e in sink.events()] == [1, 2, 3]
-        assert sink.recorded == 3
-
 
 class TestJsonlSink:
     def test_every_line_is_valid_json(self, tmp_path):

@@ -26,31 +26,30 @@ def _cells():
     ]
 
 
-class _KillFirstSnapshotted:
-    """SIGKILL the first worker observed with an on-disk snapshot.
+class _KillFirstBeating:
+    """SIGKILL the first worker observed after its first heartbeat.
 
-    Waiting for the snapshot guarantees (a) the heartbeat happened, so
-    the parent classifies the death as a crash rather than an
-    environment failure, and (b) the restart genuinely resumes
-    mid-cell state rather than recomputing from scratch.
+    Waiting for the heartbeat guarantees the parent classifies the
+    death as a crash rather than an environment failure; the kill lands
+    mid-cell, so the respawned worker re-runs the cell from the start.
     """
 
     def __init__(self):
-        self.kills = 0
+        self.victim = None
 
     def __call__(self, pool) -> None:
-        if self.kills:
+        if self.victim is not None:
             return
         for index, worker in list(pool.active.items()):
             if worker.pid is None:
                 continue
-            if not os.path.exists(pool.snapshot_path(index)):
+            if not os.path.exists(pool.heartbeat_path(index)):
                 continue
             try:
                 os.kill(worker.pid, signal.SIGKILL)
             except ProcessLookupError:
                 continue
-            self.kills += 1
+            self.victim = worker
             return
 
 
@@ -77,11 +76,15 @@ class _DoomCell:
 def test_pool_survives_a_sigkilled_worker_mid_sweep():
     cells = _cells()
     serial = [r.canonical_json() for r in SweepExecutor(jobs=1).run(cells)]
-    killer = _KillFirstSnapshotted()
-    recovered = SweepExecutor(
-        jobs=2, chaos=killer, snapshot_every=200, restart_budget=3
-    ).run(cells)
-    assert killer.kills == 1, "chaos hook never landed a kill"
+    killer = _KillFirstBeating()
+    recovered = SweepExecutor(jobs=2, chaos=killer, restart_budget=3).run(
+        cells
+    )
+    assert killer.victim is not None, "chaos hook never landed a kill"
+    # The killed cell's worker was respawned once and re-ran the cell.
+    assert killer.victim.spawns == 2
+    index = cells.index(killer.victim.cell)
+    assert recovered[index].canonical_json() == serial[index]
     assert [r.canonical_json() for r in recovered] == serial
 
 
@@ -98,7 +101,6 @@ def test_restart_budget_exhaustion_fails_the_cell_not_the_sweep(tmp_path):
                 jobs=2,
                 chaos=doom,
                 restart_budget=1,
-                snapshot_every=200,
                 checkpoint=checkpoint,
             ).run(cells)
     error = excinfo.value

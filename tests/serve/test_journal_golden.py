@@ -134,21 +134,16 @@ def rewritten(tmp_path_factory) -> pathlib.Path:
     return directory
 
 
-# A compacted terminal line carries no attempt number, so entries that
-# were terminal at compaction replay with ``attempts == 0``; a failed
-# entry's error keeps its count.
-
-
 def test_job_journal_replays_every_transition():
     replay = JobJournal._load(str(JOB_GOLDEN))
     assert {
         job_id: (job.state, job.attempts, job.result, job.error)
         for job_id, job in replay.entries.items()
     } == {
-        "jdone": ("done", 0, {"cycles": 1234}, None),
+        "jdone": ("done", 1, {"cycles": 1234}, None),
         "jfailed": (
             "failed",
-            0,
+            2,
             None,
             {
                 "type": "LeaseExpired",
@@ -177,11 +172,11 @@ def test_cell_journal_replays_every_transition():
         key: (cell.state, cell.attempts, cell.result, cell.error)
         for key, cell in replay.entries.items()
     } == {
-        "k1": ("done", 0, '{"cycles":1}', None),
+        "k1": ("done", 1, '{"cycles":1}', None),
         "k2": ("running", 2, None, None),
         "k3": (
             "failed",
-            0,
+            2,
             None,
             {"type": "PTWError", "message": "every walk failed", "attempts": 2},
         ),
