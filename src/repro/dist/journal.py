@@ -14,7 +14,8 @@ vocabulary (``ev``): ``shard`` (a cell enters the pool, wire form under
 ``done`` (the *exact* canonical result string, so reassembly after
 replay is byte-identical to the push, plus its ``digest`` and the
 pushing ``worker``), ``fail``; every event names its cell by ``key``.
-Compaction writes cells in key order.
+Compaction writes cells in the order they were first sharded, so the
+coordinator's submission order survives it.
 """
 
 from __future__ import annotations

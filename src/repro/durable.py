@@ -13,8 +13,7 @@ Two shapes of durable file cover everything the repo keeps on disk:
   mid-compaction leaves the original segment untouched, and a stale
   ``<path>.*.tmp`` from such a crash is discarded at the next open.
 - a **whole file replaced atomically** (:func:`atomic_write`):
-  result-cache entries, supervised workers' outcome files and the
-  server's ``--port-file``.  A reader only ever sees the previous
+  result-cache entries and the server's ``--port-file``.  A reader only ever sees the previous
   complete file or the new complete file.
 
 The module is stdlib-only on purpose: :mod:`repro.parallel` and

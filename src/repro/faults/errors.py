@@ -76,13 +76,14 @@ class CellTimeout(SimulationError):
 class WorkerCrashed(SimulationError):
     """A supervised sweep worker died and exhausted its restart budget.
 
-    The supervised pool (:mod:`repro.parallel.supervisor`) respawns a
-    killed/OOMed/hung worker, which re-runs its cell from the start, a
-    bounded number of times; when the budget runs out, the *cell* fails
-    with this error — the sweep itself continues, and the failure is
-    recorded to the checkpoint like any structured simulator error.
-    ``diagnostics`` carries the cell key, spawn count, and the last
-    observed exit code.
+    When a supervised pool worker (:mod:`repro.parallel.supervisor`)
+    is killed, OOMed or hung while running a cell, the cell re-runs
+    from the start on another worker, a bounded number of times; when
+    the budget runs out, the *cell* fails with this error — the sweep
+    itself continues, and the failure is recorded to the checkpoint
+    like any structured simulator error.  ``diagnostics`` carries the
+    cell key, the number of workers the cell was started on
+    (``spawns``), and the last observed exit code.
     """
 
 

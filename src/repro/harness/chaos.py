@@ -5,10 +5,10 @@ infrastructure does — SIGKILLed workers, files truncated mid-write,
 faults injected mid-sweep — and verifies the recovery guarantees hold:
 
 1. **kill/restart** — a supervised sweep whose chaos hook SIGKILLs the
-   first worker seen after its first heartbeat (so at least one cell
-   is killed mid-run and re-run from the start by a respawned worker)
-   plus further seeded kills; every killed worker must have been
-   respawned once per kill, and the recovered results must be
+   first worker seen holding a cell after its first heartbeat (so at
+   least one cell is killed mid-run and re-run from the start on
+   another worker) plus further seeded kills; every killed cell must
+   have been re-run once per kill, and the recovered results must be
    byte-identical to a clean serial run, with no degradation warnings.
 2. **torn checkpoint** — a checkpoint with a truncated trailing line
    must load with a warning (never raise), keep every complete entry,
@@ -54,7 +54,7 @@ import tempfile
 import time
 import warnings
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.core.config import GPUConfig
 from repro.engines import available_engines
@@ -262,52 +262,51 @@ def _poisoned_cell() -> Cell:
 class _Killer:
     """The seeded chaos hook: SIGKILLs live workers mid-cell.
 
-    The *first* worker observed after its first heartbeat is always
-    killed (so at least one cell is re-run by a respawned worker);
-    after that, each supervision tick rolls the seeded RNG per beating
-    worker, up to ``max_kills`` total.  A worker already dead, one that
-    has written its outcome, and one close to its restart budget are
-    spared — the campaign proves recovery, exhaustion has its own test.
+    The *first* worker observed holding a cell after its first
+    heartbeat is always killed (so at least one cell is re-run on
+    another worker); after that, each supervision tick rolls the seeded
+    RNG per such worker, up to ``max_kills`` total.  A worker already
+    killed (the pool may not have reaped it yet), one with an unread
+    message (perhaps its outcome), and one whose cell is close to its
+    restart budget are spared — the campaign proves recovery,
+    exhaustion has its own test.
     """
 
     def __init__(self, seed: int, max_kills: int):
         self.rng = random.Random(seed)
         self.max_kills = max_kills
         self.kills = 0
-        #: Slot index → (the killed cell's worker, kills it took).
+        self.killed: Set[int] = set()
+        #: Cell index → (the killed cell's task, kills it took).
         self.victims: Dict[int, tuple] = {}
 
     def __call__(self, pool) -> None:
-        if self.kills >= self.max_kills:
-            return
-        for index, worker in list(pool.active.items()):
-            if worker.pid is None or worker.spawns > RESTART_BUDGET - 1:
+        for worker in list(pool.workers):
+            task, pid = worker.task, worker.process.pid
+            if self.kills >= self.max_kills:
+                return
+            if task is None or not worker.beaten or pid in self.killed:
                 continue
-            if worker.respawn_at is not None or worker.process.exitcode is not None:
-                continue
-            if not os.path.exists(pool.heartbeat_path(index)):
-                continue
-            if os.path.exists(pool.outcome_path(index)):
+            if task.spawns > RESTART_BUDGET - 1 or worker.conn.poll():
                 continue
             if self.kills > 0 and self.rng.random() >= 0.10:
                 continue
             try:
-                os.kill(worker.pid, signal.SIGKILL)
+                os.kill(pid, signal.SIGKILL)
             except ProcessLookupError:
                 continue
+            self.killed.add(pid)
             self.kills += 1
-            taken = self.victims.get(index, (worker, 0))[1]
-            self.victims[index] = (worker, taken + 1)
-            if self.kills >= self.max_kills:
-                return
+            taken = self.victims.get(task.index, (task, 0))[1]
+            self.victims[task.index] = (task, taken + 1)
 
     def unrestarted(self) -> List[str]:
-        """Killed cells whose worker was not respawned once per kill."""
+        """Killed cells not re-run once per kill."""
         return [
-            f"{worker.cell.describe()} (killed {kills}x, spawned "
-            f"{worker.spawns}x)"
-            for worker, kills in self.victims.values()
-            if worker.spawns != kills + 1
+            f"{task.cell.describe()} (killed {kills}x, spawned "
+            f"{task.spawns}x)"
+            for task, kills in self.victims.values()
+            if task.spawns != kills + 1
         ]
 
 
@@ -350,7 +349,7 @@ def run_campaign(
     unrestarted = killer.unrestarted()
     if unrestarted:
         campaign.fail(
-            "kill/restart: killed workers not respawned once per kill: "
+            "kill/restart: killed cells not re-run once per kill: "
             + "; ".join(unrestarted)
         )
     if recovered != baseline:

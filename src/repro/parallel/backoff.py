@@ -17,8 +17,8 @@ the chaos campaign) see reproducible delay sequences.  It is shared by:
 
 - :func:`repro.parallel.cells.execute_cell` — sleeps between per-cell
   retry attempts (previously immediate);
-- :class:`repro.parallel.supervisor.SupervisedPool` — delays worker
-  respawns after a crash/hang;
+- :class:`repro.parallel.supervisor.SupervisedPool` — delays the
+  re-run of a cell whose worker crashed or hung;
 - :class:`repro.serve.leases.LeaseTable` — schedules the re-queue of an
   expired lease (``not_before`` timestamps rather than sleeps).
 

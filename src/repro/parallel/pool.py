@@ -18,11 +18,12 @@ order.  Every cell is resolved through the same three-stage pipeline:
 
 Determinism contract: parallel and serial execution produce
 byte-identical results.  Cells are self-contained (config embeds the
-fault seed), workers are spawned fresh (no inherited tracer or RNG
-state), results return whole over the pool's queue, and only the parent
+fault seed); workers are spawned, never forked (no inherited tracer or
+RNG state), and run cells back to back exactly as the serial path does;
+results return whole over each worker's pipe; and only the parent
 process ever writes the checkpoint or assembles output — so nothing can
-depend on scheduling order.  ``tests/parallel/`` pins this on real
-figures.
+depend on scheduling order or on which worker ran a cell.
+``tests/parallel/`` pins this on real figures.
 
 Failure semantics: the serial path aborts at the first failing cell
 (recording it first), matching the pre-parallel harness.  The parallel
@@ -200,7 +201,7 @@ class SweepExecutor:
         # interpreter, so no tracer/RNG/file-handle state leaks from the
         # parent and results cannot depend on inherited globals.  The
         # SupervisedPool additionally heartbeats, kills hung workers,
-        # and re-runs a killed worker's cell (see
+        # and re-runs a killed worker's cell on another worker (see
         # repro.parallel.supervisor).
         errors: Dict[int, SimulationError] = {}
         started_at: Dict[int, float] = {}
@@ -208,7 +209,7 @@ class SweepExecutor:
         def on_outcome(index: int, status: str, payload) -> None:
             if status == "spawned":
                 # The pool runs at most ``jobs`` cells at a time: a
-                # cell's clock starts when its worker does, not when
+                # cell's clock starts when a worker gets it, not when
                 # it is queued.
                 started_at[index] = time.monotonic()
                 progress.launched()

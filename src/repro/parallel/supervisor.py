@@ -1,71 +1,67 @@
 """The supervised worker pool: heartbeats, hung-worker kills, bounded restarts.
 
-One spawned process per sweep cell (up to the slot count), supervised
-through a spool directory rather than pipes — pipes die with the
-process, files survive it:
+Each slot runs one spawned worker process that executes cell after cell
+over one duplex pipe.  The parent sends ``(index, cell)`` tasks and
+finally ``None``; the worker sends a first heartbeat as soon as it
+starts, further heartbeats relayed from the issue loop's poll hook (at
+most one per ``_HEARTBEAT_PERIOD`` seconds), and one outcome per cell
+(result or structured error).  The parent blocks in
+:func:`multiprocessing.connection.wait` on every pipe and process
+sentinel, so it wakes for a message, a death, or the next deadline.
 
-- ``hb-<index>``: touched by the worker as its *first* action and
-  periodically from the issue loop's poll hook.  The parent reads its
-  mtime; staleness beyond ``DEFAULT_STALE_AFTER`` seconds means the
-  worker is hung and gets SIGKILLed.
-- ``out-<index>.json``: the worker's final outcome (result or
-  structured error), written atomically, so the parent never reads a
-  torn result.
+Failure taxonomy, per worker process:
 
-Failure taxonomy:
-
-- **dead** (exit code set, no outcome, heartbeat seen): SIGKILL/OOM —
-  respawn, and the new worker re-runs the cell from the start, up to
-  ``restart_budget`` times per cell; exhaustion fails the *cell* with
+- **dead** (sentinel fired after its first heartbeat): SIGKILL/OOM.  The
+  cell it held waits out the restart backoff, then re-runs from the
+  start on another worker, up to ``restart_budget`` times per cell;
+  exhaustion fails the *cell* with
   :class:`repro.faults.errors.WorkerCrashed`, never the sweep.
-- **hung** (alive, heartbeat stale): SIGKILLed, then as above.
+- **hung** (holds a cell and silent for ``DEFAULT_STALE_AFTER``
+  seconds): SIGKILLed, then as above.  An idle worker is never hung.
 - **environment** (dead before its first heartbeat): the interpreter
   could not even start the worker (unimportable ``__main__``, broken
   spawn) — restarting cannot help, so the pool raises
   :class:`PoolEnvironmentFailure` and the executor degrades to serial
-  execution, matching the old ``BrokenProcessPool`` fallback.
+  execution.
 
 Repeated crashes additionally shrink the slot count (see
-:class:`PoolHealth`) so a memory-starved host degrades to fewer
-concurrent workers instead of thrashing every cell through its restart
-budget.
+:class:`PoolHealth`), and the pool retires an idle worker to match, so
+a memory-starved host degrades to fewer concurrent workers instead of
+thrashing every cell through its restart budget.
 
 Determinism: a cell's result is a pure function of its
 :class:`~repro.parallel.cells.Cell`, so a re-run is byte-identical and
-results never depend on which worker ran a cell or how often it was
-killed.  Figure cells are short (well under a second serially), so a
-re-run loses little.
+results never depend on which worker ran a cell, what it ran before,
+or how often it was killed.  Figure cells are short (well under a
+second serially), so a re-run loses little.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import shutil
-import tempfile
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.core.results import SimulationResult
-from repro.durable import atomic_write
 from repro.faults.errors import SimulationError, WorkerCrashed
 from repro.obs import log as _log
 from repro.parallel.backoff import Backoff
 from repro.parallel.cells import Cell, error_payload, execute_cell, key_of
 
-#: Parent poll period, seconds (also the chaos hook's tick).
+#: Supervision tick while a chaos hook is installed, seconds.
 _TICK_SECONDS = 0.05
 
 #: Default restarts per cell before the cell fails with WorkerCrashed.
 DEFAULT_RESTART_BUDGET = 2
 
-#: Default heartbeat staleness (seconds) before a live worker counts as
+#: Default silence (seconds) before a worker holding a cell counts as
 #: hung.  Generous: heartbeats are relayed from the issue loop every few
 #: hundred iterations, orders of magnitude faster than this.
 DEFAULT_STALE_AFTER = 30.0
 
-#: Minimum seconds between actual utime() calls of a worker heartbeat.
+#: Minimum seconds between heartbeats a worker actually sends.
 _HEARTBEAT_PERIOD = 0.2
+
+#: Consecutive crashes (no success in between) that cost one slot.
+SHRINK_AFTER = 2
 
 
 class PoolEnvironmentFailure(RuntimeError):
@@ -75,21 +71,20 @@ class PoolEnvironmentFailure(RuntimeError):
 class PoolHealth:
     """Slot-count governor: repeated crashes shrink the pool.
 
-    ``shrink_after`` *consecutive* crashes (no success in between)
-    drop one slot, down to a floor of one — an OOM-prone host ends up
+    ``SHRINK_AFTER`` *consecutive* crashes (no success in between) drop
+    one slot, down to a floor of one — an OOM-prone host ends up
     running fewer cells at a time instead of burning every cell's
     restart budget.  Any completed cell resets the streak.
     """
 
-    def __init__(self, slots: int, shrink_after: int = 2):
+    def __init__(self, slots: int):
         self.slots = max(1, slots)
-        self.shrink_after = max(1, shrink_after)
         self._streak = 0
         self.shrinks = 0
 
     def on_crash(self) -> None:
         self._streak += 1
-        if self._streak >= self.shrink_after and self.slots > 1:
+        if self._streak >= SHRINK_AFTER and self.slots > 1:
             self.slots -= 1
             self.shrinks += 1
             self._streak = 0
@@ -99,10 +94,10 @@ class PoolHealth:
 
 
 class _Heartbeat:
-    """Worker-side heartbeat: throttled utime on the spool file."""
+    """Worker-side heartbeat: a throttled message up the pipe."""
 
-    def __init__(self, path: str):
-        self.path = path
+    def __init__(self, conn: Any):
+        self.conn = conn
         self._last = 0.0
         self()  # first beat immediately — before any simulation work
 
@@ -111,24 +106,17 @@ class _Heartbeat:
         if now - self._last < _HEARTBEAT_PERIOD:
             return
         self._last = now
-        with open(self.path, "a", encoding="utf-8"):
-            pass
-        os.utime(self.path)
+        self.conn.send(("beat", None))
 
 
-def _worker_entry(
-    index: int,
-    cell: Cell,
-    retries: int,
-    timeout: Optional[float],
-    spool: str,
-) -> None:
-    """Spawned-process entry: run one cell, leave an outcome file.
+def _worker_main(conn: Any, retries: int, timeout: Optional[float]) -> None:
+    """Spawned-process entry: run cell after cell until sent ``None``.
 
     No exception ever crosses the process boundary: structured errors
     become ``"error"`` outcomes (with traceback and cell key), anything
-    else becomes a ``"raise"`` outcome the parent re-raises by type.
-    Only a kill leaves no outcome at all — which is exactly how the
+    else becomes a ``"raise"`` outcome the parent re-raises by type,
+    after which the pool is torn down, so the worker exits.  Only a
+    kill leaves a cell without an outcome — which is exactly how the
     parent tells a crash from a failure.
     """
     import traceback
@@ -136,31 +124,24 @@ def _worker_entry(
     # A spawned process starts with logging off; the run log's path
     # rides the environment it inherits.
     _log.configure_from_env()
-    heartbeat = _Heartbeat(os.path.join(spool, f"hb-{index}"))
-    try:
-        result = execute_cell(
-            cell, retries=retries, timeout=timeout, heartbeat=heartbeat
-        )
-        outcome: Dict[str, Any] = {"status": "ok", "result": result.to_dict()}
-    except SimulationError as exc:
-        outcome = {
-            "status": "error",
-            "payload": list(error_payload(exc, cell, retries)),
-        }
-    except BaseException as exc:  # noqa: BLE001 — the boundary
-        outcome = {
-            "status": "raise",
-            "payload": [
-                type(exc).__module__,
-                type(exc).__name__,
-                str(exc),
-                traceback.format_exc(),
-            ],
-        }
-    atomic_write(
-        os.path.join(spool, f"out-{index}.json"),
-        json.dumps(outcome, sort_keys=True),
-    )
+    heartbeat = _Heartbeat(conn)
+    while True:
+        task = conn.recv()
+        if task is None:
+            return
+        _, cell = task
+        try:
+            result = execute_cell(
+                cell, retries=retries, timeout=timeout, heartbeat=heartbeat
+            )
+            conn.send(("ok", result))
+        except SimulationError as exc:
+            conn.send(("error", error_payload(exc, cell, retries)))
+        except BaseException as exc:  # noqa: BLE001 — the boundary
+            kind = type(exc)
+            payload = [kind.__module__, kind.__name__, str(exc)]
+            conn.send(("raise", payload + [traceback.format_exc()]))
+            return
 
 
 def _rebuild_raise(payload: List[Any]) -> BaseException:
@@ -181,29 +162,36 @@ def _rebuild_raise(payload: List[Any]) -> BaseException:
     return exc
 
 
-class _Worker:
-    """Parent-side view of one cell's supervised process."""
+class _Task:
+    """One cell's supervision state, across the workers that run it."""
 
     def __init__(self, index: int, cell: Cell):
         self.index = index
         self.cell = cell
-        self.process: Any = None
+        #: Workers this cell has been started on.
         self.spawns = 0
-        self.deadline = 0.0
-        # When set, the worker crashed and its replacement spawns only
-        # once this monotonic timestamp passes (restart backoff).
-        self.respawn_at: Optional[float] = None
-
-    @property
-    def pid(self) -> Optional[int]:
-        return self.process.pid if self.process is not None else None
+        #: Monotonic instant before which the cell must not (re)start:
+        #: the restart backoff after its worker crashed.
+        self.ready_at = 0.0
 
 
-Outcome = Tuple[str, Any]  # ("ok", SimulationResult) | ("error", payload)
+class _Worker:
+    """Parent-side view of one long-lived worker process."""
+
+    def __init__(self, process: Any, conn: Any):
+        self.process = process
+        self.conn = conn
+        #: The cell this worker is running, None while idle.
+        self.task: Optional[_Task] = None
+        #: Whether its first heartbeat has arrived.
+        self.beaten = False
+        #: Monotonic instant of its last message, or of the cell handed
+        #: to it, whichever is later: the hung-worker clock.
+        self.heard = time.monotonic()
 
 
 class SupervisedPool:
-    """Run sweep cells on supervised spawned workers.
+    """Run sweep cells on supervised, long-lived spawned workers.
 
     Parameters
     ----------
@@ -215,17 +203,18 @@ class SupervisedPool:
     timeout:
         Per-attempt wall-clock bound inside the worker.
     restart_budget:
-        Worker restarts per cell before the cell fails.
+        Re-runs per cell, each after its worker died or hung, before
+        the cell fails.
     chaos:
         Optional callback invoked once per supervision tick with this
         pool — the chaos harness uses it to kill workers mid-sweep.
         Production sweeps pass ``None``.
     on_outcome:
         Callback ``(index, status, payload)`` fired with
-        ``("spawned", None)`` when a cell's first worker starts (the
-        executor starts the cell's clock and counts it in flight), then
-        once as the cell resolves (in completion order; the executor
-        records checkpoint/cache entries here).
+        ``("spawned", None)`` when a cell is first handed to a worker
+        (the executor starts the cell's clock and counts it in flight),
+        then once as the cell resolves (in completion order; the
+        executor records checkpoint/cache entries here).
     """
 
     def __init__(
@@ -243,236 +232,243 @@ class SupervisedPool:
         self.restart_budget = max(0, restart_budget)
         self.chaos = chaos
         self.on_outcome = on_outcome
-        # Crashed workers respawn after a decorrelated-jitter delay (a
-        # host that just OOM-killed a worker will kill an instant
-        # replacement too); the same policy serves the lease re-queue
-        # in repro.serve.  Capped at 1s so chaos campaigns stay quick.
+        # A crashed worker's cell re-runs after a decorrelated-jitter
+        # delay (a host that just OOM-killed a worker will kill an
+        # instant replacement too); the same policy serves the lease
+        # re-queue in repro.serve.  Capped at 1s so chaos campaigns
+        # stay quick.
         self.restart_backoff = Backoff(base=0.05, cap=1.0, seed=0)
         self.health = PoolHealth(jobs)
-        self.active: Dict[int, _Worker] = {}
-        self.spool: Optional[str] = None
+        #: Live worker processes (the chaos harness reads this).
+        self.workers: List[_Worker] = []
         self.restarts = 0
         self.kills_for_staleness = 0
 
-    # -- spool paths (also used by the chaos harness) -------------------
+    # -- workers --------------------------------------------------------
 
-    def heartbeat_path(self, index: int) -> str:
-        assert self.spool is not None
-        return os.path.join(self.spool, f"hb-{index}")
-
-    def outcome_path(self, index: int) -> str:
-        assert self.spool is not None
-        return os.path.join(self.spool, f"out-{index}.json")
-
-    # -- supervision ----------------------------------------------------
-
-    def _spawn(self, worker: _Worker) -> None:
+    def _spawn(self) -> _Worker:
         import multiprocessing
 
         context = multiprocessing.get_context("spawn")
-        worker.process = context.Process(
-            target=_worker_entry,
-            args=(
-                worker.index,
-                worker.cell,
-                self.retries,
-                self.timeout,
-                self.spool,
-            ),
+        conn, child_conn = context.Pipe()
+        process = context.Process(
+            target=_worker_main,
+            args=(child_conn, self.retries, self.timeout),
             daemon=True,
         )
-        worker.spawns += 1
-        # Staleness countdown starts at spawn: a worker that never
-        # heartbeats at all must still trip the deadline eventually.
-        worker.deadline = time.monotonic() + DEFAULT_STALE_AFTER
-        worker.process.start()
+        process.start()
+        # Only the worker holds its end now, so its death reads as EOF.
+        child_conn.close()
+        worker = _Worker(process, conn)
+        self.workers.append(worker)
         if _log.ENABLED:
-            self._worker_log(worker).debug(
-                "worker_spawn", pid=worker.process.pid, spawns=worker.spawns
+            _log.get_logger("pool").debug(
+                "worker_spawn", pid=process.pid, workers=len(self.workers)
             )
+        return worker
 
-    def _heartbeat_age(self, worker: _Worker) -> Optional[float]:
-        """Seconds since the worker's last heartbeat, None if never."""
+    def _start(self, worker: _Worker, task: _Task) -> None:
+        worker.task = task
+        worker.heard = time.monotonic()
+        task.spawns += 1
         try:
-            mtime = os.path.getmtime(self.heartbeat_path(worker.index))
+            worker.conn.send((task.index, task.cell))
         except OSError:
-            return None
-        return max(0.0, time.time() - mtime)
+            pass  # died since the last pass: buried, holding the cell
+        if task.spawns == 1 and self.on_outcome is not None:
+            self.on_outcome(task.index, "spawned", None)
 
-    def _collect_outcome(self, worker: _Worker) -> Optional[Outcome]:
-        path = self.outcome_path(worker.index)
-        if not os.path.exists(path):
-            return None
-        # The outcome write is atomic, so an existing file is complete;
-        # give the process a moment to actually exit before moving on.
-        worker.process.join(timeout=10.0)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            return None  # torn by chaos mid-rename: treat as crash
-        status = entry.get("status")
-        if status == "ok":
-            return "ok", SimulationResult.from_dict(entry["result"])
-        if status == "error":
-            return "error", tuple(entry["payload"])
-        if status == "raise":
-            raise _rebuild_raise(entry["payload"])
-        return None
+    def _stop(self, workers: Sequence[_Worker]) -> None:
+        """Ask idle workers to exit, kill busy ones, and reap them all."""
+        for worker in workers:
+            if worker.task is None:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass  # already dead
+            else:
+                worker.process.kill()
+        for worker in workers:
+            worker.process.join(timeout=5.0)
+            if worker.process.exitcode is None:
+                worker.process.kill()
+                worker.process.join()
+            worker.conn.close()
 
-    def _worker_log(self, worker: _Worker) -> _log.RunLogger:
-        """Pool logger bound with the worker's cell identity."""
+    # -- supervision ----------------------------------------------------
+
+    def _task_log(self, task: _Task) -> _log.RunLogger:
+        """Pool logger bound with the task's cell identity."""
         return _log.get_logger(
             "pool",
-            slot=worker.index,
-            cell=key_of(worker.cell)[:12],
-            series=worker.cell.label,
-            workload=worker.cell.workload,
+            slot=task.index,
+            cell=key_of(task.cell)[:12],
+            series=task.cell.label,
+            workload=task.cell.workload,
         )
 
-    def _crash_outcome(self, worker: _Worker, reason: str) -> Outcome:
-        exit_code = worker.process.exitcode
-        error = WorkerCrashed(
-            f"cell {worker.cell.describe()}: worker {reason} "
-            f"{worker.spawns} time(s) (last exit code {exit_code}); "
-            f"restart budget of {self.restart_budget} exhausted",
-            diagnostics={
-                "cell_key": key_of(worker.cell),
-                "series": worker.cell.label,
-                "workload": worker.cell.workload,
-                "spawns": worker.spawns,
-                "exit_code": exit_code,
-                "reason": reason,
-            },
-        )
-        return "error", (
-            "WorkerCrashed",
-            str(error),
-            error.diagnostics,
-            worker.spawns,
-        )
-
-    def _resolve(self, worker: _Worker, outcome: Outcome) -> None:
-        status, payload = outcome
+    def _resolve(self, task: _Task, status: str, payload: Any) -> None:
+        """Report a cell's outcome: ``ok`` (a result) or ``error``."""
         if status == "ok":
             self.health.on_success()
         if _log.ENABLED:
-            log = self._worker_log(worker)
+            log = self._task_log(task)
             if status == "ok":
-                log.info("worker_done", status=status, spawns=worker.spawns)
+                log.info("worker_done", status=status, spawns=task.spawns)
             else:
                 log.warning(
                     "worker_done",
                     status=status,
                     error=payload[0] if payload else None,
-                    spawns=worker.spawns,
+                    spawns=task.spawns,
                 )
-        del self.active[worker.index]
-        for path in (
-            self.heartbeat_path(worker.index),
-            self.outcome_path(worker.index),
-        ):
-            try:
-                os.remove(path)
-            except OSError:
-                pass
         if self.on_outcome is not None:
-            self.on_outcome(worker.index, status, payload)
+            self.on_outcome(task.index, status, payload)
 
-    def _handle_crash(self, worker: _Worker, reason: str) -> None:
+    def _receive(self, worker: _Worker) -> None:
+        """Apply every message the worker has sent so far."""
+        while True:
+            try:
+                if not worker.conn.poll():
+                    return
+                kind, payload = worker.conn.recv()
+            except (EOFError, OSError):
+                # The worker is gone: reap it, so the caller reads its
+                # exit code next.
+                worker.process.join(timeout=10.0)
+                return
+            worker.beaten = True
+            worker.heard = time.monotonic()
+            if kind == "raise":
+                raise _rebuild_raise(payload)
+            if kind != "beat":
+                task, worker.task = worker.task, None
+                self._resolve(task, kind, payload)
+
+    def _bury(self, worker: _Worker, reason: str, queue: List[_Task]) -> None:
+        """Account for a worker that died (or was killed as hung)."""
+        self.workers.remove(worker)
+        worker.conn.close()
+        exit_code = worker.process.exitcode
+        if not worker.beaten and reason == "died":
+            raise PoolEnvironmentFailure(
+                f"worker {worker.process.pid} died (exit code {exit_code}) "
+                f"before its first heartbeat; spawning is broken"
+            )
         self.health.on_crash()
-        if worker.spawns > self.restart_budget:
-            if _log.ENABLED:
-                self._worker_log(worker).error(
-                    "worker_crash",
-                    reason=reason,
-                    spawns=worker.spawns,
-                    budget_exhausted=True,
-                )
-            self._resolve(worker, self._crash_outcome(worker, reason))
-            return
-        self.restarts += 1
-        # Defer the respawn instead of sleeping: other workers stay
-        # supervised while this slot backs off.
-        delay = self.restart_backoff.next()
-        worker.respawn_at = time.monotonic() + delay
+        task = worker.task
+        exhausted = task is not None and task.spawns > self.restart_budget
         if _log.ENABLED:
-            self._worker_log(worker).warning(
+            log = self._task_log(task) if task else _log.get_logger("pool")
+            log.log(
+                _log.ERROR if exhausted else _log.WARNING,
                 "worker_crash",
                 reason=reason,
-                spawns=worker.spawns,
-                respawn_in=round(delay, 3),
+                pid=worker.process.pid,
+                spawns=task.spawns if task is not None else 0,
+                budget_exhausted=exhausted,
                 slots=self.health.slots,
             )
+        if task is None:
+            return  # died idle: no cell to re-run
+        if exhausted:
+            diagnostics = {
+                "cell_key": key_of(task.cell),
+                "series": task.cell.label,
+                "workload": task.cell.workload,
+                "spawns": task.spawns,
+                "exit_code": exit_code,
+                "reason": reason,
+            }
+            message = (
+                f"cell {task.cell.describe()}: worker {reason} "
+                f"{task.spawns} time(s) (last exit code {exit_code}); "
+                f"restart budget of {self.restart_budget} exhausted"
+            )
+            self._resolve(
+                task,
+                "error",
+                (WorkerCrashed.__name__, message, diagnostics, task.spawns),
+            )
+            return
+        # Defer the re-run instead of sleeping: other workers stay
+        # supervised while this cell backs off.
+        self.restarts += 1
+        task.ready_at = time.monotonic() + self.restart_backoff.next()
+        queue.insert(0, task)
+
+    def _dispatch(self, queue: List[_Task]) -> None:
+        """Match slots to workers, then ready cells to idle workers."""
+        idle = [worker for worker in self.workers if worker.task is None]
+        while len(self.workers) > self.health.slots and idle:
+            retired = idle.pop()
+            self.workers.remove(retired)
+            self._stop([retired])
+        now = time.monotonic()
+        for task in [task for task in queue if task.ready_at <= now]:
+            if idle:
+                worker = idle.pop(0)
+            elif len(self.workers) < self.health.slots:
+                worker = self._spawn()
+            else:
+                return
+            queue.remove(task)
+            self._start(worker, task)
+
+    def _timeout(self, queue: List[_Task]) -> Optional[float]:
+        """Seconds until the next deadline (None: wait for an event)."""
+        now = time.monotonic()
+        deadlines = [
+            worker.heard + DEFAULT_STALE_AFTER
+            for worker in self.workers
+            if worker.task is not None
+        ]
+        deadlines += [task.ready_at for task in queue if task.ready_at > now]
+        if self.chaos is not None:
+            deadlines.append(now + _TICK_SECONDS)
+        return max(0.0, min(deadlines) - now) if deadlines else None
 
     def run(self, cells: Sequence[Tuple[int, Cell]]) -> None:
         """Supervise every ``(index, cell)`` to an outcome.
 
-        Raises :class:`PoolEnvironmentFailure` when worker processes die
-        before their first heartbeat (the caller falls back to serial);
-        cells already resolved by then have had their ``on_outcome``
-        fired and are not re-run.
+        Raises :class:`PoolEnvironmentFailure` when a worker process
+        dies before its first heartbeat (the caller falls back to
+        serial); cells already resolved by then have had their
+        ``on_outcome`` fired and are not re-run.
         """
-        queue = list(cells)
-        self.spool = tempfile.mkdtemp(prefix="repro-pool-")
+        from multiprocessing.connection import wait
+
+        queue = [_Task(index, cell) for index, cell in cells]
         if _log.ENABLED:
             _log.get_logger("pool").info(
                 "pool_start", cells=len(queue), slots=self.health.slots
             )
         try:
-            while queue or self.active:
-                while queue and len(self.active) < self.health.slots:
-                    index, cell = queue.pop(0)
-                    worker = _Worker(index, cell)
-                    self.active[index] = worker
-                    self._spawn(worker)
-                    if self.on_outcome is not None:
-                        self.on_outcome(index, "spawned", None)
+            while queue or any(w.task is not None for w in self.workers):
+                self._dispatch(queue)
                 if self.chaos is not None:
                     self.chaos(self)
-                time.sleep(_TICK_SECONDS)
-                for worker in list(self.active.values()):
-                    if worker.respawn_at is not None:
-                        if time.monotonic() >= worker.respawn_at:
-                            worker.respawn_at = None
-                            self._spawn(worker)
-                        continue
-                    outcome = self._collect_outcome(worker)
-                    if outcome is not None:
-                        self._resolve(worker, outcome)
-                        continue
-                    age = self._heartbeat_age(worker)
+                wait(
+                    [worker.conn for worker in self.workers]
+                    + [worker.process.sentinel for worker in self.workers],
+                    self._timeout(queue),
+                )
+                for worker in list(self.workers):
+                    self._receive(worker)
                     if worker.process.exitcode is not None:
-                        if age is None:
-                            raise PoolEnvironmentFailure(
-                                f"worker for cell "
-                                f"{worker.cell.describe()} died (exit "
-                                f"code {worker.process.exitcode}) before "
-                                f"its first heartbeat; spawning is broken"
-                            )
-                        self._handle_crash(worker, "died")
-                        continue
-                    stale = (
-                        age > DEFAULT_STALE_AFTER
-                        if age is not None
-                        else time.monotonic() > worker.deadline
-                    )
-                    if stale:
+                        self._bury(worker, "died", queue)
+                    elif (
+                        worker.task is not None
+                        and time.monotonic() - worker.heard
+                        > DEFAULT_STALE_AFTER
+                    ):
                         self.kills_for_staleness += 1
                         worker.process.kill()
                         worker.process.join(timeout=10.0)
-                        self._handle_crash(worker, "hung")
+                        self._bury(worker, "hung", queue)
         finally:
-            for worker in self.active.values():
-                if worker.process is not None:
-                    worker.process.kill()
-            for worker in self.active.values():
-                if worker.process is not None:
-                    worker.process.join(timeout=5.0)
-            self.active.clear()
-            if self.spool is not None:
-                shutil.rmtree(self.spool, ignore_errors=True)
-                self.spool = None
+            self._stop(self.workers)
+            self.workers.clear()
             if _log.ENABLED:
                 _log.get_logger("pool").info(
                     "pool_drained",

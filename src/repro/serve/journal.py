@@ -16,7 +16,7 @@ names the job journal's on-disk vocabulary.  Event vocabulary (the
 ``ev`` field): ``submit`` (the job's durable fields under ``job``),
 ``lease``, ``requeue``, ``done`` (``result``, plus ``elapsed_s``),
 ``fail``; every event but ``submit`` names its job by ``id``.
-Compaction writes jobs in submission-time order.
+Compaction writes jobs in the order they were first journaled.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ class JobJournal(LeaseJournal):
     LABEL = "job journal"
     ENTRY = "submit"
     KEY = "id"
-    ORDER_BY = "submitted_unix"
 
     @staticmethod
     def entry_fields(entry: Job) -> Dict[str, Any]:

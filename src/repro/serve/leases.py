@@ -233,9 +233,8 @@ class LeaseJournal(WalFile):
     Subclasses name the on-disk vocabulary: ``LABEL`` (for warnings),
     ``ENTRY`` (the event that enters an entry), ``KEY`` (the field that
     names the entry on every other event, and the entry's own attribute
-    holding it), ``DONE_FIELDS`` (``done`` extras the entry keeps),
-    ``ORDER_BY`` (the entry attribute a compacted segment is sorted
-    by), and the two hooks below.
+    holding it), ``DONE_FIELDS`` (``done`` extras the entry keeps), and
+    the two hooks below.
 
     ``max_bytes`` bounds the file's growth: once an append pushes past
     it, the live state (one entry event per entry plus its latest
@@ -250,7 +249,6 @@ class LeaseJournal(WalFile):
     ENTRY = "entry"
     KEY = "key"
     DONE_FIELDS: Tuple[str, ...] = ()
-    ORDER_BY = "key"
 
     def __init__(self, path: str, max_bytes: Optional[int] = None):
         #: The replayed state, kept current by every append.
@@ -352,17 +350,17 @@ class LeaseJournal(WalFile):
     def live_events(self) -> List[Dict[str, Any]]:
         """One entry event per entry plus its latest transition.
 
-        A running entry keeps its lease (replay marks it interrupted,
-        exactly as the uncompacted journal does); a queued one that
-        was leased before keeps its attempt count in a ``requeue``, and
-        a terminal one in its ``done``/``fail`` line's ``attempt``.
+        Entries keep their replay order, the order they were first
+        journaled (submission order), so a compacted journal replays
+        to the same order as the one it replaces.  A running entry
+        keeps its lease (replay marks it interrupted, exactly as the
+        uncompacted journal does); a queued one that was leased before
+        keeps its attempt count in a ``requeue``, and a terminal one in
+        its ``done``/``fail`` line's ``attempt``.
         """
         replay = self._load(self.path)
         events: List[Dict[str, Any]] = []
-        for key, entry in sorted(
-            replay.entries.items(),
-            key=lambda item: getattr(item[1], self.ORDER_BY),
-        ):
+        for key, entry in replay.entries.items():
             events.append({"ev": self.ENTRY, **self.entry_fields(entry)})
             if entry.state == STATE_DONE:
                 kept = {name: getattr(entry, name) for name in self.DONE_FIELDS}

@@ -370,6 +370,22 @@ class TestRestartRecovery:
         second.close()
 
 
+    def test_compaction_keeps_submission_order(self, tmp_path):
+        # With journal_max_bytes=1 every append compacts the journal.
+        clock = FakeClock()
+        cells = sorted(_cells(3), key=key_of, reverse=True)
+        first = _coordinator(tmp_path, clock, journal_max_bytes=1)
+        keys = first.submit_cells(cells)
+        assert keys != sorted(keys)
+        first.close()
+
+        second = _coordinator(tmp_path, clock)
+        status, listed = second.handle("GET", "/dist/cells", None)
+        assert status == 200
+        assert [cell["key"] for cell in listed["cells"]] == keys
+        assert [second.lease("w")["key"] for _ in keys] == keys
+        second.close()
+
     @pytest.mark.parametrize(
         "journal_max_bytes", [None, 1], ids=["appended", "compacted"]
     )

@@ -52,7 +52,7 @@ def _compact_on_next_append(journal) -> None:
 
 def write_job_journal(path: str) -> None:
     # Submission order differs from submit-time order on purpose:
-    # compaction sorts jobs by ``submitted_unix``.
+    # compaction keeps the order jobs were journaled in.
     done = _job("jdone", 2.0, deadline_s=900.0)
     failed = _job("jfailed", 1.0, max_attempts=2)
     drained = _job("jdrained", 3.0)
@@ -87,8 +87,8 @@ def write_job_journal(path: str) -> None:
 
 
 def write_cell_journal(path: str) -> None:
-    # Shard order differs from key order on purpose: compaction sorts
-    # cells by key.
+    # Shard order differs from key order on purpose: compaction keeps
+    # the order cells were sharded in.
     wire = {"label": "golden", "workload": "bfs"}
     with CellJournal(path) as journal:
         for key in ("k3", "k1", "k2", "k4"):
@@ -156,7 +156,7 @@ def test_job_journal_replays_every_transition():
         "jfresh": ("queued", 0, None, None),
     }
     assert list(replay.entries) == [
-        "jcrashed", "jfailed", "jdone", "jdrained", "jfresh"
+        "jdone", "jfailed", "jdrained", "jcrashed", "jfresh"
     ]
     assert replay.entries["jdone"].deadline_s == 900.0
     assert replay.entries["jfailed"].max_attempts == 2
@@ -183,7 +183,7 @@ def test_cell_journal_replays_every_transition():
         "k4": ("done", 2, '{"cycles":4}', None),
         "k5": ("queued", 0, None, None),
     }
-    assert list(replay.entries) == ["k1", "k2", "k3", "k4", "k5"]
+    assert list(replay.entries) == ["k3", "k1", "k2", "k4", "k5"]
     assert replay.entries["k1"].digest == "sha256:" + "1" * 64
     assert replay.entries["k4"].wire == {"label": "k4", "workload": "bfs"}
     assert replay.terminal_counts == {"k1": 1, "k3": 1, "k4": 1}
