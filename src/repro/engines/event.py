@@ -15,9 +15,10 @@ cycle engine's.  Three mechanical changes carry the speedup:
   selection is inlined.
 
 - **Memoized coalescing.**  Each memory instruction is coalesced once,
-  when its warp enters the live list, and the result is memoized by
-  instruction identity; workload builds are memoized too, so a sweep's
-  cells reuse the same instructions and coalesce nothing twice.
+  when its warp enters the live list, and the result is memoized by its
+  lane-address tuple, so equal lanes — in a later cell, another build,
+  or a warp TBC forms afresh — coalesce nothing twice.  An entry keeps
+  only the pages, the line count and compact page runs.
 
 - **Inlined memory path.**  The TLB probe, L1/MSHR, L2 bank, and DRAM
   channel state transitions are replicated inline (every counter and
@@ -25,17 +26,17 @@ cycle engine's.  Three mechanical changes carry the speedup:
   crossing five method-call layers per line.
 
 There is one issue loop (:meth:`EventEngine._loop`) and one memory path:
-an ``issue_memory`` closure over a per-line ``access`` closure, both
-built at every ``run()`` entry.  Observers are installed between
-runs, never mid-run, so each entry binds what is on as
-booleans: tracing (TraceEvents at the cycle engine's exact stamps and
-order), the interval sampler (the same loop-top clock visits), span
-recording (fills for the shared ``_record_spans`` assembler), fault
-injection (shootdowns before each lookup batch, invalidations inside
-``_fill_tlb``), and the scheduler's memory-side hooks —
-``on_l1_access``, ``on_tlb_hit`` and ``on_tlb_miss`` fire, and the TLB
-LRU depth is computed, only when the policy overrides the base-class
-no-ops (or the tracer needs the depth).  Traces, spans, histograms and
+an ``issue_memory`` closure, whose one line loop walks page runs, over
+a per-line ``access`` closure, both built at every ``run()`` entry.
+Observers are installed between runs, never mid-run, so each entry
+binds what is on as booleans: tracing (TraceEvents at the cycle
+engine's exact stamps and order), the interval sampler (the same
+loop-top clock visits), span recording (fills for the shared
+``_record_spans`` assembler), fault injection (shootdowns before each
+lookup batch, invalidations inside ``_fill_tlb``), and the scheduler's
+memory-side hooks — ``on_l1_access``, ``on_tlb_hit`` and
+``on_tlb_miss`` fire, and the TLB LRU depth is computed, only when the
+policy overrides the base-class no-ops (or the tracer needs the depth).  Traces, spans, histograms and
 interval series therefore equal the cycle engine's
 (``tests/engines/test_observers.py`` pins the raw trace streams), with
 no cycle-loop fallback anywhere.
@@ -52,7 +53,7 @@ import gc as _gc
 
 from bisect import bisect_left as _bisect_left, insort as _insort
 from heapq import heapify, heappop as _heappop, heappush as _heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.gpu.coalescer import coalesce
 from repro.gpu.instruction import ComputeInstruction, MemoryInstruction
@@ -71,17 +72,67 @@ from repro.engines.base import SimEngine
 
 _EMPTY_ORIGINS: Dict[int, int] = {}
 
-#: (line_bytes, page_shift) -> {id(instr): (instr, CoalescedAccess)}.
-#: Module level so a sweep's cells share the work: workload builds are
-#: memoized, so the same instruction objects recur run after run.
-#: Values hold the instruction itself, so an id() can never alias.
-_COAL_CACHES: Dict[Tuple[int, int], Dict[int, tuple]] = {}
+#: (line_bytes, page_shift) -> {lane-address tuple: coalesced entry}.
+#: Module level so a sweep's cells share the work.  An entry is
+#: ``(vpns, n_lines, runs, page_runs)``: the unique pages in first-lane
+#: order, the unique-line count, and the unique lines as ``(vpn,
+#: offsets)`` page runs, ``offsets`` being ``line & page_mask`` in
+#: access order.  ``runs`` follows the coalesced line order (the serial
+#: and no-TLB stages), ``page_runs`` the page order (the overlap stage);
+#: they are one object when the two orders agree.
+_COAL_CACHES: Dict[Tuple[int, int], Dict[tuple, tuple]] = {}
 
-#: Entry cap per geometry (each (line_bytes, page_shift) dict is checked
-#: on its own); TBC's dynamically formed warps can mint fresh
-#: instructions every run, and a long-lived server must not grow without
-#: bound.  Eviction is a full clear — rebuilding is cheap.
+#: Interned page runs, offsets tuples and offsets (value -> itself):
+#: equal runs share one tuple and its ints across every memo entry.
+_RUNS: Dict[object, object] = {}
+
+#: Entry cap of each memo dict and of ``_RUNS``; TBC's dynamically
+#: formed warps can mint fresh lane tuples every run, and a long-lived
+#: server must not grow without bound.  Eviction is a full clear —
+#: rebuilding is cheap.
 _COAL_CACHE_LIMIT = 250_000
+
+
+def _shared(value):
+    """The interned object equal to ``value``."""
+    shared = _RUNS.get(value)
+    if shared is None:
+        if len(_RUNS) >= _COAL_CACHE_LIMIT:
+            _RUNS.clear()
+        shared = _RUNS[value] = value
+    return shared
+
+
+def _run(vpn: int, lines, page_mask: int) -> tuple:
+    """The interned page run ``(vpn, offsets)`` of ``lines``."""
+    offsets = tuple(_shared(line & page_mask) for line in lines)
+    return _shared((vpn, _shared(offsets)))
+
+
+def coalesced_runs(addresses, line_bytes: int, page_shift: int, memo: dict):
+    """Build the coalescing memo entry of one lane-address tuple (see
+    ``_COAL_CACHES``), store it in ``memo`` and return it."""
+    coal = coalesce(addresses, line_bytes, page_shift)
+    page_mask = (1 << page_shift) - 1
+    serial: List[tuple] = []  # (vpn, lines) in coalesced line order
+    for line in coal.lines:
+        vpn = line >> page_shift
+        if not serial or serial[-1][0] != vpn:
+            serial.append((vpn, []))
+        serial[-1][1].append(line)
+    runs = tuple(_run(vpn, lines, page_mask) for vpn, lines in serial)
+    if len(runs) == len(coal.vpns):
+        page_runs = runs  # every page's lines are contiguous
+    else:
+        page_runs = tuple(
+            _run(vpn, coal.lines_by_vpn[vpn], page_mask) for vpn in coal.vpns
+        )
+    vpns = tuple(vpn for vpn, _ in page_runs)  # the runs' int objects
+    entry = (vpns, len(coal.lines), runs, page_runs)
+    if len(memo) >= _COAL_CACHE_LIMIT:
+        memo.clear()
+    memo[addresses] = entry
+    return entry
 
 
 def _hook(sched, name: str):
@@ -346,23 +397,18 @@ class EventEngine(SimEngine):
 
     def _precompute(self, entries) -> None:
         """Coalesce every memory instruction in ``entries`` (live-list
-        entries; ``entry[1]`` is the trace) that is not yet memoized, so
-        ``issue_memory`` finds each one by identity."""
-        cache = self._coal
-        if len(cache) > _COAL_CACHE_LIMIT:
-            cache.clear()
+        entries; ``entry[1]`` is the trace) whose lanes are not yet
+        memoized, so ``issue_memory`` finds each one by content."""
+        memo = self._coal
         line_bytes = self.core.line_bytes
         page_shift = self.core.page_shift
         for entry in entries:
             for instr in entry[1]:
-                if instr.__class__ is ComputeInstruction:
-                    continue
-                cached = cache.get(id(instr))
-                if cached is None or cached[0] is not instr:
-                    cache[id(instr)] = (
-                        instr,
-                        coalesce(instr.addresses, line_bytes, page_shift),
-                    )
+                if (
+                    instr.__class__ is not ComputeInstruction
+                    and instr.addresses not in memo
+                ):
+                    coalesced_runs(instr.addresses, line_bytes, page_shift, memo)
 
     def _live_entries(self, warps) -> List[tuple]:
         """Live-list entries ``(warp, instructions, warp_id, n_instrs)``
@@ -710,18 +756,17 @@ class EventEngine(SimEngine):
         cache_overlap = tlb_cfg.cache_overlap
 
         def issue_memory(warp, instr, now, warp_id, stats) -> int:
-            cached = coal_cache.get(id(instr))
-            if cached is None or cached[0] is not instr:
-                cached = (instr, coalesce(instr.addresses, line_bytes, page_shift))
-                coal_cache[id(instr)] = cached
-            coal = cached[1]
-            vpns = coal.vpns
-            lines = coal.lines
+            coal = coal_cache.get(instr.addresses)
+            if coal is None:
+                coal = coalesced_runs(
+                    instr.addresses, line_bytes, page_shift, coal_cache
+                )
+            vpns, n_lines, runs, page_runs = coal
             n_pages = len(vpns)
             stats.page_divergence_sum += n_pages
             if n_pages > stats.page_divergence_max:
                 stats.page_divergence_max = n_pages
-            stats.coalesced_lines += len(lines)
+            stats.coalesced_lines += n_lines
             if traced:
                 record(
                     (
@@ -730,91 +775,113 @@ class EventEngine(SimEngine):
                         core_id,
                         "coalescer",
                         None,
-                        {"warp": warp_id, "pages": n_pages, "lines": len(lines)},
+                        {"warp": warp_id, "pages": n_pages, "lines": n_lines},
                     )
                 )
 
+            # The translation stage leaves the line loop each page's
+            # physical base, when its lines may fill (``available``, or
+            # ``page_ready`` per page), the missed pages and their span
+            # fills, the issue cursor and the completion floor.
+            page_ready = span_fills = misses = None
+            missed = ()
             if tlb is None:
                 # No-TLB baseline: pinned physical memory, zero
-                # translation cost; lines issue one per cycle.
+                # translation cost; lines issue one per cycle from now.
                 if profiled:
                     _prof.begin(_prof.PHASE_CACHE)
-                completion = now
-                for offset, line in enumerate(lines):
-                    pfn = frame_map.get(line >> page_shift)
-                    if pfn is not None:
-                        line = (pfn << 12) + (line & page_mask)
-                    ready, level, ev_line, ev_warp = access(
-                        line, now + offset, warp_id
-                    )
-                    if on_l1 is not None:
-                        on_l1(warp_id, line, level == "l1", False, ev_line, ev_warp)
-                    if ready > completion:
-                        completion = ready
-                if profiled:
-                    _prof.end()
-                return completion
-
-            shootdown = False
-            if injector is not None and injector.tlb_shootdown(core_id):
-                # Full-TLB shootdown: every cached translation on this
-                # core is dropped before the lookup.
-                tlb.flush()
-                core._shootdowns += 1
-                shootdown = True
-                if traced:
-                    record(
-                        (
-                            _ev.FAULT_INJECT,
-                            now,
-                            core_id,
-                            "faults",
-                            None,
-                            {"fault": "tlb_shootdown", "core": core_id},
+                bases = {}
+                for vpn in vpns:
+                    pfn = frame_map.get(vpn)
+                    bases[vpn] = vpn << page_shift if pfn is None else pfn << 12
+                cursor = now - 1
+                completion = available = now
+            else:
+                shootdown = False
+                if injector is not None and injector.tlb_shootdown(core_id):
+                    # Full-TLB shootdown: every cached translation on
+                    # this core is dropped before the lookup.
+                    tlb.flush()
+                    core._shootdowns += 1
+                    shootdown = True
+                    if traced:
+                        record(
+                            (
+                                _ev.FAULT_INJECT,
+                                now,
+                                core_id,
+                                "faults",
+                                None,
+                                {"fault": "tlb_shootdown", "core": core_id},
+                            )
                         )
-                    )
-            if profiled:
-                _prof.begin(_prof.PHASE_TLB)
-            origins = (
-                core._vpn_origins(instr, vpns)
-                if instr.origins is not None
-                else _EMPTY_ORIGINS
-            )
-
-            if n_pages == 1:
-                # Single-page instruction (the common case for coalesced
-                # streams): no translation/ready maps, one direct probe.
-                # ceil(1 / ports) == 1, and with one vpn the overlap and
-                # serial cache stages walk the same lines with the same
-                # availability, so both collapse to one loop.
-                vpn = vpns[0]
-                port_busy = core.tlb_port_busy_until
-                port_start = now if now > port_busy else port_busy
-                core.tlb_port_busy_until = port_start + 1
-                tlb_done = port_start + extra_latency + 1
-                stats.tlb_lookups += 1
-                if cpm is not None:
-                    cpm.maybe_flush(now)
-                history_id = origins.get(vpn, warp_id) if origins else warp_id
-                tlb_set = tlb_sets.get(vpn % num_sets)
-                if tlb_set is not None and vpn in tlb_set:
-                    tlb.hits += 1
-                    if want_depth:
-                        depth = 0
-                        for resident_vpn in reversed(tlb_set):
-                            if resident_vpn == vpn:
-                                break
-                            depth += 1
-                    entry = tlb_set.pop(vpn)
-                    history = entry.history
-                    prior = tuple(history) if cpm is not None else ()
-                    if history_id in history:
-                        history.remove(history_id)
-                    history.insert(0, history_id)
-                    del history[HISTORY_LENGTH:]
-                    tlb_set[vpn] = entry  # move to MRU
-                    stats.tlb_hits += 1
-                    if want_depth:
+                if profiled:
+                    _prof.begin(_prof.PHASE_TLB)
+                origins = (
+                    core._vpn_origins(instr, vpns)
+                    if instr.origins is not None
+                    else _EMPTY_ORIGINS
+                )
+                if n_pages == 1:
+                    # Single-page instruction (the common case for
+                    # coalesced streams): one direct probe, no ready map.
+                    # ceil(1 / ports) == 1.
+                    vpn = vpns[0]
+                    lookup_cycles = 1
+                    port_busy = core.tlb_port_busy_until
+                    port_start = now if now > port_busy else port_busy
+                    core.tlb_port_busy_until = port_start + 1
+                    tlb_done = port_start + extra_latency + 1
+                    stats.tlb_lookups += 1
+                    if cpm is not None:
+                        cpm.maybe_flush(now)
+                    history_id = origins.get(vpn, warp_id) if origins else warp_id
+                    tlb_set = tlb_sets.get(vpn % num_sets)
+                    if tlb_set is not None and vpn in tlb_set:
+                        tlb.hits += 1
+                        if want_depth:
+                            depth = 0
+                            for resident_vpn in reversed(tlb_set):
+                                if resident_vpn == vpn:
+                                    break
+                                depth += 1
+                        entry = tlb_set.pop(vpn)
+                        history = entry.history
+                        prior = tuple(history) if cpm is not None else ()
+                        if history_id in history:
+                            history.remove(history_id)
+                        history.insert(0, history_id)
+                        del history[HISTORY_LENGTH:]
+                        tlb_set[vpn] = entry  # move to MRU
+                        stats.tlb_hits += 1
+                        if want_depth:
+                            if traced:
+                                record(
+                                    (
+                                        _ev.TLB_LOOKUP,
+                                        now,
+                                        core_id,
+                                        "tlb",
+                                        None,
+                                        {
+                                            "vpn": vpn,
+                                            "hit": True,
+                                            "depth": depth,
+                                            "warp": history_id,
+                                        },
+                                    )
+                                )
+                            if on_tlb_hit is not None:
+                                on_tlb_hit(warp_id, vpn, depth)
+                        if cpm is not None and prior:
+                            cpm.update(history_id, prior)
+                        bases = {vpn: entry.pfn << 12}
+                        all_ready = available = tlb_done
+                    else:
+                        tlb.misses += 1
+                        stats.tlb_misses += 1
+                        if on_tlb_miss is not None:
+                            on_tlb_miss(warp_id, vpn)
                         if traced:
                             record(
                                 (
@@ -823,79 +890,186 @@ class EventEngine(SimEngine):
                                     core_id,
                                     "tlb",
                                     None,
-                                    {
-                                        "vpn": vpn,
-                                        "hit": True,
-                                        "depth": depth,
-                                        "warp": history_id,
-                                    },
+                                    {"vpn": vpn, "hit": False, "warp": history_id},
                                 )
                             )
-                        if on_tlb_hit is not None:
-                            on_tlb_hit(warp_id, vpn, depth)
-                    if cpm is not None and prior:
-                        cpm.update(history_id, prior)
-                    pfn_base = entry.pfn << 12
-                    available = tlb_done
-                    tlb_missed = False
+                            record(
+                                (
+                                    _ev.TLB_MISS_BEGIN,
+                                    tlb_done,
+                                    core_id,
+                                    "tlb",
+                                    None,
+                                    {"vpn": vpn, "warp": warp_id},
+                                )
+                            )
+                        missed = misses = [vpn]
+                        walk_ready = core._handle_misses(warp, misses, tlb_done, origins)
+                        pfn, resolved = walk_ready[vpn]
+                        stats.total_tlb_miss_cycles += resolved - tlb_done
+                        if traced:
+                            record(
+                                (
+                                    _ev.TLB_MISS_END,
+                                    resolved,
+                                    core_id,
+                                    "tlb",
+                                    None,
+                                    {"vpn": vpn, "latency": resolved - tlb_done},
+                                )
+                            )
+                        all_ready = resolved if resolved > tlb_done else tlb_done
+                        if tlb_blocking and all_ready > core.tlb_blocked_until:
+                            core.tlb_blocked_until = all_ready
+                        bases = {vpn: pfn << 12}
+                        # The overlap stage uses the page's own fill
+                        # time, the serial stage the (clamped) barrier;
+                        # identical unless a walk resolves before the
+                        # lookup completes.
+                        available = resolved if cache_overlap else all_ready
                 else:
-                    tlb.misses += 1
-                    stats.tlb_misses += 1
-                    if on_tlb_miss is not None:
-                        on_tlb_miss(warp_id, vpn)
-                    if traced:
-                        record(
-                            (
-                                _ev.TLB_LOOKUP,
-                                now,
-                                core_id,
-                                "tlb",
-                                None,
-                                {"vpn": vpn, "hit": False, "warp": history_id},
-                            )
-                        )
-                        record(
-                            (
-                                _ev.TLB_MISS_BEGIN,
-                                tlb_done,
-                                core_id,
-                                "tlb",
-                                None,
-                                {"vpn": vpn, "warp": warp_id},
-                            )
-                        )
-                    walk_ready = core._handle_misses(warp, [vpn], tlb_done, origins)
-                    pfn, resolved = walk_ready[vpn]
-                    stats.total_tlb_miss_cycles += resolved - tlb_done
-                    if traced:
-                        record(
-                            (
-                                _ev.TLB_MISS_END,
-                                resolved,
-                                core_id,
-                                "tlb",
-                                None,
-                                {"vpn": vpn, "latency": resolved - tlb_done},
-                            )
-                        )
-                    all_ready = resolved if resolved > tlb_done else tlb_done
-                    if tlb_blocking and all_ready > core.tlb_blocked_until:
-                        core.tlb_blocked_until = all_ready
-                    pfn_base = pfn << 12
-                    # The overlap stage uses the page's own fill time,
-                    # the serial stage the (clamped) barrier; identical
-                    # unless a walk resolves before the lookup completes.
-                    available = resolved if cache_overlap else all_ready
-                    tlb_missed = True
+                    lookup_cycles = -(-n_pages // ports)  # ceil division
+                    # The TLB's read ports arbitrate across warps: a
+                    # lookup batch occupies them for lookup_cycles,
+                    # queueing behind earlier batches still in flight.
+                    port_busy = core.tlb_port_busy_until
+                    port_start = now if now > port_busy else port_busy
+                    core.tlb_port_busy_until = port_start + lookup_cycles
+                    tlb_done = port_start + extra_latency + lookup_cycles
+                    stats.tlb_lookups += n_pages
+                    if cpm is not None:
+                        cpm.maybe_flush(now)
+                    bases = {}
+                    page_ready = {}
+                    for vpn in vpns:
+                        history_id = origins.get(vpn, warp_id) if origins else warp_id
+                        tlb_set = tlb_sets.get(vpn % num_sets)
+                        if tlb_set is None or vpn not in tlb_set:
+                            tlb.misses += 1
+                            if traced:
+                                record(
+                                    (
+                                        _ev.TLB_LOOKUP,
+                                        now,
+                                        core_id,
+                                        "tlb",
+                                        None,
+                                        {"vpn": vpn, "hit": False, "warp": history_id},
+                                    )
+                                )
+                            stats.tlb_misses += 1
+                            if on_tlb_miss is not None:
+                                on_tlb_miss(warp_id, vpn)
+                            if misses is None:
+                                misses = [vpn]
+                            else:
+                                misses.append(vpn)
+                            continue
+                        tlb.hits += 1
+                        if want_depth:
+                            depth = 0
+                            for resident_vpn in reversed(tlb_set):
+                                if resident_vpn == vpn:
+                                    break
+                                depth += 1
+                        entry = tlb_set.pop(vpn)
+                        history = entry.history
+                        prior = tuple(history) if cpm is not None else ()
+                        if history_id in history:
+                            history.remove(history_id)
+                        history.insert(0, history_id)
+                        del history[HISTORY_LENGTH:]
+                        tlb_set[vpn] = entry  # move to MRU
+                        stats.tlb_hits += 1
+                        if want_depth:
+                            if traced:
+                                record(
+                                    (
+                                        _ev.TLB_LOOKUP,
+                                        now,
+                                        core_id,
+                                        "tlb",
+                                        None,
+                                        {
+                                            "vpn": vpn,
+                                            "hit": True,
+                                            "depth": depth,
+                                            "warp": history_id,
+                                        },
+                                    )
+                                )
+                            if on_tlb_hit is not None:
+                                on_tlb_hit(warp_id, vpn, depth)
+                        if cpm is not None and prior:
+                            cpm.update(history_id, prior)
+                        bases[vpn] = entry.pfn << 12
+                        page_ready[vpn] = tlb_done
+                    all_ready = tlb_done
+                    if misses is not None:
+                        if traced:
+                            for vpn in misses:
+                                record(
+                                    (
+                                        _ev.TLB_MISS_BEGIN,
+                                        tlb_done,
+                                        core_id,
+                                        "tlb",
+                                        None,
+                                        {"vpn": vpn, "warp": warp_id},
+                                    )
+                                )
+                        walk_ready = core._handle_misses(warp, misses, tlb_done, origins)
+                        for vpn, resolved in walk_ready.items():
+                            pfn, ready = resolved
+                            bases[vpn] = pfn << 12
+                            page_ready[vpn] = ready
+                            stats.total_tlb_miss_cycles += ready - tlb_done
+                            if traced:
+                                record(
+                                    (
+                                        _ev.TLB_MISS_END,
+                                        ready,
+                                        core_id,
+                                        "tlb",
+                                        None,
+                                        {"vpn": vpn, "latency": ready - tlb_done},
+                                    )
+                                )
+                            if ready > all_ready:
+                                all_ready = ready
+                        if tlb_blocking and all_ready > core.tlb_blocked_until:
+                            # A blocking TLB services nothing until its
+                            # misses resolve.
+                            core.tlb_blocked_until = all_ready
+                        missed = set(misses)
+                    if cache_overlap:
+                        # Lines of TLB-hitting pages go at once; a missed
+                        # page's lines wait for its own walk.
+                        runs = page_runs
+                    else:
+                        # Every line waits for all translations.
+                        page_ready = None
+                        available = all_ready
                 if profiled:
                     _prof.end()
                     _prof.begin(_prof.PHASE_CACHE)
-                completion = tlb_done
                 cursor = now
-                fills = [] if (spanned and tlb_missed) else None
-                for line in lines:
+                completion = tlb_done
+                if spanned and misses is not None:
+                    span_fills = {vpn: [] for vpn in misses}
+
+            # Cache stage, one page run at a time.  Queue state is
+            # sampled in present time; the translation wait is then
+            # added as a serial shift.
+            for vpn, offsets in runs:
+                base = bases[vpn]
+                if page_ready is not None:
+                    available = page_ready[vpn]
+                tlb_missed = vpn in missed
+                fills = span_fills.get(vpn) if span_fills is not None else None
+                for offset in offsets:
                     cursor += 1
-                    paddr = pfn_base + (line & page_mask)
+                    paddr = base + offset
                     ready, level, ev_line, ev_warp = access(paddr, cursor, warp_id)
                     fill_start = available if available > cursor else cursor
                     line_end = fill_start + ready - cursor
@@ -909,205 +1083,6 @@ class EventEngine(SimEngine):
                             )
                         if fills is not None:
                             fills.append((level, fill_start, line_end))
-                if profiled:
-                    _prof.end()
-                if tlb_missed:
-                    stall = all_ready - tlb_done
-                    if stall > 0:
-                        stats.tlb_miss_stall_cycles += stall
-                    if fills is not None:
-                        core._record_spans(
-                            warp,
-                            coal,
-                            now,
-                            port_start,
-                            tlb_done,
-                            1,
-                            walk_ready,
-                            {vpn: fills} if fills else {},
-                            completion,
-                            shootdown,
-                        )
-                return completion
-
-            lookup_cycles = -(-n_pages // ports)  # ceil division
-            # The TLB's read ports arbitrate across warps: a lookup batch
-            # occupies them for lookup_cycles, queueing behind earlier
-            # batches still in flight.
-            port_busy = core.tlb_port_busy_until
-            port_start = now if now > port_busy else port_busy
-            core.tlb_port_busy_until = port_start + lookup_cycles
-            tlb_done = port_start + extra_latency + lookup_cycles
-            stats.tlb_lookups += n_pages
-            if cpm is not None:
-                cpm.maybe_flush(now)
-            translations: Dict[int, int] = {}
-            page_ready: Dict[int, int] = {}
-            misses: Optional[List[int]] = None
-            for vpn in vpns:
-                history_id = origins.get(vpn, warp_id) if origins else warp_id
-                tlb_set = tlb_sets.get(vpn % num_sets)
-                if tlb_set is None or vpn not in tlb_set:
-                    tlb.misses += 1
-                    if traced:
-                        record(
-                            (
-                                _ev.TLB_LOOKUP,
-                                now,
-                                core_id,
-                                "tlb",
-                                None,
-                                {"vpn": vpn, "hit": False, "warp": history_id},
-                            )
-                        )
-                    stats.tlb_misses += 1
-                    if on_tlb_miss is not None:
-                        on_tlb_miss(warp_id, vpn)
-                    if misses is None:
-                        misses = [vpn]
-                    else:
-                        misses.append(vpn)
-                    continue
-                tlb.hits += 1
-                if want_depth:
-                    depth = 0
-                    for resident_vpn in reversed(tlb_set):
-                        if resident_vpn == vpn:
-                            break
-                        depth += 1
-                entry = tlb_set.pop(vpn)
-                history = entry.history
-                prior = tuple(history) if cpm is not None else ()
-                if history_id in history:
-                    history.remove(history_id)
-                history.insert(0, history_id)
-                del history[HISTORY_LENGTH:]
-                tlb_set[vpn] = entry  # move to MRU
-                stats.tlb_hits += 1
-                if want_depth:
-                    if traced:
-                        record(
-                            (
-                                _ev.TLB_LOOKUP,
-                                now,
-                                core_id,
-                                "tlb",
-                                None,
-                                {
-                                    "vpn": vpn,
-                                    "hit": True,
-                                    "depth": depth,
-                                    "warp": history_id,
-                                },
-                            )
-                        )
-                    if on_tlb_hit is not None:
-                        on_tlb_hit(warp_id, vpn, depth)
-                if cpm is not None and prior:
-                    cpm.update(history_id, prior)
-                translations[vpn] = entry.pfn
-                page_ready[vpn] = tlb_done
-            if misses is not None:
-                if traced:
-                    for vpn in misses:
-                        record(
-                            (
-                                _ev.TLB_MISS_BEGIN,
-                                tlb_done,
-                                core_id,
-                                "tlb",
-                                None,
-                                {"vpn": vpn, "warp": warp_id},
-                            )
-                        )
-                walk_ready = core._handle_misses(warp, misses, tlb_done, origins)
-                all_ready = tlb_done
-                for vpn, resolved in walk_ready.items():
-                    pfn, ready = resolved
-                    translations[vpn] = pfn
-                    page_ready[vpn] = ready
-                    stats.total_tlb_miss_cycles += ready - tlb_done
-                    if traced:
-                        record(
-                            (
-                                _ev.TLB_MISS_END,
-                                ready,
-                                core_id,
-                                "tlb",
-                                None,
-                                {"vpn": vpn, "latency": ready - tlb_done},
-                            )
-                        )
-                    if ready > all_ready:
-                        all_ready = ready
-                if tlb_blocking and all_ready > core.tlb_blocked_until:
-                    # A blocking TLB services nothing until its misses
-                    # resolve.
-                    core.tlb_blocked_until = all_ready
-                missed = set(misses)
-            else:
-                all_ready = tlb_done
-                missed = ()
-            if profiled:
-                _prof.end()
-                _prof.begin(_prof.PHASE_CACHE)
-
-            # Cache stage.  Without cache_overlap every line waits for
-            # all translations; with it, lines of TLB-hitting pages go at
-            # once.  Queue state is sampled in present time; the
-            # translation wait is then added as a serial shift.
-            completion = tlb_done
-            cursor = now
-            span_fills: Optional[Dict[int, list]] = (
-                {vpn: [] for vpn in misses}
-                if (spanned and misses is not None)
-                else None
-            )
-            if cache_overlap:
-                lines_by_vpn = coal.lines_by_vpn
-                for vpn in vpns:
-                    available_at = page_ready[vpn]
-                    pfn_base = translations[vpn] << 12
-                    tlb_missed = vpn in missed
-                    fills = span_fills.get(vpn) if span_fills is not None else None
-                    for line in lines_by_vpn[vpn]:
-                        cursor += 1
-                        paddr = pfn_base + (line & page_mask)
-                        ready, level, ev_line, ev_warp = access(
-                            paddr, cursor, warp_id
-                        )
-                        fill_start = (
-                            available_at if available_at > cursor else cursor
-                        )
-                        line_end = fill_start + ready - cursor
-                        if line_end > completion:
-                            completion = line_end
-                        if line_observed:
-                            if on_l1 is not None:
-                                on_l1(
-                                    warp_id, paddr, level == "l1", tlb_missed,
-                                    ev_line, ev_warp
-                                )
-                            if fills is not None:
-                                fills.append((level, fill_start, line_end))
-            else:
-                for line in lines:
-                    vpn = line >> page_shift
-                    cursor += 1
-                    paddr = (translations[vpn] << 12) + (line & page_mask)
-                    ready, level, ev_line, ev_warp = access(paddr, cursor, warp_id)
-                    fill_start = all_ready if all_ready > cursor else cursor
-                    line_end = fill_start + ready - cursor
-                    if line_end > completion:
-                        completion = line_end
-                    if line_observed:
-                        if on_l1 is not None:
-                            on_l1(
-                                warp_id, paddr, level == "l1", vpn in missed,
-                                ev_line, ev_warp
-                            )
-                        if span_fills is not None and vpn in span_fills:
-                            span_fills[vpn].append((level, fill_start, line_end))
             if profiled:
                 _prof.end()
             if misses is not None:
@@ -1117,7 +1092,7 @@ class EventEngine(SimEngine):
                 if span_fills is not None:
                     core._record_spans(
                         warp,
-                        coal,
+                        n_pages,
                         now,
                         port_start,
                         tlb_done,

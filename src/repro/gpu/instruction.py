@@ -11,6 +11,7 @@ the TLB in parallel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -30,6 +31,13 @@ class ComputeInstruction:
     def __post_init__(self):
         if self.latency <= 0:
             raise ValueError("compute latency must be positive")
+
+
+@functools.lru_cache(maxsize=1024)
+def compute_instruction(latency: int) -> ComputeInstruction:
+    """The one shared :class:`ComputeInstruction` of ``latency`` cycles
+    (it is immutable, so every trace can hold the same object)."""
+    return ComputeInstruction(latency=latency)
 
 
 @dataclass(frozen=True)

@@ -573,7 +573,7 @@ class ShaderCore:
             if span_fills is not None:
                 self._record_spans(
                     warp,
-                    coal,
+                    coal.page_divergence,
                     now,
                     port_start,
                     tlb_done,
@@ -592,7 +592,7 @@ class ShaderCore:
     def _record_spans(
         self,
         warp: Warp,
-        coal,
+        pages: int,
         now: int,
         port_start: int,
         tlb_done: int,
@@ -618,7 +618,7 @@ class ShaderCore:
                     "vpn": vpn,
                     "warp": warp.warp_id,
                     "core": self.core_id,
-                    "pages": coal.page_divergence,
+                    "pages": pages,
                     "scheduler": policy,
                 },
             )

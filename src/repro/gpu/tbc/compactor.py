@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.gpu.instruction import ComputeInstruction, MemoryInstruction, WarpTrace
+from repro.gpu.instruction import MemoryInstruction, WarpTrace, compute_instruction
 from repro.gpu.tbc.blocks import Region, ThreadBlock
 from repro.gpu.tbc.cpm import CommonPageMatrix
 from repro.gpu.tbc.reconvergence import stack_execution_groups
@@ -88,11 +88,14 @@ def compact_region(
 #: is never written through once built, so identical groups — the same
 #: region compacted the same way in a later run, or by a different TBC
 #: mode — can share one WarpTrace.  Values keep the block and region so
-#: a recycled id() can never alias.  Sharing also keeps instruction
-#: identity stable across runs, which downstream per-instruction
-#: coalescing caches key on.
+#: a recycled id() can never alias.
 _TRACE_CACHE: Dict[tuple, tuple] = {}
 _TRACE_CACHE_LIMIT = 100_000
+
+#: Interned per-lane origins tuples (value -> itself): every memory
+#: instruction of a formed warp, and every formed warp with the same
+#: lane-to-original-warp layout, shares one.  Capped like _TRACE_CACHE.
+_ORIGINS: Dict[tuple, tuple] = {}
 
 
 def _group_trace(
@@ -111,20 +114,24 @@ def _group_trace(
     lanes: Dict[int, int] = {block.lane(tid): tid for tid in group.threads}
     if len(lanes) != len(group.threads):
         raise ValueError("execution group has a lane conflict")
+    lane_origins: List[Optional[int]] = [None] * block.warp_width
+    for lane, tid in lanes.items():
+        lane_origins[lane] = slot_base + block.original_warp(tid)
+    if len(_ORIGINS) >= _TRACE_CACHE_LIMIT:
+        _ORIGINS.clear()
+    origins = _ORIGINS.setdefault(tuple(lane_origins), tuple(lane_origins))
     instructions = []
     mem_index = 0
     for template in program:
         if template[0] == "c":
-            instructions.append(ComputeInstruction(latency=template[1]))
+            instructions.append(compute_instruction(template[1]))
             continue
         addresses: List[Optional[int]] = [None] * block.warp_width
-        origins: List[Optional[int]] = [None] * block.warp_width
         for lane, tid in lanes.items():
             addresses[lane] = region.thread_addresses[tid][mem_index]
-            origins[lane] = slot_base + block.original_warp(tid)
         mem_index += 1
         instructions.append(
-            MemoryInstruction(addresses=tuple(addresses), origins=tuple(origins))
+            MemoryInstruction(addresses=tuple(addresses), origins=origins)
         )
     trace = WarpTrace(
         warp_id=warp_id, instructions=instructions, block_id=block.block_id

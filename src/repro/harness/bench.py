@@ -5,7 +5,8 @@ the :mod:`repro.prof` phase profiler installed, and writes one
 schema-versioned ``BENCH_<n>.json`` report (see
 :mod:`repro.prof.benchfile`) recording per-figure wall time, sweep-cell
 throughput, simulated-cycle throughput, the host-time phase breakdown,
-peak RSS, and a snapshot of the unified metrics registry.
+peak RSS with the entry counts of the module-level memos, and a
+snapshot of the unified metrics registry.
 
 ``--observed`` re-runs each figure a second time with event tracing
 and span recording live (via :func:`repro.core.simulator.trace_override`
@@ -77,6 +78,24 @@ def _peak_rss_kb() -> int:
     if sys.platform == "darwin":
         peak //= 1024
     return int(peak)
+
+
+def _memo_entries() -> Dict[str, int]:
+    """Entry counts of the module-level memos a sweep process fills:
+    workload builds, coalescing, TBC-formed traces and VPN order."""
+    from repro.core import simulator
+    from repro.engines import event
+    from repro.gpu.tbc import compactor
+    from repro.workloads import base
+
+    return {
+        "build": len(base._BUILD_CACHE),
+        "coalesce": sum(len(memo) for memo in event._COAL_CACHES.values()),
+        "tbc_trace": len(compactor._TRACE_CACHE),
+        "vpn_order": sum(
+            len(memo) for memo in simulator._VPN_ORDER_CACHES.values()
+        ),
+    }
 
 
 def _host() -> Dict[str, Any]:
@@ -201,6 +220,7 @@ def run_bench(
             # Read before any observed pass: ru_maxrss is a high-water
             # mark, so a later read would report the observed peak.
             "peak_rss_kb": _peak_rss_kb(),
+            "memo_entries": _memo_entries(),
         },
     }
     if observed:
@@ -404,6 +424,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     rss = f"peak RSS {totals['peak_rss_kb']} kB"
     if "observed_peak_rss_kb" in totals:
         rss += f", observed {totals['observed_peak_rss_kb']} kB"
+    rss += "; memo entries " + ", ".join(
+        f"{name} {count}" for name, count in totals["memo_entries"].items()
+    )
     print(
         f"wrote {out}: {len(report['figures'])} figures, "
         f"{totals['cells']} cells in {totals['wall_s']:.2f}s "

@@ -4,12 +4,13 @@ A seeded chaos campaign that attacks the sweep machinery the way real
 infrastructure does — SIGKILLed workers, files truncated mid-write,
 faults injected mid-sweep — and verifies the recovery guarantees hold:
 
-1. **kill/restart** — a supervised sweep whose chaos hook SIGKILLs the
-   first worker seen holding a cell after its first heartbeat (so at
-   least one cell is killed mid-run and re-run from the start on
-   another worker) plus further seeded kills; every killed cell must
-   have been re-run once per kill, and the recovered results must be
-   byte-identical to a clean serial run, with no degradation warnings.
+1. **kill/restart** — a supervised sweep whose chaos hook SIGKILLs a
+   worker holding a cell on each supervision tick until the campaign's
+   kills have landed (one for ``--quick``, two for the full matrix), so
+   cells are killed mid-run and re-run from the start on another worker;
+   every kill must land, every killed cell must have been re-run once
+   per kill, and the recovered results must be byte-identical to a
+   clean serial run, with no degradation warnings.
 2. **torn checkpoint** — a checkpoint with a truncated trailing line
    must load with a warning (never raise), keep every complete entry,
    and resume to byte-identical results.
@@ -37,8 +38,8 @@ machines, the serial :func:`oracle`, the exactly-once check
 subprocess handles.
 
 Exit codes: ``0`` — every check passed; ``1`` — a verification failed
-(result mismatch, zero kills landed, unexpected warnings); ``2`` —
-usage error.
+(result mismatch, fewer kills landed than wanted, unexpected warnings);
+``2`` — usage error.
 """
 
 from __future__ import annotations
@@ -262,14 +263,13 @@ def _poisoned_cell() -> Cell:
 class _Killer:
     """The seeded chaos hook: SIGKILLs live workers mid-cell.
 
-    The *first* worker observed holding a cell after its first
-    heartbeat is always killed (so at least one cell is re-run on
-    another worker); after that, each supervision tick rolls the seeded
-    RNG per such worker, up to ``max_kills`` total.  A worker already
-    killed (the pool may not have reaped it yet), one with an unread
-    message (perhaps its outcome), and one whose cell is close to its
-    restart budget are spared — the campaign proves recovery,
-    exhaustion has its own test.
+    Until ``max_kills`` have landed, every supervision tick kills one
+    worker holding a cell after its first heartbeat; when several do,
+    the seeded RNG picks which.  So the kills land on the first eligible
+    ticks, whatever the host's speed.  A worker already killed (the pool
+    may not have reaped it yet), one with an unread message (perhaps its
+    outcome), and one whose cell is close to its restart budget are
+    spared — the campaign proves recovery, exhaustion has its own test.
     """
 
     def __init__(self, seed: int, max_kills: int):
@@ -281,24 +281,29 @@ class _Killer:
         self.victims: Dict[int, tuple] = {}
 
     def __call__(self, pool) -> None:
-        for worker in list(pool.workers):
-            task, pid = worker.task, worker.process.pid
-            if self.kills >= self.max_kills:
-                return
-            if task is None or not worker.beaten or pid in self.killed:
-                continue
-            if task.spawns > RESTART_BUDGET - 1 or worker.conn.poll():
-                continue
-            if self.kills > 0 and self.rng.random() >= 0.10:
-                continue
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                continue
-            self.killed.add(pid)
-            self.kills += 1
-            taken = self.victims.get(task.index, (task, 0))[1]
-            self.victims[task.index] = (task, taken + 1)
+        if self.kills >= self.max_kills:
+            return
+        eligible = [
+            worker
+            for worker in pool.workers
+            if worker.task is not None
+            and worker.beaten
+            and worker.process.pid not in self.killed
+            and worker.task.spawns <= RESTART_BUDGET - 1
+            and not worker.conn.poll()
+        ]
+        if not eligible:
+            return
+        worker = self.rng.choice(eligible)
+        task, pid = worker.task, worker.process.pid
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            return
+        self.killed.add(pid)
+        self.kills += 1
+        taken = self.victims.get(task.index, (task, 0))[1]
+        self.victims[task.index] = (task, taken + 1)
 
     def unrestarted(self) -> List[str]:
         """Killed cells not re-run once per kill."""
@@ -334,17 +339,18 @@ def run_campaign(
     campaign.step("baseline done", f"{time.monotonic() - started:.1f}s")
 
     # -- 1. kill/restart ----------------------------------------------
-    killer = _Killer(seed, max_kills=max(kills_wanted, 1))
+    killer = _Killer(seed, max_kills=kills_wanted)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         executor = SweepExecutor(
             jobs=jobs, chaos=killer, restart_budget=RESTART_BUDGET
         )
         recovered = _canonical(executor.run(matrix))
-    if killer.kills < 1:
+    if killer.kills < kills_wanted:
         campaign.fail(
-            "kill/restart: no worker was killed — the campaign never "
-            "exercised the restart path"
+            f"kill/restart: {killer.kills} of {kills_wanted} wanted "
+            "kill(s) landed — the campaign under-exercised the restart "
+            "path"
         )
     unrestarted = killer.unrestarted()
     if unrestarted:

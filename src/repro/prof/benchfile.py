@@ -38,6 +38,9 @@ Schema (``BENCH_SCHEMA_VERSION`` = 1)::
       "totals": {"wall_s", "cells", "cells_per_s", "sim_cycles",
                  "cycles_per_s",
                  "peak_rss_kb",            # peak RSS after the plain passes
+                 "memo_entries"?,          # optional: {memo: entries} after
+                                           # the plain passes (build,
+                                           # coalesce, tbc_trace, vpn_order)
                  "observed_wall_s"?, "observed_overhead"?,
                  "observed_peak_rss_kb"?}, # optional (bench --observed):
                                            # peak RSS after the observed
@@ -51,6 +54,8 @@ report written inside a checkout records the exact commit its numbers
 measured.  ``totals.observed_peak_rss_kb`` postdates ``BENCH_5.json``:
 until then the observed passes interleaved with the plain ones, so an
 ``--observed`` report's ``peak_rss_kb`` was the observed peak.
+``totals.memo_entries`` postdates ``BENCH_7.json``; when present it
+maps each memo's name to a non-negative entry count.
 
 Comparison is threshold-based and wall-clock aware: a figure regresses
 when its wall time grows (or its cells/s throughput shrinks) by more
@@ -160,6 +165,13 @@ def validate(report: Dict[str, Any]) -> List[str]:
                     "cycles_per_s", "peak_rss_kb"):
             if key not in totals:
                 problems.append(f"totals missing {key!r}")
+        memos = totals.get("memo_entries", {})
+        if not isinstance(memos, dict) or not all(
+            isinstance(count, int) and count >= 0 for count in memos.values()
+        ):
+            problems.append(
+                "totals.memo_entries must map memo names to entry counts"
+            )
     if "metrics" not in report:
         problems.append("metrics section missing")
     return problems

@@ -57,9 +57,9 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import GPUConfig
 from repro.gpu.instruction import (
-    ComputeInstruction,
     MemoryInstruction,
     WarpTrace,
+    compute_instruction,
 )
 from repro.gpu.tbc.blocks import Region, ThreadBlock
 from repro.prof import profiler as _prof
@@ -344,7 +344,7 @@ class Workload:
                     else:
                         jitter = 0
                     instructions.append(
-                        ComputeInstruction(latency=max(1, base_latency + jitter))
+                        compute_instruction(max(1, base_latency + jitter))
                     )
                     if len(instructions) >= count:
                         break

@@ -194,3 +194,21 @@ def test_event_matches_cycle_under_observation(name, traced, profiled, spanned):
     assert _run(config, workload, form, "event", **kwargs) == _run(
         config, workload, form, "cycle", **kwargs
     )
+
+
+@pytest.mark.parametrize(
+    "name", ["fig02-tlb-tbc", "fig11-aug", "hit-under-miss", "sec9-2mb-no-tlb"]
+)
+def test_event_matches_cycle_with_a_tiny_coalescing_memo(name, monkeypatch):
+    """Under a tiny cap the coalescing memo and its run table are
+    cleared mid-run; rebuilding entries on a miss moves no result byte."""
+    from repro.engines import event
+
+    monkeypatch.setattr(event, "_COAL_CACHE_LIMIT", 4)
+    monkeypatch.setattr(event, "_COAL_CACHES", {})
+    monkeypatch.setattr(event, "_RUNS", {})
+    config, workload, form = GOLDENS[name]
+    kwargs = dict(spanned=True)
+    assert _run(config, workload, form, "event", **kwargs) == _run(
+        config, workload, form, "cycle", **kwargs
+    )

@@ -40,6 +40,10 @@ class TestBenchCli:
         assert "simulate" in figure["phases"]
         assert "tlb_lookup" in figure["phases"]
         assert report["totals"]["peak_rss_kb"] > 0
+        memos = report["totals"]["memo_entries"]
+        assert set(memos) == {"build", "coalesce", "tbc_trace", "vpn_order"}
+        assert memos["build"] > 0 and memos["coalesce"] > 0
+        assert "memo entries build" in first
         assert report["metrics"]  # registry snapshot is populated
 
     def test_observed_column_records_overhead(self, tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -65,6 +66,24 @@ class TestValidate:
         problems = benchfile.validate(report)
         assert any("cells_per_s" in p for p in problems)
         assert any("self_s" in p for p in problems)
+
+    def test_memo_entries_are_optional_counts(self):
+        report = make_report()
+        assert benchfile.validate(report) == []  # BENCH_1-7 have none
+        report["totals"]["memo_entries"] = {"build": 12, "coalesce": 0}
+        assert benchfile.validate(report) == []
+        for bad in ({"coalesce": -1}, {"coalesce": "12"}, [12]):
+            report["totals"]["memo_entries"] = bad
+            assert any(
+                "memo_entries" in p for p in benchfile.validate(report)
+            )
+
+    def test_committed_reports_still_validate(self):
+        root = pathlib.Path(__file__).resolve().parents[2]
+        paths = benchfile.bench_paths(root)
+        assert paths
+        for path in paths:
+            assert benchfile.validate(json.loads(path.read_text())) == []
 
     def test_missing_sections_flagged(self):
         problems = benchfile.validate({})

@@ -97,6 +97,29 @@ class TestTraceMaterialization:
                     origin = instr.origins[lane]
                     assert addr == 0x1000 * (origin + 1)
 
+    def test_formed_warps_share_instruction_parts(self):
+        """A formed warp's memory instructions hold one interned origins
+        tuple, and compute instructions of one latency are one object:
+        the TBC trace memo's footprint depends on it."""
+        program = (("c", 3), ("m",), ("c", 3), ("m",))
+        region = Region(
+            path_programs={0: program},
+            thread_paths=(0,) * 12,
+            thread_addresses={tid: (0x1000 * tid, 0x2000 * tid) for tid in range(12)},
+        )
+        block = ThreadBlock(block_id=0, num_warps=3, warp_width=4, regions=[region])
+        traces = form_region_warps(block, 0, mode="tbc")
+        computes = {
+            id(instr)
+            for trace in traces
+            for instr in trace.instructions
+            if not isinstance(instr, MemoryInstruction)
+        }
+        assert len(computes) == 1
+        for trace in traces:
+            first, second = trace.instructions[1], trace.instructions[3]
+            assert first.origins is second.origins
+
     def test_tlb_tbc_requires_cpm(self):
         block = make_block([0] * 12)
         try:

@@ -166,6 +166,16 @@ class TestSharedAddresses:
                             assert seen.setdefault(addr, addr) is addr
         assert len(seen) > 1
 
+    def test_equal_compute_instructions_are_one_object(self):
+        work = small_workload().build_linear(small_config(num_cores=2))
+        seen = {}
+        for traces in work:
+            for trace in traces:
+                for instr in trace.instructions:
+                    if not isinstance(instr, MemoryInstruction):
+                        assert seen.setdefault(instr.latency, instr) is instr
+        assert len(seen) > 1
+
     def test_single_page_instruction_reuses_the_row(self):
         work = small_workload(page_div_mean=1.0).build_linear(small_config())
         rows = {}
