@@ -3,8 +3,9 @@
 The shader core's issue loop is a strategy: the **cycle** engine is the
 faithful reference loop (the oracle the event engine is differenced
 against), the **event** engine replays the identical decision sequence
-with event-driven mechanics — skipping dead time via a next-event scan
-and coalescing each memory instruction once, memoized by identity — and
+with event-driven mechanics — skipping dead time via a next-event scan,
+keeping ready warps in sorted lists, and coalescing each distinct
+lane-address tuple once, memoized by content — and
 is byte-identical to the cycle engine on every simulated quantity.
 Both run every observer natively (tracing, spans, interval sampling,
 profiling); ``tests/engines`` pins that they agree under each one.

@@ -7,18 +7,22 @@ identical decision sequence with cheaper mechanics and produces results
 (CoreStats, result JSON, spans, traces) indistinguishable from the
 cycle engine's.  Three mechanical changes carry the speedup:
 
-- **No per-iteration rebuild.**  The cycle loop re-filters the live-warp
-  list and re-allocates candidate wrappers every iteration; here live
-  warps are split into a ready list (scanned for candidates) and a
-  ready-time heap (drained as the clock advances), so each iteration
-  touches only the warps that could actually issue, and round-robin
-  selection is inlined.
+- **No per-iteration scan.**  The cycle loop re-filters the live-warp
+  list and re-allocates candidate wrappers every iteration; here a
+  waiting warp sits in a ready-time heap (drained as the clock
+  advances) and a ready one in one of two sorted ready lists, split by
+  whether a blocking TLB holds it back (its next instruction is a
+  memory one).  Items are ``(key, seq, entry, candidate)``: ``key`` is
+  the warp id under round robin, which then picks by bisection, and 0
+  otherwise, so every other policy gets its candidate list, built once
+  per item, in creation order; a blocked TLB's candidates are simply
+  the first list.
 
-- **Memoized coalescing.**  Each memory instruction is coalesced once,
-  when its warp enters the live list, and the result is memoized by its
-  lane-address tuple, so equal lanes — in a later cell, another build,
-  or a warp TBC forms afresh — coalesce nothing twice.  An entry keeps
-  only the pages, the line count and compact page runs.
+- **Memoized coalescing.**  A memory instruction is coalesced on its
+  first issue and the result memoized by its lane-address tuple, so
+  equal lanes — in a later cell, another build, or a warp TBC forms
+  afresh — coalesce nothing twice.  An entry keeps only the pages, the
+  line count and compact page runs.
 
 - **Inlined memory path.**  The TLB probe, L1/MSHR, L2 bank, and DRAM
   channel state transitions are replicated inline (every counter and
@@ -56,7 +60,7 @@ from heapq import heapify, heappop as _heappop, heappush as _heappush
 from typing import Dict, List, Tuple
 
 from repro.gpu.coalescer import coalesce
-from repro.gpu.instruction import ComputeInstruction, MemoryInstruction
+from repro.gpu.instruction import ComputeInstruction
 from repro.gpu.scheduler.base import (
     Candidate,
     RoundRobinScheduler,
@@ -393,70 +397,33 @@ class EventEngine(SimEngine):
             if was_collecting:
                 _gc.enable()
 
-    # -- coalescing memo -----------------------------------------------
-
-    def _precompute(self, entries) -> None:
-        """Coalesce every memory instruction in ``entries`` (live-list
-        entries; ``entry[1]`` is the trace) whose lanes are not yet
-        memoized, so ``issue_memory`` finds each one by content."""
-        memo = self._coal
-        line_bytes = self.core.line_bytes
-        page_shift = self.core.page_shift
-        for entry in entries:
-            for instr in entry[1]:
-                if (
-                    instr.__class__ is not ComputeInstruction
-                    and instr.addresses not in memo
-                ):
-                    coalesced_runs(instr.addresses, line_bytes, page_shift, memo)
+    # -- the issue loop ------------------------------------------------
 
     def _live_entries(self, warps) -> List[tuple]:
         """Live-list entries ``(warp, instructions, warp_id, n_instrs)``
-        for the unfinished ``warps``, their coalescing precomputed."""
+        for the unfinished ``warps``."""
         live: List[tuple] = []
         for w in warps:
             instrs = w.trace.instructions
             if w.pc < len(instrs):
                 live.append((w, instrs, w.trace.warp_id, len(instrs)))
-        if _prof.ENABLED:
-            _prof.begin(_prof.PHASE_COALESCE)
-        self._precompute(live)
-        if _prof.ENABLED:
-            _prof.end()
         return live
-
-    def _readiness_split(self, now: int):
-        """Split the core's live warps by readiness at ``now``.
-
-        Returns ``(ready_entries, wait_heap, next_seq)``:
-        ``ready_entries`` holds (seq, entry) pairs for warps whose
-        ready_at has passed (scanned for candidates each iteration),
-        ``wait_heap`` holds the rest as (ready_at, seq, entry) keyed by
-        ready_at (drained as the clock advances).  ``seq`` is the
-        entry's creation rank, which follows its warp's position in
-        core.warps (warps only ever append), and ready_entries stays
-        sorted by it — so candidate order is exactly the reference
-        loop's live order.  That ordering is load-bearing: TBC
-        compaction can field two live warps with the SAME hardware
-        warp_id, and every stock policy breaks such ties by
-        candidate-list position.
-        """
-        ready_entries: List[tuple] = []
-        wait_heap: List[tuple] = []
-        live = self._live_entries(self.core.warps)
-        for seq, entry in enumerate(live):
-            ready_at = entry[0].ready_at
-            if ready_at > now:
-                wait_heap.append((ready_at, seq, entry))
-            else:
-                ready_entries.append((seq, entry))
-        heapify(wait_heap)
-        return ready_entries, wait_heap, len(live)
-
-    # -- the issue loop ------------------------------------------------
 
     def _loop(self, poll) -> int:
         """Event-driven replay of the reference loop's decisions.
+
+        A live warp waits in ``wait_heap`` as ``(ready_at, seq, entry)``
+        and, once the clock reaches its ``ready_at``, moves to a ready
+        list as ``(key, seq, entry, candidate)``.  ``seq`` is the entry's
+        creation rank, which follows its warp's position in core.warps
+        (warps only ever append), so a list sorted by ``(key, seq)`` with
+        ``key`` 0 is in the reference loop's live order.  That ordering
+        is load-bearing: TBC compaction can field two live warps with
+        the SAME hardware warp_id, and every stock policy breaks such
+        ties by candidate-list position.  ``held`` takes the warps a
+        blocking TLB holds back (their next instruction is a memory one)
+        and ``ready`` the rest, so while the TLB resolves its misses the
+        candidates are exactly ``ready``.
 
         The loop-top clock sequence is exactly the reference loop's
         (every iteration either issues or jumps, 1:1), so the trace
@@ -486,8 +453,21 @@ class EventEngine(SimEngine):
         profiled = _prof.ENABLED
         warps = core.warps
         issue_memory = self._build_issue_memory(traced, profiled)
-        cand_cache: Dict[int, Candidate] = {}
-        ready_entries, wait_heap, seq = self._readiness_split(now)
+        # Candidate is frozen: one per (warp id, is_memory), at index
+        # ``warp_id << 1 | is_memory``.
+        cands = [
+            Candidate(warp_id, is_memory)
+            for warp_id in range(num_warps)
+            for is_memory in (False, True)
+        ]
+        ready: List[tuple] = []
+        held: List[tuple] = []
+        wait_heap = [
+            (entry[0].ready_at, seq, entry)
+            for seq, entry in enumerate(self._live_entries(warps))
+        ]
+        heapify(wait_heap)
+        seq = len(wait_heap)
 
         while True:
             if poll is not None:
@@ -498,98 +478,96 @@ class EventEngine(SimEngine):
             if sampler is not None and now >= sampler._next:
                 sampler.maybe_sample(now, core.stats)
             while wait_heap and wait_heap[0][0] <= now:
-                item = _heappop(wait_heap)
-                _insort(ready_entries, (item[1], item[2]))
-            chosen = None
-            n_cands = 0
-            if not ready_entries:
-                if not wait_heap:
-                    break
-                min_wait = wait_heap[0][0]
-            else:
-                min_wait = wait_heap[0][0] if wait_heap else -1
-                if blocking and now < core.tlb_blocked_until:
-                    # The reference loop's candidates: memory warps are
-                    # held back while a blocking TLB resolves its misses.
-                    pool = [
-                        pair
-                        for pair in ready_entries
-                        if pair[1][1][pair[1][0].pc].__class__
-                        is ComputeInstruction
-                    ]
-                else:
-                    pool = ready_entries
-                n_cands = len(pool)
-                if not n_cands:
-                    pass
-                elif rr:
-                    # Inline round robin: min() by distance over the
-                    # live-ordered candidates; a strict-< scan matches
-                    # min()'s first-of-equals tie-break (TBC can
-                    # duplicate warp ids).
-                    best = 0
-                    if n_cands > 1:
-                        nxt = sched._next
-                        best_key = num_warps
-                        idx = 0
-                        for pair in pool:
-                            key = (pair[1][2] - nxt) % num_warps
-                            if key < best_key:
-                                best_key = key
-                                best = idx
-                            idx += 1
-                    chosen = pool[best]
-                    chosen_id = chosen[1][2]
-                    sched._next = (chosen_id + 1) % num_warps
-                else:
-                    # Every other policy: the real select() with the
-                    # reference loop's exact candidate list and in-flight
-                    # flag; it may throttle (return None).  Candidate is
-                    # frozen, so per-(warp, is_memory) instances are
-                    # built once and reused.
-                    if profiled:
-                        _prof.begin(_prof.PHASE_WARP_SCHED)
-                    cand_list = []
-                    for pair in pool:
-                        entry = pair[1]
-                        warp_id = entry[2]
-                        key = (warp_id << 1) | isinstance(
-                            entry[1][entry[0].pc], MemoryInstruction
-                        )
-                        candidate = cand_cache.get(key)
-                        if candidate is None:
-                            candidate = cand_cache[key] = Candidate(
-                                warp_id, bool(key & 1)
-                            )
-                        cand_list.append(candidate)
-                    chosen_id = sched.select(cand_list, now, min_wait >= 0)
-                    if profiled:
-                        _prof.end()
-                    if chosen_id is not None:
-                        for chosen in pool:
-                            if chosen[1][2] == chosen_id:
-                                break
-                        else:  # the reference's next() raises too
-                            raise LookupError(
-                                f"scheduler chose non-candidate {chosen_id}"
-                            )
-                if traced and n_cands:
-                    # The decision event the reference loop emits after
-                    # its select() call (a throttle included).
-                    record(
-                        (
-                            _ev.SCHEDULER_DECISION,
-                            now,
-                            core_id,
-                            "sched",
-                            None,
-                            {
-                                "policy": policy,
-                                "chosen": chosen_id,
-                                "candidates": n_cands,
-                            },
-                        )
+                _, item_seq, entry = _heappop(wait_heap)
+                if rr:
+                    item = (entry[2], item_seq, entry, None)
+                    hold = (
+                        blocking
+                        and entry[1][entry[0].pc].__class__ is not ComputeInstruction
                     )
+                else:
+                    is_memory = (
+                        entry[1][entry[0].pc].__class__ is not ComputeInstruction
+                    )
+                    item = (0, item_seq, entry, cands[entry[2] << 1 | is_memory])
+                    hold = blocking and is_memory
+                _insort(held if hold else ready, item)
+            min_wait = wait_heap[0][0] if wait_heap else -1
+            # Held warps are candidates too once the blocking TLB has
+            # resolved (``held`` is empty without a blocking TLB).
+            both = held and now >= core.tlb_blocked_until
+            n_cands = len(ready) + len(held) if both else len(ready)
+            chosen = None
+            if not n_cands:
+                if min_wait < 0 and not held:
+                    break
+            elif rr:
+                # Round robin: min() by distance from sched._next, which
+                # is the first warp id at or after it, wrapping; equal
+                # ids go in seq order, min()'s first-of-equals.  A list
+                # sorted by (warp id, seq) yields it by one bisection.
+                nxt = sched._next
+                probe = (nxt,)
+                source = ready
+                if ready:
+                    index = _bisect_left(ready, probe)
+                    if index == len(ready):
+                        index = 0
+                if both:
+                    other = _bisect_left(held, probe)
+                    if other == len(held):
+                        other = 0
+                    if not ready or (
+                        (held[other][0] - nxt) % num_warps,
+                        held[other][1],
+                    ) < ((ready[index][0] - nxt) % num_warps, ready[index][1]):
+                        source, index = held, other
+                chosen = source[index]
+                chosen_id = chosen[0]
+                sched._next = (chosen_id + 1) % num_warps
+            else:
+                # Every other policy: the real select() with the
+                # reference loop's exact candidate list and in-flight
+                # flag; it may throttle (return None).
+                if both:
+                    pool = ready + held
+                    pool.sort()
+                else:
+                    pool = ready
+                if profiled:
+                    _prof.begin(_prof.PHASE_WARP_SCHED)
+                chosen_id = sched.select(
+                    [item[3] for item in pool], now, min_wait >= 0
+                )
+                if profiled:
+                    _prof.end()
+                if chosen_id is not None:
+                    for chosen in pool:
+                        if chosen[2][2] == chosen_id:
+                            break
+                    else:  # the reference's next() raises too
+                        raise LookupError(
+                            f"scheduler chose non-candidate {chosen_id}"
+                        )
+                    source = held if both and chosen[3].is_memory else ready
+                    index = _bisect_left(source, chosen)
+            if traced and n_cands:
+                # The decision event the reference loop emits after its
+                # select() call (a throttle included).
+                record(
+                    (
+                        _ev.SCHEDULER_DECISION,
+                        now,
+                        core_id,
+                        "sched",
+                        None,
+                        {
+                            "policy": policy,
+                            "chosen": chosen_id,
+                            "candidates": n_cands,
+                        },
+                    )
+                )
             if chosen is None:
                 # Nothing issues: jump to the next event.  Identical
                 # accounting to the reference loop's stall branches:
@@ -635,7 +613,7 @@ class EventEngine(SimEngine):
                             {
                                 "id": core._stall_seq,
                                 "reason": reason,
-                                "live": len(ready_entries) + len(wait_heap),
+                                "live": len(ready) + len(held) + len(wait_heap),
                             },
                         )
                     )
@@ -653,13 +631,9 @@ class EventEngine(SimEngine):
                     _prof.end()
                 now = next_event
                 continue
-            # ready_entries is sorted by the unique seq, so a filtered
-            # pool's choice is found by bisection.
-            if rr and pool is ready_entries:
-                del ready_entries[best]
-            else:
-                del ready_entries[_bisect_left(ready_entries, chosen)]
-            entry_seq, entry = chosen
+            del source[index]
+            entry_seq = chosen[1]
+            entry = chosen[2]
             warp = entry[0]
             instr = entry[1][warp.pc]
             if instr.__class__ is ComputeInstruction:
@@ -679,23 +653,16 @@ class EventEngine(SimEngine):
             warp.pc += 1
             if warp.ready_at > finish:
                 finish = warp.ready_at
-            if warp.pc >= entry[3]:
+            # Every warp re-enters through the heap; one ready by now is
+            # drained at the next loop top, before any selection.
+            if warp.pc < entry[3]:
+                _heappush(wait_heap, (warp.ready_at, entry_seq, entry))
+            else:
                 before = len(warps)
                 core._warp_retired(warp, now)
-                if len(warps) > before:
-                    for new_entry in self._live_entries(warps[before:]):
-                        ready_at = new_entry[0].ready_at
-                        if ready_at > now:
-                            _heappush(wait_heap, (ready_at, seq, new_entry))
-                        else:
-                            _insort(ready_entries, (seq, new_entry))
-                        seq += 1
-            else:
-                ready_at = warp.ready_at
-                if ready_at > now:
-                    _heappush(wait_heap, (ready_at, entry_seq, entry))
-                else:
-                    _insort(ready_entries, (entry_seq, entry))
+                for new_entry in self._live_entries(warps[before:]):
+                    _heappush(wait_heap, (new_entry[0].ready_at, seq, new_entry))
+                    seq += 1
             now += advance
             issued_total += 1
             if not measuring and issued_total >= warmup_budget:
@@ -758,9 +725,13 @@ class EventEngine(SimEngine):
         def issue_memory(warp, instr, now, warp_id, stats) -> int:
             coal = coal_cache.get(instr.addresses)
             if coal is None:
+                if profiled:
+                    _prof.begin(_prof.PHASE_COALESCE)
                 coal = coalesced_runs(
                     instr.addresses, line_bytes, page_shift, coal_cache
                 )
+                if profiled:
+                    _prof.end()
             vpns, n_lines, runs, page_runs = coal
             n_pages = len(vpns)
             stats.page_divergence_sum += n_pages

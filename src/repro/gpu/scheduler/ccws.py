@@ -13,6 +13,13 @@ reuse before the rest re-enter.
 :class:`LostLocalityScheduler` implements the scoring, decay and
 throttling shared by CCWS, TA-CCWS and TCWS; subclasses differ only in
 *which events* update scores and which granule their VTAs hold.
+
+``scores`` changes only through ``_bump``, ``_decay`` (when enough
+cycles have passed for it to act) and ``on_warp_done``, and each of
+them marks the prioritized pool stale.  ``select`` runs once per issue
+slot, far more often than scores change, so it reuses the cached pool
+until then; writing ``scores`` directly (as unit tests do to set up a
+state) is valid only before the first ``select``.
 """
 
 from __future__ import annotations
@@ -63,6 +70,8 @@ class LostLocalityScheduler(WarpScheduler):
         self.min_active_warps = min_active_warps
         self.scores: List[float] = [0.0] * num_warps
         self._done = [False] * num_warps
+        self._pool: Optional[set] = None
+        self._pool_stale = True
         self._last_decay = 0
         self._rr_next = 0
         self.throttled_cycles = 0
@@ -77,19 +86,34 @@ class LostLocalityScheduler(WarpScheduler):
         factor = 0.5 ** (elapsed / self.score_halflife)
         self.scores = [score * factor for score in self.scores]
         self._last_decay = now
+        self._pool_stale = True
 
     def _bump(self, warp_id: int, amount: float) -> None:
         self.scores[warp_id] += amount
+        self._pool_stale = True
 
     def on_warp_done(self, warp_id: int) -> None:
         self._done[warp_id] = True
         self.scores[warp_id] = 0.0
+        self._pool_stale = True
 
     # -- throttled selection -------------------------------------------
 
     def _allowed_pool(self) -> Optional[set]:
-        """The warps allowed to issue memory; None means unrestricted."""
-        total = sum(self.scores)
+        """The warps allowed to issue memory; None means unrestricted.
+
+        Cached until the scores next change (see the module docstring).
+        """
+        if self._pool_stale:
+            self._pool = self._compute_pool()
+            self._pool_stale = False
+        return self._pool
+
+    def _compute_pool(self) -> Optional[set]:
+        """The pool recomputed from the scores: the top-scoring live
+        warps, fewer the further the score sum exceeds the cutoff."""
+        scores = self.scores
+        total = sum(scores)
         if total <= self.lls_cutoff:
             return None
         live = [w for w in range(self.num_warps) if not self._done[w]]
@@ -99,7 +123,7 @@ class LostLocalityScheduler(WarpScheduler):
             self.min_active_warps,
             round(len(live) * self.lls_cutoff / total),
         )
-        live.sort(key=lambda w: self.scores[w], reverse=True)
+        live.sort(key=scores.__getitem__, reverse=True)
         return set(live[:pool_size])
 
     def select(
@@ -129,16 +153,25 @@ class LostLocalityScheduler(WarpScheduler):
                 return None
             # Nothing in flight — issuing is the only way to make progress.
             eligible = candidates
-        # Prefer high-scoring warps (most lost locality), round-robin ties.
-        chosen = max(
-            eligible,
-            key=lambda c: (
-                self.scores[c.warp_id],
-                -((c.warp_id - self._rr_next) % self.num_warps),
-            ),
-        )
-        self._rr_next = (chosen.warp_id + 1) % self.num_warps
-        return chosen.warp_id
+        # Prefer high-scoring warps (most lost locality), round-robin
+        # ties: max() by (score, -distance from _rr_next), keeping its
+        # first-of-equals.
+        scores = self.scores
+        rr_next = self._rr_next
+        num_warps = self.num_warps
+        chosen = -1
+        for candidate in eligible:
+            warp_id = candidate.warp_id
+            score = scores[warp_id]
+            distance = (warp_id - rr_next) % num_warps
+            if chosen < 0 or score > best_score or (
+                score == best_score and distance < best_distance
+            ):
+                chosen = warp_id
+                best_score = score
+                best_distance = distance
+        self._rr_next = (chosen + 1) % num_warps
+        return chosen
 
 
 class CCWSScheduler(LostLocalityScheduler):

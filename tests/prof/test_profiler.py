@@ -229,9 +229,10 @@ class TestEventSkipPhase:
         )
 
     def test_event_engine_attributes_coalescing(self):
-        """The batched coalescing precompute is its own phase, not
-        ``simulate`` self-time, and profiling it changes nothing."""
+        """Coalescing on a memo miss is its own phase, not ``simulate``
+        self-time, and profiling it changes nothing."""
         from repro.api import simulate
+        from repro.engines import event
 
         from helpers import small_config, small_workload
 
@@ -243,6 +244,9 @@ class TestEventSkipPhase:
             ).canonical_json()
 
         plain = run()
+        # The plain run filled the content-keyed memo; start the
+        # profiled run cold so it coalesces again.
+        event._COAL_CACHES.clear()
         profiler = PhaseProfiler()
         with prof.profile(profiler):
             profiled = run()
