@@ -15,8 +15,8 @@ cycle engine's.  Three mechanical changes carry the speedup:
   memory one).  Items are ``(key, seq, entry, candidate)``: ``key`` is
   the warp id under round robin, which then picks by bisection, and 0
   otherwise, so every other policy gets its candidate list, built once
-  per item, in creation order; a blocked TLB's candidates are simply
-  the first list.
+  per item, in creation order; while a blocking TLB resolves its
+  misses, the candidates are simply the list it does not hold back.
 
 - **Memoized coalescing.**  A memory instruction is coalesced on its
   first issue and the result memoized by its lane-address tuple, so
