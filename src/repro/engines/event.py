@@ -420,10 +420,12 @@ class EventEngine(SimEngine):
         ``key`` 0 is in the reference loop's live order.  That ordering
         is load-bearing: TBC compaction can field two live warps with
         the SAME hardware warp_id, and every stock policy breaks such
-        ties by candidate-list position.  ``held`` takes the warps a
-        blocking TLB holds back (their next instruction is a memory one)
-        and ``ready`` the rest, so while the TLB resolves its misses the
-        candidates are exactly ``ready``.
+        ties by candidate-list position.  ``key`` is the warp id under
+        round robin, which picks by bisection, and 0 under every other
+        policy.  ``held`` takes the warps a blocking TLB holds back
+        (their next instruction is a memory one; without a blocking TLB
+        it stays empty) and ``ready`` the rest, so while the TLB
+        resolves its misses the candidates are exactly ``ready``.
 
         The loop-top clock sequence is exactly the reference loop's
         (every iteration either issues or jumps, 1:1), so the trace
