@@ -13,9 +13,9 @@ user code — everything the README quickstart does goes through them::
 ``config`` arguments accept a :class:`repro.core.config.GPUConfig`, a
 preset name (see ``GPUConfig.preset`` / :data:`repro.core.presets.PRESETS`),
 or a zero-argument factory returning a config.  Sweeps fan cells out to
-a :mod:`repro.parallel` worker pool when ``jobs > 1``, reuse the
-content-addressed result cache when ``cache`` names a directory, and
-resume from ``checkpoint`` JSONL files — with series guaranteed
+a :mod:`repro.parallel` worker pool when ``jobs > 1`` and reuse the
+content-addressed result cache when ``cache`` names a directory, which
+is also how a killed sweep resumes — with series guaranteed
 byte-identical to a serial run.
 """
 
@@ -133,7 +133,6 @@ def sweep(
     configs: Mapping[str, ConfigLike],
     workloads: Optional[Sequence[str]] = None,
     jobs: Optional[int] = None,
-    checkpoint: Optional[str] = None,
     retries: int = 0,
     cache: Optional[str] = None,
     cache_max_mb: Optional[float] = None,
@@ -152,10 +151,11 @@ def sweep(
     series when ``baseline`` names one of the labels.
 
     ``jobs`` > 1 fans cells out to that many worker processes (series
-    stay byte-identical to a serial run); ``checkpoint`` makes the sweep
-    resumable; ``cache`` names a content-addressed result-cache
-    directory shared across sweeps and figures (``cache_max_mb`` bounds
-    its size with LRU eviction); ``timeout`` bounds each cell's
+    stay byte-identical to a serial run); ``cache`` names a
+    content-addressed result-cache directory shared across sweeps and
+    figures, which each finished cell is stored in at once, so a killed
+    sweep rerun with it resumes (``cache_max_mb`` bounds its size with
+    LRU eviction); ``timeout`` bounds each cell's
     wall-clock seconds; ``retries`` re-attempts cells that die with a
     structured simulator error; ``engine`` runs every cell on the named
     simulator core (``"event"``/``"cycle"``), overriding each config's
@@ -178,7 +178,6 @@ def sweep(
         for label, spec in configs.items()
     }
     with sweep_session(
-        checkpoint_path=checkpoint,
         cell_retries=retries,
         jobs=jobs,
         cache_dir=cache,
@@ -218,7 +217,6 @@ def figure(
     name: str,
     workloads: Optional[Sequence[str]] = None,
     jobs: Optional[int] = None,
-    checkpoint: Optional[str] = None,
     retries: int = 0,
     cache: Optional[str] = None,
     cache_max_mb: Optional[float] = None,
@@ -228,8 +226,8 @@ def figure(
 ) -> "FigureResult":
     """Regenerate one paper figure (``"fig02"`` ... ``"sec9"``).
 
-    The figure's sweep inherits ``jobs``/``checkpoint``/``cache``/
-    ``retries``/``timeout`` exactly as :func:`sweep` does, and
+    The figure's sweep inherits ``jobs``/``cache``/``retries``/
+    ``timeout`` exactly as :func:`sweep` does, and
     ``engine`` runs every cell of the figure on the named simulator
     core (``"event"``/``"cycle"``; None keeps each config's own).
     Unknown names raise ``ValueError`` listing the valid figure ids.
@@ -243,7 +241,6 @@ def figure(
             f"unknown figure {name!r}; choose from {sorted(ALL_FIGURES)}"
         )
     with sweep_session(
-        checkpoint_path=checkpoint,
         cell_retries=retries,
         jobs=jobs,
         cache_dir=cache,

@@ -31,8 +31,9 @@ def canonical_config_json(config: Any) -> str:
     Keys are emitted sorted, so the text — and anything hashed from it —
     is invariant under dataclass *field reordering*; it changes only
     when a field is added, removed, renamed, or its value differs.
-    Checkpoint cell keys and the sweep result cache both key off this
-    (``tests/parallel/test_config_hash.py`` pins the invariance).
+    Cell keys (:func:`repro.parallel.cells.key_of`) and the sweep result
+    cache both key off this (``tests/parallel/test_config_hash.py`` pins
+    the invariance).
     """
     data = dataclasses.asdict(config) if dataclasses.is_dataclass(config) else config
     return json.dumps(data, sort_keys=True, separators=(",", ":"), default=repr)
@@ -432,8 +433,9 @@ class GPUConfig:
 
         Invariant under dataclass field reordering (keys are sorted
         before hashing); two configs hash equal iff every field of every
-        nested config is equal.  Used for checkpoint cell keys and the
-        content-addressed sweep result cache.
+        nested config is equal.  Used for cell keys
+        (:func:`repro.parallel.cells.key_of`) and the content-addressed
+        sweep result cache.
         """
         return config_hash(self)
 

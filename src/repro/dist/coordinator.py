@@ -58,7 +58,7 @@ from repro.dist.protocol import (
     wire_config_hash,
 )
 from repro.obs import log as _log
-from repro.parallel.cache import ResultCache
+from repro.parallel.cache import ResultCache, cache_key
 from repro.parallel.cells import Cell, key_of, rebuild_error
 from repro.prof.registry import MetricsRegistry, REGISTRY
 from repro.serve.leases import STATE_FAILED, Lease, LeaseLedger
@@ -285,7 +285,7 @@ class DistCoordinator:
                 return self._rejected("malformed", key, retry=True)
             self.ledger.commit(live, result_json, digest=digest, worker=worker)
             if self.cache is not None:
-                self.cache.put(cell_from_wire(cell.wire), result)
+                self.cache.put(cache_key(cell_from_wire(cell.wire)), result)
             self._count("dist_results_total", "verified cell results")
             self._update_cell_gauges()
             if _log.ENABLED:

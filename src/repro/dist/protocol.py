@@ -7,7 +7,7 @@ from three canonical forms the repo already trusts:
   fields (:func:`cell_to_wire` / :func:`cell_from_wire`) — the same
   representation :func:`repro.core.config.canonical_config_json`
   journals for jobs, so a cell rebuilt on a worker hashes to the same
-  :func:`repro.harness.checkpoint.cell_key` the coordinator leased;
+  :func:`repro.parallel.cells.key_of` the coordinator leased;
 - a **result** travels as the exact ``canonical_json()`` string of the
   :class:`repro.core.results.SimulationResult` — a *string field*, not
   re-encoded JSON, so the bytes the worker hashed are the bytes the

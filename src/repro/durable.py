@@ -3,22 +3,23 @@
 Two shapes of durable file cover everything the repo keeps on disk:
 
 - an **append-only write-ahead log** (:class:`WalFile`, replayed with
-  :func:`read_wal`): the job journal, the distributed cell journal and
-  the sweep checkpoint.  Every append is flushed and fsync'd before it
-  returns, so the durable record always leads the in-memory state; a
-  crash mid-append tears at most the final line, which the next open
-  terminates (so new appends start clean) and replay drops with a
+  :func:`read_wal`): the job journal and the distributed cell journal.
+  Every append is flushed and fsync'd before it returns, so the
+  durable record always leads the in-memory state; a crash mid-append
+  tears at most the final line, which the next open terminates (so new
+  appends start clean) and replay drops with a
   :class:`RuntimeWarning`.  Size-triggered **compaction** rewrites the
   live state to a fresh segment through :func:`atomic_write` — a crash
   mid-compaction leaves the original segment untouched, and a stale
   ``<path>.*.tmp`` from such a crash is discarded at the next open.
 - a **whole file replaced atomically** (:func:`atomic_write`):
-  result-cache entries and the server's ``--port-file``.  A reader only ever sees the previous
+  result-cache entries (the store a killed sweep resumes from) and the
+  server's ``--port-file``.  A reader only ever sees the previous
   complete file or the new complete file.
 
-The module is stdlib-only on purpose: :mod:`repro.parallel` and
-:mod:`repro.harness` use it, and importing :mod:`repro.serve` from
-there would close an import cycle.
+The module is stdlib-only on purpose: :mod:`repro.parallel` uses it,
+and importing :mod:`repro.serve` from there would close an import
+cycle.
 """
 
 from __future__ import annotations
@@ -71,17 +72,15 @@ def atomic_write(path: str, text: str) -> None:
 
 
 def read_wal(
-    path: str,
-    label: str = "journal",
-    stats: Optional[Dict[str, int]] = None,
+    path: str, label: str, stats: Dict[str, int]
 ) -> Iterator[Dict[str, Any]]:
     """Yield every parseable JSON event in the WAL at ``path``.
 
     Torn lines (a crash mid-append) are dropped with a
     :class:`RuntimeWarning` naming the line — the transition a torn
     line recorded simply re-happens, but dropping one *silently* would
-    make a corrupted file indistinguishable from a clean one.  Pass a
-    ``stats`` dict to additionally count drops under ``"dropped"``.
+    make a corrupted file indistinguishable from a clean one — and
+    counted in ``stats`` under ``"dropped"``.
     """
     if not os.path.exists(path):
         return
@@ -93,8 +92,7 @@ def read_wal(
             try:
                 event = json.loads(line)
             except json.JSONDecodeError:
-                if stats is not None:
-                    stats["dropped"] = stats.get("dropped", 0) + 1
+                stats["dropped"] = stats.get("dropped", 0) + 1
                 warnings.warn(
                     f"{label} {path}: dropping truncated line {lineno} "
                     f"(crash mid-append?); the transition it recorded "
@@ -110,12 +108,11 @@ def read_wal(
 class WalFile:
     """Append-only, fsync'd JSONL write-ahead log with compaction.
 
-    Subclasses append events with :meth:`append` and may override
-    :meth:`live_events` to opt into size-triggered compaction: when an
-    append pushes the file past ``max_bytes``, the events returned by
-    :meth:`live_events` atomically replace the log
-    (:func:`atomic_write`).  ``live_events`` returning ``None`` (the
-    default) disables compaction.
+    Subclasses append events with :meth:`append` and implement
+    :meth:`live_events` for size-triggered compaction: when an append
+    pushes the file past ``max_bytes`` (None: never), the events
+    returned by :meth:`live_events` atomically replace the log
+    (:func:`atomic_write`).
     """
 
     def __init__(self, path: str, max_bytes: Optional[int] = None):
@@ -161,19 +158,14 @@ class WalFile:
 
     # -- compaction ----------------------------------------------------
 
-    def live_events(self) -> Optional[List[Dict[str, Any]]]:
-        """The minimal event list reconstructing the current state.
-
-        ``None`` (the default) means this log does not compact.
-        """
-        return None
+    def live_events(self) -> List[Dict[str, Any]]:
+        """The minimal event list reconstructing the current state."""
+        raise NotImplementedError
 
     def _compact(self) -> None:
-        events = self.live_events()
-        if events is None:
-            return
         segment = "".join(
-            json.dumps(event, sort_keys=True) + "\n" for event in events
+            json.dumps(event, sort_keys=True) + "\n"
+            for event in self.live_events()
         )
         self._file.close()
         # A crash before atomic_write's commit point leaves the old

@@ -69,7 +69,7 @@ class CellTimeout(SimulationError):
     runaway traces).  Raised by
     :func:`repro.faults.watchdog.wall_clock_guard` and handled by the
     sweep machinery exactly like any structured simulator failure:
-    retried with a perturbed seed, then recorded to the checkpoint.
+    retried with a perturbed seed, then raised with the cell named.
     """
 
 
@@ -80,10 +80,11 @@ class WorkerCrashed(SimulationError):
     is killed, OOMed or hung while running a cell, the cell re-runs
     from the start on another worker, a bounded number of times; when
     the budget runs out, the *cell* fails with this error — the sweep
-    itself continues, and the failure is recorded to the checkpoint
-    like any structured simulator error.  ``diagnostics`` carries the
-    cell key, the number of workers the cell was started on
-    (``spawns``), and the last observed exit code.
+    itself continues, every other cell finishes (and is cached, when
+    the sweep has a cache), and the error is raised like any structured
+    simulator error.
+    ``diagnostics`` carries the cell key, the number of workers the cell
+    was started on (``spawns``), and the last observed exit code.
     """
 
 

@@ -14,7 +14,7 @@ utilization for page divergence, which nets out ahead (Figure 22).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.gpu.instruction import MemoryInstruction, WarpTrace, compute_instruction
 from repro.gpu.tbc.blocks import Region, ThreadBlock
@@ -92,10 +92,13 @@ def compact_region(
 _TRACE_CACHE: Dict[tuple, tuple] = {}
 _TRACE_CACHE_LIMIT = 100_000
 
-#: Interned per-lane origins tuples (value -> itself): every memory
-#: instruction of a formed warp, and every formed warp with the same
-#: lane-to-original-warp layout, shares one.  Capped like _TRACE_CACHE.
-_ORIGINS: Dict[tuple, tuple] = {}
+#: Interned parts of formed warps.  A per-lane origins tuple maps to
+#: itself: every memory instruction of a formed warp, and every formed
+#: warp with the same lane-to-original-warp layout, shares one.  A
+#: ``(lane addresses, origins)`` pair maps to its MemoryInstruction:
+#: formed warps repeat across regions, modes and cells, and equal
+#: instructions share one object.  Capped like _TRACE_CACHE.
+_ORIGINS: Dict[tuple, Any] = {}
 
 
 def _group_trace(
@@ -130,9 +133,13 @@ def _group_trace(
         for lane, tid in lanes.items():
             addresses[lane] = region.thread_addresses[tid][mem_index]
         mem_index += 1
-        instructions.append(
-            MemoryInstruction(addresses=tuple(addresses), origins=origins)
-        )
+        parts = (tuple(addresses), origins)
+        instruction = _ORIGINS.get(parts)
+        if instruction is None:
+            instruction = _ORIGINS[parts] = MemoryInstruction(
+                addresses=parts[0], origins=origins
+            )
+        instructions.append(instruction)
     trace = WarpTrace(
         warp_id=warp_id, instructions=instructions, block_id=block.block_id
     )

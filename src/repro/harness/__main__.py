@@ -7,8 +7,8 @@ Usage::
     python -m repro.harness fig13 --workloads bfs,kmeans
     python -m repro.harness fig07 --jobs 4
     python -m repro.harness fig10 --engine cycle
-    python -m repro.harness all --checkpoint sweep.jsonl --retries 2 \
-        --jobs 8 --cache ~/.cache/repro-sweeps
+    python -m repro.harness all --cache ~/.cache/repro-sweeps --retries 2 \
+        --jobs 8
     python -m repro.harness fig07 --json > fig07.json
     python -m repro.harness trace fig04 --out traces/
     python -m repro.harness trace bfs --tiny
@@ -24,18 +24,20 @@ Usage::
     python -m repro.harness top --url http://127.0.0.1:8750
     python -m repro.harness top --file metrics.prom --once --plain
 
-Each figure id maps to a driver in :mod:`repro.harness.figures`, run
-through the stable :mod:`repro.api` facade; the rendered table prints
-to stdout (``--json`` prints the figure's canonical JSON instead).
+Each figure id maps to a driver in :mod:`repro.harness.figures`; every
+figure of one invocation (all fourteen for ``all``) runs inside one
+:func:`repro.harness.experiment.sweep_session`, so a design point that
+several figures share simulates once.  The rendered table prints to
+stdout (``--json`` prints the figure's canonical JSON instead).
 
 ``--jobs N`` fans the sweep's (config, workload) cells out to N worker
 processes (default: one per CPU core); the series are byte-identical to
 a serial run.  ``--cache DIR`` enables the content-addressed result
-cache, so reruns and overlapping figures skip already-simulated cells.
-``--checkpoint`` makes a sweep resumable: each completed cell appends
-to the JSONL file as it finishes, and a rerun skips the recorded cells.
+cache, so reruns skip already-simulated cells; it also makes a sweep
+resumable, since each cell is stored the moment it finishes and a
+rerun of a killed sweep simulates only the cells that never did.
 ``--retries`` retries cells that die with a structured simulator error
-(hang, permanent walk failure) before recording the failure, and
+(hang, permanent walk failure) before failing the sweep, and
 ``--timeout`` bounds each cell's wall-clock seconds.  Unknown figure or
 workload names exit with status 2 and a message naming the valid
 choices.
@@ -49,7 +51,7 @@ attribution — where each missed translation's cycles went (see
 run (see :mod:`repro.harness.faults`); ``bench`` profiles a calibrated
 figure matrix and records a ``BENCH_<n>.json`` perf-trajectory report
 (see :mod:`repro.harness.bench`); ``chaos`` is the seeded recovery
-campaign — SIGKILLed workers, torn checkpoint files, injected faults —
+campaign — SIGKILLed workers, torn cache entries, injected faults —
 proving recovered sweeps byte-identical to clean serial runs
 (see :mod:`repro.harness.chaos`; ``chaos --server`` attacks the serve
 daemon instead — SIGKILL mid-sweep, torn journal, expired leases,
@@ -69,8 +71,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.api import figure as api_figure
 from repro.engines import available_engines
+from repro.harness.experiment import sweep_session
 from repro.harness.figures import ALL_FIGURES
 from repro.parallel.pool import default_jobs
 from repro.workloads.registry import workload_names
@@ -139,8 +141,8 @@ def main(argv=None) -> int:
         default=None,
         metavar="DIR",
         help="content-addressed result-cache directory; identical "
-        "(config, workload) cells are simulated once across figures "
-        "and reruns",
+        "(config, workload) cells are simulated once across reruns, "
+        "and a killed sweep rerun with it resumes",
     )
     parser.add_argument(
         "--cache-max-mb",
@@ -149,12 +151,6 @@ def main(argv=None) -> int:
         metavar="MB",
         help="bound the result cache's size; stores past the bound "
         "evict least-recently-used entries",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        help="JSONL checkpoint file; completed sweep cells are recorded "
-        "there and skipped on rerun",
     )
     parser.add_argument(
         "--retries",
@@ -210,24 +206,22 @@ def main(argv=None) -> int:
         )
         return 2
     jobs = args.jobs if args.jobs is not None else default_jobs()
-    for target in targets:
-        result = api_figure(
-            name=target,
-            workloads=workloads,
-            jobs=jobs,
-            checkpoint=args.checkpoint,
-            retries=args.retries,
-            cache=args.cache,
-            cache_max_mb=args.cache_max_mb,
-            timeout=args.timeout,
-            progress=jobs > 1,
-            engine=args.engine,
-        )
-        if args.json:
-            print(result.to_json(indent=2))
-        else:
-            print(result.render())
-            print()
+    with sweep_session(
+        cell_retries=args.retries,
+        jobs=jobs,
+        cache_dir=args.cache,
+        cell_timeout=args.timeout,
+        progress_stream=sys.stderr if jobs > 1 else None,
+        cache_max_mb=args.cache_max_mb,
+        engine=args.engine,
+    ):
+        for target in targets:
+            result = ALL_FIGURES[target](workloads=workloads)
+            if args.json:
+                print(result.to_json(indent=2))
+            else:
+                print(result.render())
+                print()
     return 0
 
 

@@ -11,9 +11,11 @@ faults injected mid-sweep — and verifies the recovery guarantees hold:
    every kill must land, every killed cell must have been re-run once
    per kill, and the recovered results must be byte-identical to a
    clean serial run, with no degradation warnings.
-2. **torn checkpoint** — a checkpoint with a truncated trailing line
-   must load with a warning (never raise), keep every complete entry,
-   and resume to byte-identical results.
+2. **torn cache entry** — a sweep resumed from a result cache in which
+   one entry was truncated mid-byte and another overwritten with ``{}``
+   must re-simulate exactly those cells and the never-run ones (never
+   raise), rewrite both entries, and match the clean run byte for
+   byte.
 3. **mid-sweep faults** — a poisoned cell (every page walk fails) must
    fail with its structured :class:`~repro.faults.errors.PTWError`
    while every healthy cell completes byte-identically.
@@ -61,7 +63,7 @@ from repro.core.config import GPUConfig
 from repro.engines import available_engines
 from repro.faults.config import FaultConfig
 from repro.faults.errors import PTWError, SimulationError
-from repro.harness.checkpoint import SweepCheckpoint
+from repro.parallel.cache import ResultCache, cache_key
 from repro.parallel.cells import Cell, execute_cell
 from repro.parallel.pool import SweepExecutor
 from repro.serve.client import ServeClient, ServeHTTPError
@@ -319,6 +321,18 @@ def _canonical(results) -> List[str]:
     return [result.canonical_json() for result in results]
 
 
+class _RecordingCache(ResultCache):
+    """A result cache that records the key of every store."""
+
+    def __init__(self, root: str):
+        super().__init__(root)
+        self.stored: List[str] = []
+
+    def put(self, key, result) -> None:
+        self.stored.append(key)
+        super().put(key, result)
+
+
 def run_campaign(
     *,
     seed: int = 0,
@@ -374,41 +388,39 @@ def run_campaign(
         + ("identical" if recovered == baseline else "MISMATCH"),
     )
 
-    # -- 2. torn checkpoint -------------------------------------------
+    # -- 2. torn cache entry -----------------------------------------
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-        checkpoint_path = os.path.join(tmp, "sweep.jsonl")
-        with SweepCheckpoint(checkpoint_path) as checkpoint:
-            SweepExecutor(jobs=1, checkpoint=checkpoint).run(matrix[:1])
-            complete_before = checkpoint.completed
-        with open(checkpoint_path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "torn-mid-appe')  # crash mid-append
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with SweepCheckpoint(checkpoint_path) as checkpoint:
-                kept = checkpoint.completed
-                resumed = _canonical(
-                    SweepExecutor(jobs=1, checkpoint=checkpoint).run(matrix)
-                )
-        torn_warned = any(
-            "truncated" in str(w.message) for w in caught
-        )
-        if not torn_warned:
+        part = matrix[:3]
+        SweepExecutor(jobs=1, cache=ResultCache(tmp)).run(part)
+        cache = _RecordingCache(tmp)
+        torn, emptied = cache_key(part[0]), cache_key(part[1])
+        with open(cache.path(torn), "r+b") as handle:
+            handle.truncate(os.path.getsize(cache.path(torn)) // 2)
+        with open(cache.path(emptied), "w", encoding="utf-8") as handle:
+            handle.write("{}")
+        resumed = _canonical(SweepExecutor(jobs=1, cache=cache).run(matrix))
+        keys = [cache_key(cell) for cell in matrix]
+        want = {torn, emptied} | (set(keys) - {cache_key(c) for c in part})
+        if sorted(cache.stored) != sorted(want):
             campaign.fail(
-                "torn checkpoint: the truncated line was dropped "
-                "silently (expected a warning)"
+                f"torn cache entry: re-simulated {len(cache.stored)} "
+                f"cell(s), wanted exactly the {len(want)} torn or never run"
             )
-        if kept != complete_before:
-            campaign.fail(
-                f"torn checkpoint: {complete_before} complete entries "
-                f"before the tear, {kept} after reload"
-            )
+        clean = dict(zip(keys, baseline))
+        for key in (torn, emptied):
+            with open(cache.path(key), "r", encoding="utf-8") as handle:
+                if handle.read() != clean[key]:
+                    campaign.fail(
+                        "torn cache entry: a damaged entry was not "
+                        "rewritten with the clean result"
+                    )
         if resumed != baseline:
             campaign.fail(
-                "torn checkpoint: resumed results differ from baseline"
+                "torn cache entry: resumed results differ from baseline"
             )
         campaign.step(
-            "torn checkpoint",
-            f"warned={torn_warned}, kept={kept}/{complete_before}, "
+            "torn cache entry",
+            f"re-simulated {len(cache.stored)}/{len(want)}, "
             + ("identical" if resumed == baseline else "MISMATCH"),
         )
 

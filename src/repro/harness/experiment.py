@@ -3,26 +3,29 @@
 Every figure reaches the simulator one way: its driver calls
 :func:`run_matrix`, which builds the (config, workload) cells and hands
 them to the *ambient* :class:`repro.parallel.pool.SweepExecutor`.
-Outside a session that is a serial executor with no checkpoint or
-cache.  :func:`sweep_session` (the CLI's ``--checkpoint``/
-``--retries``/``--jobs``/``--cache``/``--timeout``/``--engine`` flags,
-and the ``repro.api`` sweep and figure keywords) builds one executor
-from its arguments and installs it, with the engine every cell runs
-on, for each ``run_matrix`` call inside.
+Outside a session each call gets a fresh serial executor with no
+cache, so nothing is remembered between calls.
+:func:`sweep_session` (the CLI's ``--retries``/``--jobs``/``--cache``/
+``--timeout``/``--engine`` flags, and the ``repro.api`` sweep and figure
+keywords) builds one executor from its arguments and installs it, with
+the engine every cell runs on, for each ``run_matrix`` call inside.
 
-The executor resolves each cell from the checkpoint first, then the
-content-addressed result cache, then simulation, fanned out to the
-supervised worker pool when ``jobs > 1``.  Parallel execution is
-guaranteed to produce byte-identical results to a serial run (cells
-carry their own seeds; nothing depends on completion order).
+The executor resolves each cell by its content key: a result it
+already resolved in the session, then the content-addressed result
+cache, then simulation, fanned out to the supervised worker pool when
+``jobs > 1``.  So figures that share a design point inside one session
+(``python -m repro.harness all`` runs every figure in one) simulate it
+once.  Parallel execution is guaranteed to produce byte-identical
+results to a serial run (cells carry their own seeds; nothing depends
+on completion order).
 
 A cell that raises a structured
 :class:`repro.faults.errors.SimulationError` (hang, permanent walk
 error, wall-clock timeout) is retried up to ``cell_retries`` times —
 with the fault seed perturbed on each retry so deterministic injection
-does not simply replay the identical failure — and recorded as a
-failure if the retries are exhausted.  Rerunning the sweep skips
-completed cells and recomputes only missing or failed ones.
+does not simply replay the identical failure — and then fails the
+sweep.  Every finished cell is already in the cache, so rerunning the
+sweep with the same cache recomputes only missing or failed cells.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ from typing import (
 
 from repro.core.config import GPUConfig
 from repro.core.results import SimulationResult
-from repro.harness.checkpoint import SweepCheckpoint
 from repro.parallel.cache import ResultCache
 from repro.parallel.cells import Cell
 from repro.parallel.pool import SweepExecutor
@@ -123,13 +125,12 @@ class FigureResult:
 
 # The ambient executor and engine (None = each config's own), installed
 # by sweep_session().  run_matrix() picks them up so the per-figure
-# drivers need no signature changes to become resumable and parallel.
-_ACTIVE: Tuple[SweepExecutor, Optional[str]] = (SweepExecutor(), None)
+# drivers need no signature changes to become cached and parallel.
+_ACTIVE: Optional[Tuple[SweepExecutor, Optional[str]]] = None
 
 
 @contextlib.contextmanager
 def sweep_session(
-    checkpoint_path: Optional[str] = None,
     cell_retries: int = 0,
     jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
@@ -137,15 +138,14 @@ def sweep_session(
     progress_stream: Optional[TextIO] = None,
     cache_max_mb: Optional[float] = None,
     engine: Optional[str] = None,
-) -> Iterator[Optional[SweepCheckpoint]]:
-    """Make every :func:`run_matrix` call inside resumable/parallel.
+) -> Iterator[None]:
+    """Run every :func:`run_matrix` call inside on one executor.
+
+    The executor remembers every result it resolves, so a cell shared
+    by two calls inside the session simulates once.
 
     Parameters
     ----------
-    checkpoint_path:
-        JSONL checkpoint file; completed cells found in it are skipped,
-        new completions append to it.  None disables checkpointing but
-        still applies the other settings.
     cell_retries:
         Extra attempts per cell after a :class:`SimulationError`.
     jobs:
@@ -154,7 +154,8 @@ def sweep_session(
     cache_dir:
         Directory of the content-addressed
         :class:`repro.parallel.cache.ResultCache`; None disables
-        caching.
+        caching.  Each finished cell is stored as it completes, so a
+        killed sweep rerun with the same directory resumes.
     cell_timeout:
         Wall-clock seconds allowed per cell attempt (None/0 = unbounded).
     progress_stream:
@@ -169,9 +170,6 @@ def sweep_session(
         when :func:`run_matrix` builds its cells, before any cell runs.
     """
     global _ACTIVE
-    checkpoint = (
-        SweepCheckpoint(checkpoint_path) if checkpoint_path is not None else None
-    )
     cache = (
         ResultCache(
             cache_dir,
@@ -187,7 +185,6 @@ def sweep_session(
     previous = _ACTIVE
     executor = SweepExecutor(
         jobs=jobs,
-        checkpoint=checkpoint,
         cache=cache,
         retries=cell_retries,
         timeout=cell_timeout,
@@ -195,11 +192,9 @@ def sweep_session(
     )
     _ACTIVE = (executor, engine)
     try:
-        yield checkpoint
+        yield
     finally:
         _ACTIVE = previous
-        if checkpoint is not None:
-            checkpoint.close()
 
 
 def run_matrix(
@@ -208,7 +203,8 @@ def run_matrix(
     form: Optional[str] = None,
     miss_scale: float = TIMING_MISS_SCALE,
 ) -> Dict[str, Dict[str, SimulationResult]]:
-    """Run every (config, workload) pair on the ambient executor.
+    """Run every (config, workload) pair on the ambient executor (a
+    fresh serial one outside :func:`sweep_session`).
 
     ``configs`` maps a series label to a zero-argument config factory
     (so each cell gets a fresh config).  Returns
@@ -217,7 +213,7 @@ def run_matrix(
     serial run.  Every cell is built (and its config validated) before
     any runs.
     """
-    executor, engine = _ACTIVE
+    executor, engine = _ACTIVE or (SweepExecutor(), None)
     names = list(workloads) if workloads is not None else workload_names()
     cells: List[Cell] = []
     for label, factory in configs.items():

@@ -232,16 +232,14 @@ def fig10_ptw_scheduling(workloads: Optional[Sequence[str]] = None) -> FigureRes
     )
     # The paper also reports walk-reference elimination and walk cache
     # hit rates for the scheduled walker.
-    elim: Dict[str, float] = {}
-    ptw_hits: Dict[str, float] = {}
-    for name in names:
-        result = run_matrix(
-            {"aug": lambda: _preset("augmented", **_KW)}, workloads=[name]
-        )["aug"][name]
-        elim[name] = 100.0 * result.stats.walk_refs_eliminated_fraction
-        ptw_hits[name] = 100.0 * result.ptw_l2_hit_rate
-    figure.series["walk refs eliminated %"] = elim
-    figure.series["walk L2 hit rate %"] = ptw_hits
+    augmented = results["+ptw-scheduling"]
+    figure.series["walk refs eliminated %"] = {
+        name: 100.0 * augmented[name].stats.walk_refs_eliminated_fraction
+        for name in names
+    }
+    figure.series["walk L2 hit rate %"] = {
+        name: 100.0 * augmented[name].ptw_l2_hit_rate for name in names
+    }
     figure.notes.append(
         "Paper: 10-20 % of walk references eliminated, walk cache hit "
         "rates up 5-8 %, augmented within ~1 % of ideal."

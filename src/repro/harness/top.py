@@ -144,7 +144,6 @@ class TopView:
             "cells": {
                 "simulated": int(cells.get("simulated", 0)),
                 "cache": int(cells.get("cache", 0)),
-                "checkpoint": int(cells.get("checkpoint", 0)),
                 "failed": int(cells.get("failed", 0)),
             },
             "sweep": {
@@ -245,11 +244,9 @@ class TopView:
             )
             lines.append("")
         cells = view["cells"]
-        reused = cells["cache"] + cells["checkpoint"]
         lines.append(
-            f"cells    simulated {cells['simulated']} · reused {reused} "
-            f"(cache {cells['cache']}, checkpoint {cells['checkpoint']})"
-            f" · failed {cells['failed']}"
+            f"cells    simulated {cells['simulated']} · reused "
+            f"{cells['cache']} · failed {cells['failed']}"
         )
         sweep = view["sweep"]
         lines.append(

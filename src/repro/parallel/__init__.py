@@ -11,8 +11,9 @@ pool while keeping the output *byte-identical* to a serial run:
   by canonical config hash + workload + code-version salt, so reruns
   and overlapping figures skip already-simulated cells;
 - :mod:`repro.parallel.pool` — :class:`SweepExecutor`, the
-  checkpoint-integrated serial/parallel engine (single-writer parent,
-  spawned workers, earliest-cell failure semantics);
+  serial/parallel engine that resolves each cell by its content key
+  (memo, cache, then simulation; single-writer parent, spawned workers,
+  earliest-cell failure semantics);
 - :mod:`repro.parallel.progress` — live cells/cache/worker/ETA
   reporting through a stream and :mod:`repro.obs` events.
 

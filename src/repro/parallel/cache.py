@@ -20,6 +20,12 @@ Entries are single JSON files named by their key, written atomically
 directory can race harmlessly: the worst case is both simulating and
 one overwrite with identical bytes.  Delete the directory (or bump the
 salt) to invalidate.
+
+The cache is also how a killed sweep resumes: the executor stores each
+result the moment its cell finishes, so rerunning the sweep with the
+same directory (``--cache DIR``) simulates only the cells that never
+finished.  An entry that is missing, torn, or does not rebuild into a
+result is a miss, and the rerun simulates and rewrites it.
 """
 
 from __future__ import annotations
@@ -76,20 +82,22 @@ class ResultCache:
         self.stores = 0
         self.evictions = 0
 
-    def _path(self, key: str) -> str:
+    def path(self, key: str) -> str:
+        """Where the entry for ``key`` lives (whether or not it exists)."""
         # Two-level fan-out keeps directories small on huge campaigns.
         return os.path.join(self.root, key[:2], f"{key}.json")
 
-    def get(self, cell: Cell) -> Optional[SimulationResult]:
-        """The cached result for ``cell``, or None (counted either way)."""
-        path = self._path(cache_key(cell))
+    def get(self, key: str) -> Optional[SimulationResult]:
+        """The result stored under ``key``, or None (counted either way)."""
+        path = self.path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
             result = SimulationResult.from_json(text)
-        except (OSError, ValueError):
-            # Missing, torn, or corrupt entry: treat as a miss; a fresh
-            # simulation will overwrite it.
+        except (OSError, ValueError, TypeError):
+            # Missing, torn, or corrupt entry (including JSON that is
+            # not a result): treat as a miss; a fresh simulation will
+            # overwrite it.
             self.misses += 1
             return None
         self.hits += 1
@@ -100,9 +108,9 @@ class ResultCache:
             pass
         return result
 
-    def put(self, cell: Cell, result: SimulationResult) -> None:
-        """Store ``result`` for ``cell`` atomically."""
-        path = self._path(cache_key(cell))
+    def put(self, key: str, result: SimulationResult) -> None:
+        """Store ``result`` under ``key`` atomically."""
+        path = self.path(key)
         parent = os.path.dirname(path)
         os.makedirs(parent, exist_ok=True)
         atomic_write(path, result.canonical_json())

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.core.config import GPUConfig
+from repro.core.config import GPUConfig, config_hash
 from repro.core.results import SimulationResult
 from repro.faults import errors as _errors
 from repro.faults.errors import SimulationError
@@ -160,13 +160,24 @@ _ERROR_TYPES = {
 
 
 def key_of(cell: Cell) -> str:
-    """The cell's checkpoint identity (label, workload, config hash)."""
-    # Imported here: repro.harness imports this package (via
-    # experiment), and spawned workers import repro.parallel first.
-    from repro.harness.checkpoint import cell_key
+    """The cell's label-qualified identity, for journals and diagnostics.
 
-    return cell_key(
-        cell.label, cell.workload, cell.config, cell.form, cell.miss_scale
+    ``label|workload|cfg:<hash>|form|miss_scale``: the config enters
+    through its canonical hash (:func:`repro.core.config.config_hash`),
+    which covers every field and ignores field order, and the label
+    keeps two series running one machine apart in failure reports.  The
+    dist cell journal keys cells by it (its goldens pin the format), and
+    error diagnostics carry it as ``cell_key``.  Sweeps resolve cells by
+    content instead (:func:`repro.parallel.cache.cache_key`).
+    """
+    return "|".join(
+        [
+            cell.label,
+            cell.workload,
+            "cfg:" + config_hash(cell.config)[:24],
+            cell.form if cell.form is not None else "-",
+            repr(cell.miss_scale) if cell.miss_scale is not None else "-",
+        ]
     )
 
 
@@ -177,7 +188,7 @@ def error_payload(
     structured worker failure.
 
     The diagnostics gain the original traceback string and the cell's
-    checkpoint key (which embeds the config hash) before crossing the
+    :func:`key_of` (which embeds the config hash) before crossing the
     process boundary, so an error rebuilt in the parent still names the
     worker-side raise site and the exact cell that poisoned the sweep.
     """

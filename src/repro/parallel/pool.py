@@ -2,34 +2,42 @@
 
 :class:`SweepExecutor` runs a list of :class:`~repro.parallel.cells.Cell`
 and returns their results *in cell order*, regardless of completion
-order.  Every cell is resolved through the same three-stage pipeline:
+order.  Every cell is resolved by its content key,
+:func:`repro.parallel.cache.cache_key`, computed once per cell, from
+the first of:
 
-1. **checkpoint** — a cell already recorded in the
-   :class:`repro.harness.checkpoint.SweepCheckpoint` is reused;
+1. **memo** — a result this executor already resolved (kept for the
+   executor's lifetime, so figures sharing a design point inside one
+   :func:`repro.harness.experiment.sweep_session` simulate it once);
 2. **cache** — a content-identical simulation from any earlier sweep or
-   figure found in the :class:`repro.parallel.cache.ResultCache` is
-   reused (and recorded to the checkpoint);
+   figure found in the :class:`repro.parallel.cache.ResultCache`;
 3. **simulate** — everything else executes via
    :func:`repro.parallel.cells.execute_cell` (bounded retries with
    perturbed fault seeds, per-attempt wall-clock guard), either inline
-   or on the spawned, supervised worker pool.  The pool runs only with
-   ``jobs > 1`` and at least two pending cells: one pending cell always
-   runs inline.
+   or on the spawned, supervised worker pool.  Cells that share a key
+   simulate once: one task per key, and the others take its result.
+   The pool runs only with ``jobs > 1`` and at least two keys to
+   simulate: one always runs inline.
+
+Memo and cache hits both count as source ``cache`` in progress
+reporting.  Each simulated result is stored in the cache the moment it
+finishes, so a killed sweep resumes from the cache with every finished
+cell intact.
 
 Determinism contract: parallel and serial execution produce
 byte-identical results.  Cells are self-contained (config embeds the
 fault seed); workers are spawned, never forked (no inherited tracer or
 RNG state), and run cells back to back exactly as the serial path does;
 results return whole over each worker's pipe; and only the parent
-process ever writes the checkpoint or assembles output — so nothing can
+process ever writes the cache or assembles output — so nothing can
 depend on scheduling order or on which worker ran a cell.
 ``tests/parallel/`` pins this on real figures.
 
-Failure semantics: the serial path aborts at the first failing cell
-(recording it first), matching the pre-parallel harness.  The parallel
-path lets in-flight cells finish and record, then raises the error of
-the *earliest* failed cell — so a resume loses no completed work and
-the raised error does not depend on worker timing.
+Failure semantics: the serial path aborts at the first failing cell,
+matching the pre-parallel harness.  The parallel path lets in-flight
+cells finish and store their results, then raises the error of the
+*earliest* failed cell — so a resume loses no completed work and the
+raised error does not depend on worker timing.
 """
 
 from __future__ import annotations
@@ -37,30 +45,19 @@ from __future__ import annotations
 import os
 import time
 import warnings
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    TextIO,
-)
+from typing import Callable, Dict, List, Optional, Sequence, TextIO
 
 from repro.core.results import SimulationResult
 from repro.faults.errors import SimulationError
 from repro.parallel import progress as _progress
-from repro.parallel.cache import ResultCache
-from repro.parallel.cells import Cell, execute_cell, key_of, rebuild_error
+from repro.parallel.cache import ResultCache, cache_key
+from repro.parallel.cells import Cell, execute_cell, rebuild_error
 from repro.parallel.progress import SweepProgress
 from repro.parallel.supervisor import (
     DEFAULT_RESTART_BUDGET,
     PoolEnvironmentFailure,
     SupervisedPool,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.harness.checkpoint import SweepCheckpoint
 
 
 def default_jobs() -> int:
@@ -69,12 +66,11 @@ def default_jobs() -> int:
 
 
 class SweepExecutor:
-    """Executes sweep cells against a checkpoint, cache, and pool."""
+    """Resolves sweep cells from its memo, the result cache, or simulation."""
 
     def __init__(
         self,
         jobs: Optional[int] = None,
-        checkpoint: Optional[SweepCheckpoint] = None,
         cache: Optional[ResultCache] = None,
         retries: int = 0,
         timeout: Optional[float] = None,
@@ -83,7 +79,6 @@ class SweepExecutor:
         chaos: Optional[Callable[[SupervisedPool], None]] = None,
     ):
         self.jobs = max(1, jobs if jobs is not None else 1)
-        self.checkpoint = checkpoint
         self.cache = cache
         self.retries = max(0, retries)
         self.timeout = timeout
@@ -92,23 +87,16 @@ class SweepExecutor:
         # cell and the chaos harness's fault-injection hook.
         self.restart_budget = restart_budget
         self.chaos = chaos
+        #: Every result this executor resolved, by cache key.
+        self._resolved: Dict[str, SimulationResult] = {}
 
-    # -- lookup helpers ------------------------------------------------
-
-    def _checkpoint_lookup(self, cell: Cell) -> Optional[SimulationResult]:
-        if self.checkpoint is None:
-            return None
-        return self.checkpoint.get(key_of(cell))
-
-    def _record_ok(self, cell: Cell, result: SimulationResult) -> None:
-        if self.checkpoint is not None:
-            self.checkpoint.record(key_of(cell), result)
-
-    def _record_failure(
-        self, cell: Cell, error: SimulationError, attempts: int
-    ) -> None:
-        if self.checkpoint is not None:
-            self.checkpoint.record_failure(key_of(cell), error, attempts)
+    def _lookup(self, key: str) -> Optional[SimulationResult]:
+        found = self._resolved.get(key)
+        if found is None and self.cache is not None:
+            found = self.cache.get(key)
+            if found is not None:
+                self._resolved[key] = found
+        return found
 
     # -- execution -----------------------------------------------------
 
@@ -117,44 +105,48 @@ class SweepExecutor:
         progress = SweepProgress(
             total=len(cells), jobs=self.jobs, stream=self.progress_stream
         )
+        keys = [cache_key(cell) for cell in cells]
         results: List[Optional[SimulationResult]] = [None] * len(cells)
-        pending: List[int] = []
-        for index, cell in enumerate(cells):
-            found = self._checkpoint_lookup(cell)
-            if found is not None:
-                results[index] = found
-                progress.cell_done(
-                    _progress.SOURCE_CHECKPOINT, label=cell.describe()
-                )
+        # The first cell of each key left to simulate; later cells with
+        # that key take its result once it is resolved.
+        first: Dict[str, int] = {}
+        for index, key in enumerate(keys):
+            if key in first:
                 continue
-            if self.cache is not None:
-                cached = self.cache.get(cell)
-                if cached is not None:
-                    results[index] = cached
-                    self._record_ok(cell, cached)
-                    progress.cell_done(
-                        _progress.SOURCE_CACHE, label=cell.describe()
-                    )
-                    continue
-            pending.append(index)
+            found = self._lookup(key)
+            if found is None:
+                first[key] = index
+                continue
+            results[index] = found
+            progress.cell_done(
+                _progress.SOURCE_CACHE, label=cells[index].describe()
+            )
+        pending = list(first.values())
         if pending:
             if self.jobs <= 1 or len(pending) == 1:
-                self._run_serial(cells, pending, results, progress)
+                self._run_serial(cells, keys, pending, results, progress)
             else:
-                self._run_parallel(cells, pending, results, progress)
+                self._run_parallel(cells, keys, pending, results, progress)
+        for index, result in enumerate(results):
+            if result is None:
+                results[index] = self._resolved[keys[index]]
+                progress.cell_done(
+                    _progress.SOURCE_CACHE, label=cells[index].describe()
+                )
         progress.report(force=True)
         return results  # type: ignore[return-value]
 
     def _finish_ok(
         self,
         cell: Cell,
+        key: str,
         result: SimulationResult,
         seconds: float,
         progress: SweepProgress,
     ) -> None:
-        self._record_ok(cell, result)
+        self._resolved[key] = result
         if self.cache is not None:
-            self.cache.put(cell, result)
+            self.cache.put(key, result)
         progress.cell_done(
             _progress.SOURCE_SIMULATED,
             cell_seconds=seconds,
@@ -164,6 +156,7 @@ class SweepExecutor:
     def _run_serial(
         self,
         cells: Sequence[Cell],
+        keys: Sequence[str],
         pending: List[int],
         results: List[Optional[SimulationResult]],
         progress: SweepProgress,
@@ -176,9 +169,7 @@ class SweepExecutor:
                 result = execute_cell(
                     cell, retries=self.retries, timeout=self.timeout
                 )
-            except SimulationError as exc:
-                attempts = int(exc.diagnostics.get("attempts", self.retries + 1))
-                self._record_failure(cell, exc, attempts)
+            except SimulationError:
                 progress.cell_done(
                     _progress.SOURCE_FAILED,
                     cell_seconds=time.monotonic() - started,
@@ -187,12 +178,13 @@ class SweepExecutor:
                 raise
             results[index] = result
             self._finish_ok(
-                cell, result, time.monotonic() - started, progress
+                cell, keys[index], result, time.monotonic() - started, progress
             )
 
     def _run_parallel(
         self,
         cells: Sequence[Cell],
+        keys: Sequence[str],
         pending: List[int],
         results: List[Optional[SimulationResult]],
         progress: SweepProgress,
@@ -218,12 +210,10 @@ class SweepExecutor:
             seconds = time.monotonic() - started_at[index]
             if status == "ok":
                 results[index] = payload
-                self._finish_ok(cell, payload, seconds, progress)
+                self._finish_ok(cell, keys[index], payload, seconds, progress)
                 return
-            type_name, message, diagnostics, attempts = payload
-            error = rebuild_error(type_name, message, diagnostics)
-            errors[index] = error
-            self._record_failure(cell, error, attempts)
+            type_name, message, diagnostics, _attempts = payload
+            errors[index] = rebuild_error(type_name, message, diagnostics)
             progress.cell_done(
                 _progress.SOURCE_FAILED,
                 cell_seconds=seconds,
@@ -259,6 +249,6 @@ class SweepExecutor:
             ]
             # The serial path counts these in flight again.
             progress.launched(-sum(index in started_at for index in remaining))
-            self._run_serial(cells, remaining, results, progress)
+            self._run_serial(cells, keys, remaining, results, progress)
         if errors:
             raise errors[min(errors)]

@@ -25,10 +25,10 @@ from repro.obs import events as _ev
 from repro.obs import tracer as _trace
 from repro.prof import registry as _registry
 
-#: Where a completed cell's result came from.
+#: Where a completed cell's result came from.  A result the executor
+#: already resolved earlier counts as ``cache``, like a cache entry.
 SOURCE_SIMULATED = "simulated"
 SOURCE_CACHE = "cache"
-SOURCE_CHECKPOINT = "checkpoint"
 SOURCE_FAILED = "failed"
 
 
@@ -51,7 +51,6 @@ class SweepProgress:
         self.done = 0
         self.simulated = 0
         self.cache_hits = 0
-        self.checkpoint_hits = 0
         self.failed = 0
         self.in_flight = 0
         self._started = time.monotonic()
@@ -76,8 +75,6 @@ class SweepProgress:
             self.simulated += 1
         elif source == SOURCE_CACHE:
             self.cache_hits += 1
-        elif source == SOURCE_CHECKPOINT:
-            self.checkpoint_hits += 1
         elif source == SOURCE_FAILED:
             self.failed += 1
         if self.in_flight > 0 and source in (SOURCE_SIMULATED, SOURCE_FAILED):
@@ -114,7 +111,6 @@ class SweepProgress:
                 total=self.total,
                 simulated=self.simulated,
                 cache_hits=self.cache_hits,
-                checkpoint_hits=self.checkpoint_hits,
                 failed=self.failed,
                 in_flight=self.in_flight,
             )
@@ -146,9 +142,8 @@ class SweepProgress:
 
     def _line(self) -> str:
         bits = [f"[sweep] {self.done}/{self.total} cells"]
-        reused = self.cache_hits + self.checkpoint_hits
-        if reused:
-            bits.append(f"{reused} reused")
+        if self.cache_hits:
+            bits.append(f"{self.cache_hits} reused")
         if self.failed:
             bits.append(f"{self.failed} failed")
         if self.jobs > 1:

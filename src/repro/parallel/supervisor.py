@@ -214,7 +214,7 @@ class SupervisedPool:
         ``("spawned", None)`` when a cell is first handed to a worker
         (the executor starts the cell's clock and counts it in flight),
         then once as the cell resolves (in completion order; the
-        executor records checkpoint/cache entries here).
+        executor stores cache entries here).
     """
 
     def __init__(

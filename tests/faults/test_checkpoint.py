@@ -1,8 +1,6 @@
-"""Resumable sweeps: checkpointed cells are skipped, failures retried."""
+"""Resumable sweeps: cached cells are skipped, failures retried."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -10,9 +8,10 @@ from helpers import small_config
 
 from repro.core.results import SimulationResult
 from repro.faults.errors import SimulationHang
-from repro.harness.checkpoint import SweepCheckpoint, cell_key
 from repro.harness.experiment import run_matrix, sweep_session
 from repro.parallel import cells
+from repro.parallel.cache import ResultCache, cache_key
+from repro.parallel.cells import key_of
 from repro.parallel.pool import SweepExecutor
 from repro.stats.counters import CoreStats
 
@@ -24,15 +23,15 @@ def _configs():
 
 
 def test_resumed_sweep_is_byte_identical_and_skips_simulation(tmp_path, monkeypatch):
-    path = str(tmp_path / "sweep.jsonl")
-    with sweep_session(checkpoint_path=path):
+    cache_dir = str(tmp_path / "cache")
+    with sweep_session(cache_dir=cache_dir):
         first = run_matrix(_configs(), workloads=[WORKLOAD])
     # Sabotage the simulator: a resume that re-simulated would explode.
     def _boom(*args, **kwargs):
-        raise AssertionError("cell was re-simulated despite checkpoint")
+        raise AssertionError("cell was re-simulated despite the cache")
 
     monkeypatch.setattr(cells, "simulate_cell", _boom)
-    with sweep_session(checkpoint_path=path):
+    with sweep_session(cache_dir=cache_dir):
         second = run_matrix(_configs(), workloads=[WORKLOAD])
     a = first["tiny"][WORKLOAD]
     b = second["tiny"][WORKLOAD]
@@ -40,15 +39,13 @@ def test_resumed_sweep_is_byte_identical_and_skips_simulation(tmp_path, monkeypa
 
 
 def test_distinct_configs_do_not_collide_under_one_label():
-    a = cell_key("naive", "bfs", small_config(), None, 1.0)
-    b = cell_key(
-        "naive", "bfs", small_config(warmup_instructions=7), None, 1.0
-    )
-    assert a != b
+    a = cells.Cell("naive", "bfs", small_config())
+    b = cells.Cell("naive", "bfs", small_config(warmup_instructions=7))
+    assert key_of(a) != key_of(b)
+    assert cache_key(a) != cache_key(b)
 
 
 def test_failed_cells_retry_then_record_failure(tmp_path, monkeypatch):
-    path = str(tmp_path / "sweep.jsonl")
     calls = {"n": 0}
 
     def _always_hangs(*args, **kwargs):
@@ -56,24 +53,16 @@ def test_failed_cells_retry_then_record_failure(tmp_path, monkeypatch):
         raise SimulationHang("stuck", diagnostics={"cycle": 123})
 
     monkeypatch.setattr(cells, "simulate_cell", _always_hangs)
-    with SweepCheckpoint(path) as checkpoint:
-        with pytest.raises(SimulationHang) as excinfo:
-            SweepExecutor(checkpoint=checkpoint, retries=2).run(
-                [cells.Cell("tiny", WORKLOAD, small_config())]
-            )
-        assert calls["n"] == 3  # 1 attempt + 2 retries
-        assert excinfo.value.diagnostics["attempts"] == 3
-        failures = checkpoint.failures
-    assert len(failures) == 1
-    assert failures[0]["error_type"] == "SimulationHang"
-    assert failures[0]["attempts"] == 3
-    # The failure is persisted for post-mortem...
-    lines = [json.loads(l) for l in open(path, encoding="utf-8")]
-    assert lines[-1]["status"] == "error"
-    # ...but is not treated as completed: a resume retries the cell.
-    with SweepCheckpoint(path) as resumed:
-        assert resumed.completed == 0
-        assert len(resumed.failures) == 1
+    cache = ResultCache(str(tmp_path / "cache"))
+    with pytest.raises(SimulationHang) as excinfo:
+        SweepExecutor(cache=cache, retries=2).run(
+            [cells.Cell("tiny", WORKLOAD, small_config())]
+        )
+    assert calls["n"] == 3  # 1 attempt + 2 retries
+    assert excinfo.value.diagnostics["attempts"] == 3
+    assert excinfo.value.diagnostics["series"] == "tiny"
+    # The failure is not treated as completed: a resume retries the cell.
+    assert cache.stores == 0 and len(cache) == 0
 
 
 def test_transient_failures_recover_within_retry_budget(tmp_path, monkeypatch):
@@ -90,12 +79,12 @@ def test_transient_failures_recover_within_retry_budget(tmp_path, monkeypatch):
         return healthy
 
     monkeypatch.setattr(cells, "simulate_cell", _flaky)
-    with SweepCheckpoint(str(tmp_path / "sweep.jsonl")) as checkpoint:
-        [result] = SweepExecutor(checkpoint=checkpoint, retries=2).run(
-            [cells.Cell("tiny", WORKLOAD, small_config())]
-        )
-        assert result.cycles == 10
-        assert checkpoint.completed == 1
+    cache = ResultCache(str(tmp_path / "cache"))
+    [result] = SweepExecutor(cache=cache, retries=2).run(
+        [cells.Cell("tiny", WORKLOAD, small_config())]
+    )
+    assert result.cycles == 10
+    assert cache.stores == 1 and len(cache) == 1
 
 
 def test_retries_perturb_the_fault_seed():
@@ -111,42 +100,29 @@ def test_retries_perturb_the_fault_seed():
     assert cells.reseeded(clean, 1) is clean
 
 
-def test_torn_final_line_is_dropped_with_a_warning(tmp_path):
-    path = str(tmp_path / "sweep.jsonl")
-    with sweep_session(checkpoint_path=path):
-        run_matrix(_configs(), workloads=[WORKLOAD])
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"key": "half-written')  # crash mid-append
-    with pytest.warns(RuntimeWarning, match="truncated"):
-        checkpoint = SweepCheckpoint(path)
-    try:
-        # The torn line is dropped, not fatal, and costs only itself.
-        assert checkpoint.completed == 1
-    finally:
-        checkpoint.close()
+def test_torn_cache_entry_is_resimulated_on_resume(tmp_path, monkeypatch):
+    # A crash (or a bad disk) can leave an entry truncated mid-byte: a
+    # resume treats it as a miss, simulates the cell again, rewrites
+    # the entry, and matches the clean run byte for byte.
+    cache_dir = tmp_path / "cache"
+    with sweep_session(cache_dir=str(cache_dir)):
+        first = run_matrix(_configs(), workloads=[WORKLOAD])
+    [entry] = cache_dir.glob("*/*.json")
+    clean = entry.read_text(encoding="utf-8")
+    entry.write_text(clean[: len(clean) // 2], encoding="utf-8")
+    real = cells.simulate_cell
+    calls = []
 
+    def _counts(cell, attempt=0):
+        calls.append(cell.workload)
+        return real(cell, attempt)
 
-def test_cell_recorded_after_a_torn_line_survives_the_next_open(tmp_path):
-    # A resumed sweep appends to the torn checkpoint; the first cell it
-    # records must parse on the *next* resume even though a partial
-    # line precedes it (the open terminates the torn line first).
-    path = str(tmp_path / "sweep.jsonl")
-    result = SimulationResult(
-        workload=WORKLOAD, config_description="x", cycles=10,
-        stats=CoreStats(),
+    monkeypatch.setattr(cells, "simulate_cell", _counts)
+    with sweep_session(cache_dir=str(cache_dir)):
+        second = run_matrix(_configs(), workloads=[WORKLOAD])
+    assert calls == [WORKLOAD]
+    assert entry.read_text(encoding="utf-8") == clean
+    assert (
+        second["tiny"][WORKLOAD].canonical_json()
+        == first["tiny"][WORKLOAD].canonical_json()
     )
-    with SweepCheckpoint(path) as checkpoint:
-        checkpoint.record("before-the-tear", result)
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write('{"key": "half-written')  # torn, no newline
-    with pytest.warns(RuntimeWarning, match="truncated"):
-        checkpoint = SweepCheckpoint(path)
-    with checkpoint:
-        checkpoint.record("after-the-tear", result)
-    with pytest.warns(RuntimeWarning, match="truncated"):
-        checkpoint = SweepCheckpoint(path)
-    with checkpoint:
-        assert checkpoint.completed == 2
-        recovered = checkpoint.get("after-the-tear")
-    assert recovered is not None
-    assert recovered.to_json() == result.to_json()

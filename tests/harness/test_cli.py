@@ -1,8 +1,7 @@
 """The python -m repro.harness command line."""
 
-import json
-
 from repro.harness.__main__ import main
+from repro.parallel import cells
 
 
 class TestCLI:
@@ -27,19 +26,26 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "fig04" in out and "kmeans" in out
 
-    def test_figure_with_checkpoint_resumes(self, capsys, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        args = ["fig10", "--workloads", "kmeans", "--checkpoint", path]
+    def test_figure_with_cache_resumes(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        args = ["fig10", "--workloads", "kmeans", "--jobs", "1",
+                "--cache", str(cache)]
         assert main(args) == 0
         first = capsys.readouterr().out
-        entries = [json.loads(l) for l in open(path, encoding="utf-8")]
-        assert entries and all(e["status"] == "ok" for e in entries)
-        recorded = len(entries)
-        # Rerun: all cells come from the checkpoint, output identical,
-        # no new lines appended.
+        entries = sorted(cache.glob("*/*.json"))
+        # fig10's five series, each one distinct machine.
+        assert len(entries) == 5
+        stored = {path: path.read_bytes() for path in entries}
+
+        def _boom(*args, **kwargs):
+            raise AssertionError("cell was re-simulated despite the cache")
+
+        # Rerun: all cells come from the cache, output identical, and
+        # the entries are untouched.
+        monkeypatch.setattr(cells, "simulate_cell", _boom)
         assert main(args) == 0
         assert capsys.readouterr().out == first
-        assert len(open(path, encoding="utf-8").readlines()) == recorded
+        assert {p: p.read_bytes() for p in cache.glob("*/*.json")} == stored
 
 
 class TestFaultsCLI:

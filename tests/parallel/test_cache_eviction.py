@@ -25,6 +25,10 @@ def _cell(warmup=0) -> Cell:
     )
 
 
+def _key(warmup=0) -> str:
+    return cache_key(_cell(warmup))
+
+
 def _entry_bytes(cache: ResultCache, cell: Cell) -> int:
     key = cache_key(cell)
     return os.path.getsize(os.path.join(cache.root, key[:2], f"{key}.json"))
@@ -35,60 +39,60 @@ class TestEviction:
         cache = ResultCache(str(tmp_path))
         result = cells.simulate_cell(_cell())
         for warmup in range(5):
-            cache.put(_cell(warmup), result)
+            cache.put(_key(warmup), result)
         assert len(cache) == 5 and cache.evictions == 0
 
     def test_stores_past_the_bound_evict_oldest_first(self, tmp_path):
         probe = ResultCache(str(tmp_path / "probe"))
         result = cells.simulate_cell(_cell())
-        probe.put(_cell(), result)
+        probe.put(_key(), result)
         entry_size = _entry_bytes(probe, _cell())
 
         # Room for exactly two entries; insert three.
         cache = ResultCache(str(tmp_path / "lru"), max_bytes=2 * entry_size)
         now = 1_000_000_000
         for index, warmup in enumerate((1, 2, 3)):
-            cache.put(_cell(warmup), result)
+            cache.put(_key(warmup), result)
             key = cache_key(_cell(warmup))
             path = os.path.join(cache.root, key[:2], f"{key}.json")
             # Deterministic LRU order regardless of filesystem mtime
             # granularity.
             os.utime(path, (now + index, now + index))
-        cache.put(_cell(4), result)
+        cache.put(_key(4), result)
         assert cache.evictions >= 1
-        assert cache.get(_cell(1)) is None  # oldest went first
-        assert cache.get(_cell(4)) is not None  # newest never evicted
+        assert cache.get(_key(1)) is None  # oldest went first
+        assert cache.get(_key(4)) is not None  # newest never evicted
         assert cache.total_bytes() <= 2 * entry_size
 
     def test_get_touches_entries_so_hot_ones_survive(self, tmp_path):
         probe = ResultCache(str(tmp_path / "probe"))
         result = cells.simulate_cell(_cell())
-        probe.put(_cell(), result)
+        probe.put(_key(), result)
         entry_size = _entry_bytes(probe, _cell())
 
         cache = ResultCache(str(tmp_path / "lru"), max_bytes=2 * entry_size)
         old = 1_000_000_000
         for index, warmup in enumerate((1, 2)):
-            cache.put(_cell(warmup), result)
+            cache.put(_key(warmup), result)
             key = cache_key(_cell(warmup))
             path = os.path.join(cache.root, key[:2], f"{key}.json")
             os.utime(path, (old + index, old + index))
         # Hit entry 1 (the older by mtime): the touch must promote it
         # past entry 2, so the next eviction takes 2 instead.
-        assert cache.get(_cell(1)) is not None
-        cache.put(_cell(3), result)
-        assert cache.get(_cell(1)) is not None
-        assert cache.get(_cell(2)) is None
+        assert cache.get(_key(1)) is not None
+        cache.put(_key(3), result)
+        assert cache.get(_key(1)) is not None
+        assert cache.get(_key(2)) is None
 
     def test_single_oversized_entry_is_kept(self, tmp_path):
         # A bound smaller than one result degrades to holding exactly
         # the latest entry, never to thrashing an empty directory.
         cache = ResultCache(str(tmp_path), max_bytes=1)
         result = cells.simulate_cell(_cell())
-        cache.put(_cell(1), result)
-        assert cache.get(_cell(1)) is not None
-        cache.put(_cell(2), result)
-        assert cache.get(_cell(2)) is not None
+        cache.put(_key(1), result)
+        assert cache.get(_key(1)) is not None
+        cache.put(_key(2), result)
+        assert cache.get(_key(2)) is not None
         assert len(cache) == 1  # entry 1 was evicted, 2 kept
 
 
@@ -104,19 +108,19 @@ def _hammer(root, max_bytes, result_json, lane, rounds, failures):
         result = SimulationResult.from_json(result_json)
         for round_index in range(rounds):
             for warmup in range(4):
-                cell = _cell(warmup)
-                cache.put(cell, result)
+                key = _key(warmup)
+                cache.put(key, result)
                 # Reads must only ever see a complete entry or a miss —
                 # never a torn file (atomic temp+rename) — no matter
                 # what the other writers/evictors are doing.
-                restored = cache.get(cell)
+                restored = cache.get(key)
                 if restored is not None:
                     if restored.canonical_json() != result_json:
                         failures.put(
                             f"lane {lane}: torn read at round {round_index}"
                         )
                         return
-            cache.get(_cell(lane % 4))
+            cache.get(_key(lane % 4))
     except BaseException as exc:  # noqa: BLE001 — report, don't hang
         failures.put(f"lane {lane}: {type(exc).__name__}: {exc}")
 
@@ -126,7 +130,7 @@ class TestConcurrentWriters:
         result = cells.simulate_cell(_cell())
         result_json = result.canonical_json()
         probe = ResultCache(str(tmp_path / "probe"))
-        probe.put(_cell(), result)
+        probe.put(_key(), result)
         entry_size = _entry_bytes(probe, _cell())
 
         root = str(tmp_path / "shared")
@@ -162,9 +166,9 @@ class TestConcurrentWriters:
         assert leftovers == []
         cache = ResultCache(root, max_bytes=max_bytes)
         for warmup in range(4):
-            restored = cache.get(_cell(warmup))
+            restored = cache.get(_key(warmup))
             assert restored is None or (
                 restored.canonical_json() == result_json
             )
-        cache.put(_cell(9), result)
+        cache.put(_key(9), result)
         assert cache.total_bytes() <= max_bytes

@@ -1,4 +1,4 @@
-"""Canonical config hashing: the identity under checkpoint/cache keys."""
+"""Canonical config hashing: the identity under cell and cache keys."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import json
 from helpers import small_config
 
 from repro.core.config import GPUConfig, canonical_config_json, config_hash
-from repro.harness.checkpoint import cell_key
+from repro.parallel.cells import Cell, key_of
 
 
 def test_hash_ignores_field_order():
@@ -54,15 +54,17 @@ def test_stable_hash_method_matches_module_function():
 
 def test_cell_key_uses_the_hash_not_the_description():
     config = small_config()
-    key = cell_key("naive", "bfs", config, None, 1.0)
-    assert "cfg:" + config_hash(config)[:24] in key
+    key = key_of(Cell("naive", "bfs", config))
+    assert key == "naive|bfs|cfg:" + config_hash(config)[:24] + "|-|1.0"
     assert config.describe() not in key
 
 
 def test_cell_key_distinguishes_labels_and_workloads():
     config = small_config()
-    assert cell_key("a", "bfs", config) != cell_key("b", "bfs", config)
-    assert cell_key("a", "bfs", config) != cell_key("a", "kmeans", config)
+    assert key_of(Cell("a", "bfs", config)) != key_of(Cell("b", "bfs", config))
+    assert key_of(Cell("a", "bfs", config)) != key_of(
+        Cell("a", "kmeans", config)
+    )
 
 
 def test_preset_builds_named_design_points():

@@ -1,7 +1,9 @@
-"""SweepExecutor: ordering, resume, failures."""
+"""SweepExecutor: ordering, resume, one simulation per content key,
+failures."""
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -10,11 +12,13 @@ from helpers import small_config
 
 from repro.faults.config import FaultConfig
 from repro.faults.errors import PTWError, SimulationError, SimulationHang
-from repro.harness.checkpoint import SweepCheckpoint
 from repro.harness.experiment import run_matrix, sweep_session
+from repro.obs import log as _log
 from repro.parallel import cells, pool
+from repro.parallel.cache import ResultCache
 from repro.parallel.cells import Cell
 from repro.parallel.pool import SweepExecutor
+from repro.prof.registry import REGISTRY
 
 WORKLOADS = ["bfs", "kmeans"]
 
@@ -65,7 +69,9 @@ def test_parallel_progress_counts_and_times_only_running_cells(monkeypatch):
             super().cell_done(source, cell_seconds, label)
 
     monkeypatch.setattr(pool, "SweepProgress", _Recording)
-    matrix = [_cell(f"c{index}") for index in range(4)]
+    matrix = [
+        _cell(f"c{index}", warmup_instructions=index) for index in range(4)
+    ]
     started = time.monotonic()
     SweepExecutor(jobs=2).run(matrix)
     wall = time.monotonic() - started
@@ -74,22 +80,27 @@ def test_parallel_progress_counts_and_times_only_running_cells(monkeypatch):
     assert sum(timed) <= 2 * wall
 
 
-def test_parallel_sweep_populates_checkpoint_and_cache(tmp_path):
-    checkpoint_path = str(tmp_path / "sweep.jsonl")
+def test_parallel_sweep_populates_the_cache(tmp_path, monkeypatch):
     matrix = [_cell("a", "bfs"), _cell("a", "kmeans")]
-    with SweepCheckpoint(checkpoint_path) as checkpoint:
-        SweepExecutor(jobs=2, checkpoint=checkpoint).run(matrix)
-        assert checkpoint.completed == 2
-    # A fresh executor resolves everything from the checkpoint alone.
-    with SweepCheckpoint(checkpoint_path) as resumed:
-        executor = SweepExecutor(jobs=2, checkpoint=resumed)
-        results = executor.run(matrix)
-    assert all(r is not None for r in results)
+    first = SweepExecutor(jobs=2, cache=ResultCache(str(tmp_path))).run(matrix)
+    cache = ResultCache(str(tmp_path))
+    assert len(cache) == 2
+
+    def _boom(*args, **kwargs):
+        raise AssertionError("cell was re-simulated despite the cache")
+
+    # A fresh executor resolves everything from the cache alone.
+    monkeypatch.setattr(cells, "simulate_cell", _boom)
+    resumed = SweepExecutor(jobs=2, cache=cache).run(matrix)
+    assert [r.canonical_json() for r in resumed] == [
+        r.canonical_json() for r in first
+    ]
+    assert cache.hits == 2
 
 
 def test_killed_sweep_resumes_without_resimulating(tmp_path, monkeypatch):
-    """A sweep dying mid-matrix resumes from the checkpoint."""
-    path = str(tmp_path / "sweep.jsonl")
+    """A sweep dying mid-matrix resumes from the cache."""
+    cache_dir = str(tmp_path / "cache")
     configs = {"tiny": lambda: small_config()}
     real = cells.simulate_cell
     seen = []
@@ -102,11 +113,11 @@ def test_killed_sweep_resumes_without_resimulating(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cells, "simulate_cell", _dies_on_second)
     with pytest.raises(SimulationHang):
-        with sweep_session(checkpoint_path=path):
+        with sweep_session(cache_dir=cache_dir):
             run_matrix(configs, workloads=WORKLOADS)
     assert seen == WORKLOADS  # first cell completed, second died
 
-    # Resume: the completed cell must come from the checkpoint.
+    # Resume: the completed cell must come from the cache.
     resumed_calls = []
 
     def _counts(cell, attempt=0):
@@ -114,34 +125,28 @@ def test_killed_sweep_resumes_without_resimulating(tmp_path, monkeypatch):
         return real(cell, attempt)
 
     monkeypatch.setattr(cells, "simulate_cell", _counts)
-    with sweep_session(checkpoint_path=path):
+    with sweep_session(cache_dir=cache_dir):
         results = run_matrix(configs, workloads=WORKLOADS)
     assert resumed_calls == [WORKLOADS[1]]
     assert set(results["tiny"]) == set(WORKLOADS)
 
 
 def test_parallel_failure_reports_earliest_cell(tmp_path):
-    """Workers finish, failures are recorded, earliest error raised."""
+    """Workers finish, healthy cells are cached, earliest error raised."""
     matrix = [
         Cell(label="bad-a", workload="bfs", config=_faulty_config()),
         _cell("good", "kmeans"),
         Cell(label="bad-b", workload="kmeans", config=_faulty_config()),
     ]
-    path = str(tmp_path / "sweep.jsonl")
-    with SweepCheckpoint(path) as checkpoint:
-        with pytest.raises(SimulationError) as excinfo:
-            SweepExecutor(jobs=2, checkpoint=checkpoint, retries=1).run(
-                matrix
-            )
-        # The raised error is the earliest failed *index*, not whichever
-        # worker happened to finish first.
-        assert excinfo.value.diagnostics["series"] == "bad-a"
-        assert isinstance(excinfo.value, PTWError)
-        failing = {f["error_type"] for f in checkpoint.failures}
-        assert failing == {"PTWError"}
-        assert len(checkpoint.failures) == 2
-        # The healthy cell was not lost to its neighbors' failures.
-        assert checkpoint.completed == 1
+    cache = ResultCache(str(tmp_path))
+    with pytest.raises(SimulationError) as excinfo:
+        SweepExecutor(jobs=2, cache=cache, retries=1).run(matrix)
+    # The raised error is the earliest failed *index*, not whichever
+    # worker happened to finish first.
+    assert excinfo.value.diagnostics["series"] == "bad-a"
+    assert isinstance(excinfo.value, PTWError)
+    # The healthy cell was not lost to its neighbors' failures.
+    assert cache.stores == 1 and len(cache) == 1
 
 
 def test_serial_failure_aborts_at_first_failing_cell(tmp_path):
@@ -149,9 +154,77 @@ def test_serial_failure_aborts_at_first_failing_cell(tmp_path):
         Cell(label="bad", workload="bfs", config=_faulty_config()),
         _cell("good", "kmeans"),
     ]
-    path = str(tmp_path / "sweep.jsonl")
-    with SweepCheckpoint(path) as checkpoint:
-        with pytest.raises(PTWError):
-            SweepExecutor(jobs=1, checkpoint=checkpoint).run(matrix)
-        assert checkpoint.completed == 0  # aborted before the good cell
-        assert len(checkpoint.failures) == 1
+    cache = ResultCache(str(tmp_path))
+    with pytest.raises(PTWError):
+        SweepExecutor(jobs=1, cache=cache).run(matrix)
+    assert len(cache) == 0  # aborted before the good cell
+
+
+def _counting_simulations(monkeypatch):
+    """Count the in-process simulations (the serial path's)."""
+    real = cells.simulate_cell
+    calls = []
+
+    def _counts(cell, attempt=0):
+        calls.append(cell.describe())
+        return real(cell, attempt)
+
+    monkeypatch.setattr(cells, "simulate_cell", _counts)
+    return calls
+
+
+def test_a_cell_shared_by_two_calls_in_one_session_simulates_once(monkeypatch):
+    calls = _counting_simulations(monkeypatch)
+    with sweep_session():
+        first = run_matrix({"a": lambda: small_config()}, workloads=["bfs"])
+        second = run_matrix(
+            {
+                "b": lambda: small_config(),
+                "c": lambda: small_config(warmup_instructions=3),
+            },
+            workloads=["bfs"],
+        )
+    assert calls == ["a/bfs", "c/bfs"]
+    assert second["b"]["bfs"] is first["a"]["bfs"]
+
+
+def test_outside_a_session_each_call_simulates_again(monkeypatch):
+    calls = _counting_simulations(monkeypatch)
+    configs = {"a": lambda: small_config()}
+    first = run_matrix(configs, workloads=["bfs"])
+    second = run_matrix(configs, workloads=["bfs"])
+    assert calls == ["a/bfs", "a/bfs"]
+    assert second["a"]["bfs"] is not first["a"]["bfs"]
+    assert (
+        second["a"]["bfs"].canonical_json()
+        == first["a"]["bfs"].canonical_json()
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_two_labels_for_one_machine_simulate_once(jobs, tmp_path, monkeypatch):
+    # Every simulation logs a run_start, in the parent or in a pool
+    # worker (workers configure the run log from the environment).
+    path = tmp_path / "run.jsonl"
+    monkeypatch.setenv("REPRO_LOG_JSONL", str(path))
+    matrix = [_cell("a", "bfs"), _cell("b", "kmeans"), _cell("c", "bfs")]
+    _log.configure_from_env()
+    try:
+        results = SweepExecutor(jobs=jobs).run(matrix)
+    finally:
+        _log.reset()
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    starts = [r for r in records if r["event"] == "run_start"]
+    assert sorted(r["workload"] for r in starts) == ["bfs", "kmeans"]
+    assert results[2] is results[0]
+
+
+def test_a_memo_hit_counts_as_a_cache_hit():
+    cache_hits = REGISTRY.counter("sweep_cells_total")
+    before = cache_hits.value(source="cache")
+    executor = SweepExecutor()
+    executor.run([_cell("a", "bfs")])
+    assert cache_hits.value(source="cache") == before
+    # Same machine, another label, a later run: resolved from the memo.
+    executor.run([_cell("b", "bfs")])
+    assert cache_hits.value(source="cache") == before + 1

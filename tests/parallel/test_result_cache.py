@@ -37,23 +37,26 @@ def test_round_trip_is_byte_identical(tmp_path):
     cache = ResultCache(str(tmp_path))
     cell = _cell()
     result = cells.simulate_cell(cell)
-    cache.put(cell, result)
-    restored = cache.get(cell)
+    cache.put(cache_key(cell), result)
+    restored = cache.get(cache_key(cell))
     assert restored is not None
     assert restored.canonical_json() == result.canonical_json()
     assert cache.hits == 1 and cache.stores == 1 and len(cache) == 1
 
 
 def test_corrupt_entry_degrades_to_a_miss(tmp_path):
+    # Torn JSON, and JSON that parses but is not a result, all miss.
     cache = ResultCache(str(tmp_path))
     cell = _cell()
-    cache.put(cell, cells.simulate_cell(cell))
     key = cache_key(cell)
+    cache.put(key, cells.simulate_cell(cell))
     path = os.path.join(cache.root, key[:2], f"{key}.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("{torn")
-    assert cache.get(cell) is None
-    assert cache.misses == 1
+    corrupt = ["{torn", "{}", "[]", "null", '{"workload": "bfs"}']
+    for text in corrupt:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        assert cache.get(key) is None, text
+    assert cache.misses == len(corrupt)
 
 
 def test_cache_hit_short_circuits_simulation(tmp_path, monkeypatch):

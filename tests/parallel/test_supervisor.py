@@ -15,8 +15,8 @@ from helpers import small_config
 from repro.core.config import GPUConfig, config_hash
 from repro.faults.config import FaultConfig
 from repro.faults.errors import PTWError, SimulationError, WorkerCrashed
-from repro.harness.checkpoint import SweepCheckpoint, cell_key
-from repro.parallel.cells import Cell
+from repro.parallel.cache import ResultCache
+from repro.parallel.cells import Cell, key_of
 from repro.parallel.pool import SweepExecutor
 from repro.obs import log as _log
 from repro.parallel import supervisor
@@ -94,31 +94,23 @@ def test_restart_budget_exhaustion_fails_the_cell_not_the_sweep(tmp_path):
         Cell("healthy", "kmeans", small_config()),
     ]
     doom = _DoomCell(0)
-    path = str(tmp_path / "sweep.jsonl")
-    with SweepCheckpoint(path) as checkpoint:
-        with pytest.raises(WorkerCrashed) as excinfo:
-            SweepExecutor(
-                jobs=2,
-                chaos=doom,
-                restart_budget=1,
-                checkpoint=checkpoint,
-            ).run(cells)
+    cache = ResultCache(str(tmp_path))
+    with pytest.raises(WorkerCrashed) as excinfo:
+        SweepExecutor(
+            jobs=2,
+            chaos=doom,
+            restart_budget=1,
+            cache=cache,
+        ).run(cells)
     error = excinfo.value
     assert isinstance(error, SimulationError)
     assert error.diagnostics["series"] == "doomed"
     assert error.diagnostics["spawns"] == 2  # initial + 1 restart
     assert error.diagnostics["exit_code"] == -signal.SIGKILL
-    assert error.diagnostics["cell_key"] == cell_key(
-        "doomed", "bfs", cells[0].config, None, 1.0
-    )
+    assert error.diagnostics["cell_key"] == key_of(cells[0])
     # The sweep itself survived: the healthy cell completed and was
-    # recorded, and the crash was recorded as a structured failure.
-    with SweepCheckpoint(path) as reloaded:
-        assert reloaded.completed == 1
-        assert any(
-            entry["error_type"] == "WorkerCrashed"
-            for entry in reloaded.failures
-        )
+    # cached, so a resume re-runs only the crashed one.
+    assert cache.stores == 1 and len(cache) == 1
 
 
 def test_poisoned_cell_reports_its_config_hash():
@@ -136,9 +128,7 @@ def test_poisoned_cell_reports_its_config_hash():
         SweepExecutor(jobs=2).run(cells)
     diagnostics = excinfo.value.diagnostics
     assert diagnostics["series"] == "poison"
-    assert diagnostics["cell_key"] == cell_key(
-        "poison", "bfs", poisoned.config, None, 1.0
-    )
+    assert diagnostics["cell_key"] == key_of(poisoned)
     assert "cfg:" + config_hash(poisoned.config)[:24] in diagnostics["cell_key"]
     # The original worker-side traceback survives the process boundary.
     assert "PTWError" in diagnostics.get("worker_traceback", "")

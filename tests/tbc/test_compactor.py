@@ -120,6 +120,27 @@ class TestTraceMaterialization:
             first, second = trace.instructions[1], trace.instructions[3]
             assert first.origins is second.origins
 
+    def test_equal_formed_instructions_are_one_object(self):
+        """Two formed warps with equal lanes and origins hold one
+        memory instruction object, across regions and formations."""
+        program = (("m",),)
+        addresses = {tid: (0x1000 * (tid // 4 + 1),) for tid in range(12)}
+        regions = [
+            Region(
+                path_programs={0: program},
+                thread_paths=(0,) * 12,
+                thread_addresses=addresses,
+            )
+            for _ in range(2)
+        ]
+        block = ThreadBlock(block_id=0, num_warps=3, warp_width=4, regions=regions)
+        first = form_region_warps(block, 0, mode="tbc")
+        second = form_region_warps(block, 1, mode="tbc")
+        assert first[0] is not second[0]
+        for a, b in zip(first, second):
+            assert a.instructions[0] == b.instructions[0]
+            assert a.instructions[0] is b.instructions[0]
+
     def test_tlb_tbc_requires_cpm(self):
         block = make_block([0] * 12)
         try:
