@@ -22,25 +22,28 @@ cycle engine's.  Three mechanical changes carry the speedup:
   first issue and the result memoized by its lane-address tuple, so
   equal lanes — in a later cell, another build, or a warp TBC forms
   afresh — coalesce nothing twice.  An entry keeps only the pages, the
-  line count and compact page runs.
+  line count, compact page runs and each page's first lane (a formed
+  warp's page owners come from it, with no lane scan).
 
 - **Inlined memory path.**  The TLB probe, L1/MSHR, L2 bank, and DRAM
-  channel state transitions are replicated inline (every counter and
-  LRU/insertion-order mutation in the exact reference order) instead of
-  crossing five method-call layers per line.
+  channel state transitions are replicated inline (every state mutation
+  in the exact reference order) instead of crossing five method-call
+  layers per line; the L1, L2 and MSHR counters are summed in locals
+  and added to their objects once per instruction.
 
 There is one issue loop (:meth:`EventEngine._loop`) and one memory path:
-an ``issue_memory`` closure, whose one line loop walks page runs, over
-a per-line ``access`` closure, both built at every ``run()`` entry.
-Observers are installed between runs, never mid-run, so each entry
-binds what is on as booleans: tracing (TraceEvents at the cycle
-engine's exact stamps and order), the interval sampler (the same
-loop-top clock visits), span recording (fills for the shared
-``_record_spans`` assembler), fault injection (shootdowns before each
-lookup batch, invalidations inside ``_fill_tlb``), and the scheduler's
-memory-side hooks — ``on_l1_access``, ``on_tlb_hit`` and
-``on_tlb_miss`` fire, and the TLB LRU depth is computed, only when the
-policy overrides the base-class no-ops (or the tracer needs the depth).  Traces, spans, histograms and
+an ``issue_memory`` closure, built at every ``run()`` entry, whose one
+line loop walks page runs and takes each line through L1, MSHR, L2 bank
+and DRAM in place, traced or not.  Observers are installed between
+runs, never mid-run, so each entry binds what is on as booleans:
+tracing (TraceEvents at the cycle engine's exact stamps and order), the
+interval sampler (the same loop-top clock visits), span recording
+(fills for the shared ``_record_spans`` assembler), fault injection
+(shootdowns before each lookup batch, invalidations inside
+``_fill_tlb``), and the scheduler's memory-side hooks —
+``on_l1_access``, ``on_tlb_hit`` and ``on_tlb_miss`` fire, and the TLB
+LRU depth is computed, only when the policy overrides the base-class
+no-ops (or the tracer needs the depth).  Traces, spans, histograms and
 interval series therefore equal the cycle engine's
 (``tests/engines/test_observers.py`` pins the raw trace streams), with
 no cycle-loop fallback anywhere.
@@ -78,12 +81,13 @@ _EMPTY_ORIGINS: Dict[int, int] = {}
 
 #: (line_bytes, page_shift) -> {lane-address tuple: coalesced entry}.
 #: Module level so a sweep's cells share the work.  An entry is
-#: ``(vpns, n_lines, runs, page_runs)``: the unique pages in first-lane
-#: order, the unique-line count, and the unique lines as ``(vpn,
+#: ``(vpns, n_lines, runs, page_runs, lanes)``: the unique pages in
+#: first-lane order, the unique-line count, the unique lines as ``(vpn,
 #: offsets)`` page runs, ``offsets`` being ``line & page_mask`` in
-#: access order.  ``runs`` follows the coalesced line order (the serial
-#: and no-TLB stages), ``page_runs`` the page order (the overlap stage);
-#: they are one object when the two orders agree.
+#: access order, and each page's first lane.  ``runs`` follows the
+#: coalesced line order (the serial and no-TLB stages), ``page_runs``
+#: the page order (the overlap stage); they are one object when the two
+#: orders agree.
 _COAL_CACHES: Dict[Tuple[int, int], Dict[tuple, tuple]] = {}
 
 #: Interned page runs, offsets tuples and offsets (value -> itself):
@@ -132,7 +136,12 @@ def coalesced_runs(addresses, line_bytes: int, page_shift: int, memo: dict):
             _run(vpn, coal.lines_by_vpn[vpn], page_mask) for vpn in coal.vpns
         )
     vpns = tuple(vpn for vpn, _ in page_runs)  # the runs' int objects
-    entry = (vpns, len(coal.lines), runs, page_runs)
+    first_lane: Dict[int, int] = {}  # page -> first lane, ``vpns`` order
+    for lane, addr in enumerate(addresses):
+        if addr is not None:
+            first_lane.setdefault(addr >> page_shift, lane)
+    lanes = _shared(tuple(first_lane.values()))
+    entry = (vpns, len(coal.lines), runs, page_runs, lanes)
     if len(memo) >= _COAL_CACHE_LIMIT:
         memo.clear()
     memo[addresses] = entry
@@ -145,227 +154,6 @@ def _hook(sched, name: str):
     if getattr(type(sched), name, None) is getattr(WarpScheduler, name):
         return None
     return getattr(sched, name)
-
-
-def _build_access(core, traced: bool):
-    """Build the per-line memory access function for one run.
-
-    An inline replica of CoreMemory.access → SharedMemory → DRAM with
-    every hot object captured in closure cells, returning the reference
-    shape ``(ready, level, evicted_line, evicted_warp)``, where ``level``
-    is the satisfying level exactly as
-    :class:`~repro.mem.hierarchy.MemAccessResult` reports it (``"l1"``,
-    ``"l1-mshr"``, ``"l2"``, ``"dram"``) — the span assembler's fill
-    components and the scheduler's hit flag both key off it.
-
-    Untraced, MSHR expiry runs the file's lazy-deletion heap walk inline.
-    Traced, it runs the file's real ``_expire`` so entries retire in
-    insertion order with MSHR_RETIRE stamped at each entry's fill time,
-    and the hierarchy's events are recorded in the reference order.  A
-    full file takes its exact earliest fill time from the first *live*
-    heap entry instead of scanning all in-flight values.
-    """
-    core_id = core.core_id
-    record = _trace.RECORD
-    mem = core.memory
-    l1 = mem.l1
-    l1_label = l1.label
-    l1_sets = l1._sets
-    l1_line = l1.line_bytes
-    l1_num_sets = l1.num_sets
-    l1_assoc = l1.associativity
-    l1_latency = mem.l1_latency
-    mshrs = mem.mshrs
-    expire = mshrs._expire
-    inflight = mshrs._inflight
-    heap = mshrs._heap
-    mshr_capacity = mshrs.capacity
-    shm = mem.shared
-    banks = shm.l2_banks
-    bank_labels = [bank.label for bank in banks]
-    first_bank = banks[0]
-    bank_line = first_bank.line_bytes
-    bank_num_sets = first_bank.num_sets
-    bank_assoc = first_bank.associativity
-    bank_busy = shm._bank_busy_until
-    icn_latency = shm.interconnect_latency
-    l2_interval = shm.l2_service_interval
-    l2_latency = shm.l2_latency
-    channels = shm.dram.channels
-    num_channels = shm.dram.num_channels
-    dram_line = shm.dram.line_bytes
-    dram_tracks = [f"dram-ch{i}" for i in range(num_channels)]
-    never = float("inf")
-
-    def access(paddr, start, warp_id):
-        index = paddr // l1_line % l1_num_sets
-        cache_set = l1_sets.get(index)
-        if cache_set is None:
-            cache_set = l1_sets[index] = {}
-        if paddr in cache_set:
-            l1.hits += 1
-            cache_set[paddr] = cache_set.pop(paddr)  # move to MRU
-            if traced:
-                record(
-                    (
-                        _ev.CACHE_ACCESS,
-                        _trace.NOW,
-                        core_id,
-                        l1_label,
-                        None,
-                        {"line": paddr, "hit": True, "warp": warp_id},
-                    )
-                )
-            mem.l1_hits += 1
-            return start + l1_latency, "l1", None, None
-        l1.misses += 1
-        ev_line = ev_warp = None
-        if len(cache_set) >= l1_assoc:
-            ev_line = next(iter(cache_set))
-            ev_warp = cache_set.pop(ev_line)
-        cache_set[paddr] = warp_id
-        mem.l1_misses += 1
-        if traced:
-            record(
-                (
-                    _ev.CACHE_ACCESS,
-                    _trace.NOW,
-                    core_id,
-                    l1_label,
-                    None,
-                    {
-                        "line": paddr,
-                        "hit": False,
-                        "warp": warp_id,
-                        "evicted": ev_line,
-                    },
-                )
-            )
-            expire(start)
-        elif start >= mshrs._min_ready:
-            while heap and heap[0][0] <= start:
-                ready, line = _heappop(heap)
-                if inflight.get(line) == ready:
-                    del inflight[line]
-            mshrs._min_ready = heap[0][0] if heap else never
-        merge_ready = inflight.get(paddr)
-        if merge_ready is not None:
-            mshrs.merges += 1
-            if traced:
-                record(
-                    (
-                        _ev.MSHR_MERGE,
-                        start,
-                        core_id,
-                        "mshr",
-                        None,
-                        {"line": paddr, "ready": merge_ready},
-                    )
-                )
-            ready = merge_ready if merge_ready > start else start + l1_latency
-            mem.total_miss_latency += ready - start
-            return ready, "l1-mshr", ev_line, ev_warp
-        if len(inflight) < mshr_capacity:
-            slot_free = start
-        else:
-            mshrs.stalls += 1
-            # Exact earliest fill among live entries: the heap top,
-            # after discarding stale (lazily deleted) entries.
-            while True:
-                ready0, line0 = heap[0]
-                if inflight.get(line0) == ready0:
-                    slot_free = ready0
-                    break
-                _heappop(heap)
-        # Shared levels: interconnect, L2 bank port, bank lookup, DRAM.
-        channel = (paddr // dram_line) % num_channels
-        arrive = start + icn_latency
-        busy = bank_busy[channel]
-        service_start = arrive if arrive > busy else busy
-        bank_busy[channel] = service_start + l2_interval
-        bank = banks[channel]
-        bank_index = paddr // bank_line % bank_num_sets
-        bank_sets = bank._sets
-        bank_set = bank_sets.get(bank_index)
-        if bank_set is None:
-            bank_set = bank_sets[bank_index] = {}
-        if paddr in bank_set:
-            bank.hits += 1
-            bank_set[paddr] = bank_set.pop(paddr)
-            shm.l2_hits += 1
-            shared_ready = service_start + l2_latency
-            level = "l2"
-        else:
-            bank.misses += 1
-            bank_evicted = None
-            if len(bank_set) >= bank_assoc:
-                bank_evicted = next(iter(bank_set))
-                del bank_set[bank_evicted]
-            bank_set[paddr] = None
-            shm.l2_misses += 1
-            dram_channel = channels[channel]
-            dram_now = service_start + l2_latency
-            dram_busy = dram_channel.busy_until
-            dram_start = dram_now if dram_now >= dram_busy else dram_busy
-            dram_channel.total_queue_delay += dram_start - dram_now
-            dram_channel.busy_until = dram_start + dram_channel.service_interval
-            dram_channel.requests += 1
-            shared_ready = dram_start + dram_channel.access_latency + icn_latency
-            level = "dram"
-        ready = slot_free + l1_latency
-        if shared_ready > ready:
-            ready = shared_ready
-        if traced:
-            # The shared levels' events, the retirements up to the
-            # allocating cycle, then the allocation (which counts the
-            # new entry, inserted just below).
-            args = {"line": paddr, "hit": level == "l2", "warp": None}
-            if level == "dram":
-                args["evicted"] = bank_evicted
-            record(
-                (_ev.CACHE_ACCESS, _trace.NOW, core_id, bank_labels[channel], None, args)
-            )
-            if level == "dram":
-                record(
-                    (
-                        _ev.DRAM_ACCESS,
-                        dram_start,
-                        core_id,
-                        dram_tracks[channel],
-                        dram_channel.access_latency,
-                        {"line": paddr, "queued": dram_start - dram_now},
-                    )
-                )
-            expire(slot_free)
-            record(
-                (
-                    _ev.MSHR_ALLOC,
-                    slot_free,
-                    core_id,
-                    "mshr",
-                    None,
-                    {
-                        "line": paddr,
-                        "ready": ready,
-                        "outstanding": len(inflight) + 1,
-                    },
-                )
-            )
-        elif slot_free >= mshrs._min_ready:
-            while heap and heap[0][0] <= slot_free:
-                ready0, line0 = _heappop(heap)
-                if inflight.get(line0) == ready0:
-                    del inflight[line0]
-            mshrs._min_ready = heap[0][0] if heap else never
-        inflight[paddr] = ready
-        _heappush(heap, (ready, paddr))
-        if ready < mshrs._min_ready:
-            mshrs._min_ready = ready
-        mshrs.allocations += 1
-        mem.total_miss_latency += ready - start
-        return ready, level, ev_line, ev_warp
-
-    return access
 
 
 class EventEngine(SimEngine):
@@ -680,19 +468,27 @@ class EventEngine(SimEngine):
         stats) -> completion``: an inline replica of
         ShaderCore._issue_memory / _issue_translated.
 
-        Every counter increment and every LRU / insertion-order /
-        busy-window mutation happens in the exact order of the reference
-        path, and so does every observation the bound flags enable:
-        scheduler memory-side hooks, TraceEvent emissions (same kinds,
-        stamps, tracks, args, and ordering as the cycle engine's), span
-        fills handed to the shared ``_record_spans`` assembler, and the
-        fault injector consulted at the reference points (shootdown
-        before the lookup batch; invalidations inside ``_fill_tlb``,
-        which runs unchanged via ``_handle_misses``, as does
-        ``on_tlb_evict``).
+        Every LRU / insertion-order / busy-window mutation happens in
+        the exact order of the reference path, and so does every
+        observation the bound flags enable: scheduler memory-side hooks,
+        TraceEvent emissions (same kinds, stamps, tracks, args, and
+        ordering as the cycle engine's), span fills handed to the shared
+        ``_record_spans`` assembler, and the fault injector consulted at
+        the reference points (shootdown before the lookup batch;
+        invalidations inside ``_fill_tlb``, which runs unchanged via
+        ``_handle_misses``, as does ``on_tlb_evict``).
+
+        One line loop replicates CoreMemory.access → SharedMemory →
+        DRAM, traced or not, and names each line's level as
+        :class:`~repro.mem.hierarchy.MemAccessResult` does (``"l1"``,
+        ``"l1-mshr"``, ``"l2"``, ``"dram"``) for the span fills and the
+        scheduler's hit flag.  The L1, L2 and MSHR counters are summed
+        in locals and added to their objects after the loop: only later
+        instructions, the measurement start and the result read them.
+        Traced, MSHR expiry runs the file's own ``_expire``, which
+        emits MSHR_RETIRE in insertion order at each fill time.
         """
         core = self.core
-        access = _build_access(core, traced)
         record = _trace.RECORD
         spanned = _spans.ENABLED
         injector = core._injector
@@ -723,6 +519,33 @@ class EventEngine(SimEngine):
         extra_latency = core.tlb_extra_latency
         tlb_blocking = tlb_cfg.enabled and tlb_cfg.blocking
         cache_overlap = tlb_cfg.cache_overlap
+        mem = core.memory
+        l1 = mem.l1
+        l1_label = l1.label
+        l1_sets = l1._sets
+        l1_line = l1.line_bytes
+        l1_num_sets = l1.num_sets
+        l1_assoc = l1.associativity
+        l1_latency = mem.l1_latency
+        mshrs = mem.mshrs
+        expire = mshrs._expire
+        inflight = mshrs._inflight
+        heap = mshrs._heap
+        mshr_capacity = mshrs.capacity
+        shm = mem.shared
+        banks = shm.l2_banks
+        bank_labels = [bank.label for bank in banks]
+        bank_line = banks[0].line_bytes
+        bank_num_sets = banks[0].num_sets
+        bank_assoc = banks[0].associativity
+        bank_busy = shm._bank_busy_until
+        icn_latency = shm.interconnect_latency
+        l2_interval = shm.l2_service_interval
+        l2_latency = shm.l2_latency
+        channels = shm.dram.channels
+        num_channels = shm.dram.num_channels
+        dram_line = shm.dram.line_bytes
+        dram_tracks = [f"dram-ch{i}" for i in range(num_channels)]
 
         def issue_memory(warp, instr, now, warp_id, stats) -> int:
             coal = coal_cache.get(instr.addresses)
@@ -734,7 +557,7 @@ class EventEngine(SimEngine):
                 )
                 if profiled:
                     _prof.end()
-            vpns, n_lines, runs, page_runs = coal
+            vpns, n_lines, runs, page_runs, lanes = coal
             n_pages = len(vpns)
             stats.page_divergence_sum += n_pages
             if n_pages > stats.page_divergence_max:
@@ -790,11 +613,17 @@ class EventEngine(SimEngine):
                         )
                 if profiled:
                     _prof.begin(_prof.PHASE_TLB)
-                origins = (
-                    core._vpn_origins(instr, vpns)
-                    if instr.origins is not None
-                    else _EMPTY_ORIGINS
-                )
+                origins = _EMPTY_ORIGINS
+                if instr.origins is not None:
+                    # A TBC-formed warp: each page's original warp is its
+                    # first lane's, unless that lane has none, which the
+                    # reference map skips.
+                    lane_origins = instr.origins
+                    origins = {
+                        vpn: lane_origins[lane] for vpn, lane in zip(vpns, lanes)
+                    }
+                    if None in origins.values():
+                        origins = core._vpn_origins(instr)
                 if n_pages == 1:
                     # Single-page instruction (the common case for
                     # coalesced streams): one direct probe, no ready map.
@@ -1034,6 +863,7 @@ class EventEngine(SimEngine):
             # Cache stage, one page run at a time.  Queue state is
             # sampled in present time; the translation wait is then
             # added as a serial shift.
+            l1_hits = l1_misses = miss_latency = merges = stalls = l2_hits = 0
             for vpn, offsets in runs:
                 base = bases[vpn]
                 if page_ready is not None:
@@ -1043,7 +873,179 @@ class EventEngine(SimEngine):
                 for offset in offsets:
                     cursor += 1
                     paddr = base + offset
-                    ready, level, ev_line, ev_warp = access(paddr, cursor, warp_id)
+                    index = paddr // l1_line % l1_num_sets
+                    cache_set = l1_sets.get(index)
+                    if cache_set is None:
+                        cache_set = l1_sets[index] = {}
+                    ev_line = ev_warp = None
+                    if paddr in cache_set:
+                        l1_hits += 1
+                        cache_set[paddr] = cache_set.pop(paddr)  # move to MRU
+                        if traced:
+                            record(
+                                (
+                                    _ev.CACHE_ACCESS,
+                                    _trace.NOW,
+                                    core_id,
+                                    l1_label,
+                                    None,
+                                    {"line": paddr, "hit": True, "warp": warp_id},
+                                )
+                            )
+                        ready = cursor + l1_latency
+                        level = "l1"
+                    else:
+                        l1_misses += 1
+                        if len(cache_set) >= l1_assoc:
+                            ev_line = next(iter(cache_set))
+                            ev_warp = cache_set.pop(ev_line)
+                        cache_set[paddr] = warp_id
+                        if traced:
+                            record(
+                                (
+                                    _ev.CACHE_ACCESS,
+                                    _trace.NOW,
+                                    core_id,
+                                    l1_label,
+                                    None,
+                                    {
+                                        "line": paddr,
+                                        "hit": False,
+                                        "warp": warp_id,
+                                        "evicted": ev_line,
+                                    },
+                                )
+                            )
+                            expire(cursor)
+                        else:
+                            while heap and heap[0][0] <= cursor:
+                                del inflight[_heappop(heap)[1]]
+                        # An entry still in flight fills after cursor.
+                        ready = inflight.get(paddr)
+                        if ready is not None:
+                            merges += 1
+                            if traced:
+                                record(
+                                    (
+                                        _ev.MSHR_MERGE,
+                                        cursor,
+                                        core_id,
+                                        "mshr",
+                                        None,
+                                        {"line": paddr, "ready": ready},
+                                    )
+                                )
+                            level = "l1-mshr"
+                        else:
+                            if len(inflight) < mshr_capacity:
+                                slot_free = cursor
+                            else:
+                                stalls += 1
+                                slot_free = heap[0][0]  # the soonest fill
+                                if not traced:
+                                    # It retires, with its equals, before
+                                    # the allocation; nothing reads the
+                                    # file before then.
+                                    while heap and heap[0][0] <= slot_free:
+                                        del inflight[_heappop(heap)[1]]
+                            # Shared levels: interconnect, L2 bank port,
+                            # bank lookup, DRAM.
+                            channel = (paddr // dram_line) % num_channels
+                            arrive = cursor + icn_latency
+                            busy = bank_busy[channel]
+                            service_start = arrive if arrive > busy else busy
+                            bank_busy[channel] = service_start + l2_interval
+                            bank = banks[channel]
+                            bank_index = paddr // bank_line % bank_num_sets
+                            bank_sets = bank._sets
+                            bank_set = bank_sets.get(bank_index)
+                            if bank_set is None:
+                                bank_set = bank_sets[bank_index] = {}
+                            if paddr in bank_set:
+                                bank.hits += 1
+                                l2_hits += 1
+                                bank_set[paddr] = bank_set.pop(paddr)
+                                ready = service_start + l2_latency
+                                level = "l2"
+                            else:
+                                bank.misses += 1
+                                bank_evicted = None
+                                if len(bank_set) >= bank_assoc:
+                                    bank_evicted = next(iter(bank_set))
+                                    del bank_set[bank_evicted]
+                                bank_set[paddr] = None
+                                dram_channel = channels[channel]
+                                dram_now = service_start + l2_latency
+                                dram_busy = dram_channel.busy_until
+                                dram_start = (
+                                    dram_now if dram_now >= dram_busy else dram_busy
+                                )
+                                dram_channel.total_queue_delay += dram_start - dram_now
+                                dram_channel.busy_until = (
+                                    dram_start + dram_channel.service_interval
+                                )
+                                dram_channel.requests += 1
+                                ready = (
+                                    dram_start + dram_channel.access_latency
+                                    + icn_latency
+                                )
+                                level = "dram"
+                            if ready < slot_free + l1_latency:
+                                ready = slot_free + l1_latency
+                            if traced:
+                                # The shared levels' events, the
+                                # retirements up to the allocating cycle,
+                                # then the allocation (which counts the
+                                # new entry, inserted just below).
+                                args = {
+                                    "line": paddr,
+                                    "hit": level == "l2",
+                                    "warp": None,
+                                }
+                                if level == "dram":
+                                    args["evicted"] = bank_evicted
+                                record(
+                                    (
+                                        _ev.CACHE_ACCESS,
+                                        _trace.NOW,
+                                        core_id,
+                                        bank_labels[channel],
+                                        None,
+                                        args,
+                                    )
+                                )
+                                if level == "dram":
+                                    record(
+                                        (
+                                            _ev.DRAM_ACCESS,
+                                            dram_start,
+                                            core_id,
+                                            dram_tracks[channel],
+                                            dram_channel.access_latency,
+                                            {
+                                                "line": paddr,
+                                                "queued": dram_start - dram_now,
+                                            },
+                                        )
+                                    )
+                                expire(slot_free)
+                                record(
+                                    (
+                                        _ev.MSHR_ALLOC,
+                                        slot_free,
+                                        core_id,
+                                        "mshr",
+                                        None,
+                                        {
+                                            "line": paddr,
+                                            "ready": ready,
+                                            "outstanding": len(inflight) + 1,
+                                        },
+                                    )
+                                )
+                            inflight[paddr] = ready
+                            _heappush(heap, (ready, paddr))
+                        miss_latency += ready - cursor
                     fill_start = available if available > cursor else cursor
                     line_end = fill_start + ready - cursor
                     if line_end > completion:
@@ -1056,6 +1058,18 @@ class EventEngine(SimEngine):
                             )
                         if fills is not None:
                             fills.append((level, fill_start, line_end))
+            # Each L1 miss that did not merge allocated and went to L2.
+            allocations = l1_misses - merges
+            l1.hits += l1_hits
+            mem.l1_hits += l1_hits
+            l1.misses += l1_misses
+            mem.l1_misses += l1_misses
+            mem.total_miss_latency += miss_latency
+            mshrs.merges += merges
+            mshrs.stalls += stalls
+            mshrs.allocations += allocations
+            shm.l2_hits += l2_hits
+            shm.l2_misses += allocations - l2_hits
             if profiled:
                 _prof.end()
             if misses is not None:

@@ -405,7 +405,7 @@ class ShaderCore:
 
         return self._issue_translated(warp, instr, coal, now)
 
-    def _vpn_origins(self, instr: MemoryInstruction, vpns) -> Dict[int, int]:
+    def _vpn_origins(self, instr: MemoryInstruction) -> Dict[int, int]:
         """Map each accessed page to the original warp that touches it
         (dynamic warps carry per-lane origins; otherwise empty)."""
         origins: Dict[int, int] = {}
@@ -467,7 +467,7 @@ class ShaderCore:
         port_start = max(now, self.tlb_port_busy_until)
         self.tlb_port_busy_until = port_start + lookup_cycles
         tlb_done = port_start + self.tlb_extra_latency + lookup_cycles
-        origins = self._vpn_origins(instr, coal.vpns)
+        origins = self._vpn_origins(instr)
         self.stats.tlb_lookups += n_pages
 
         translations: Dict[int, int] = {}

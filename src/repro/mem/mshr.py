@@ -4,7 +4,9 @@ An MSHR file tracks outstanding misses by line address so that a second
 miss to an in-flight line merges with the first instead of issuing a new
 request.  Entries retire implicitly when simulated time passes their
 fill time; capacity pressure is exposed through :meth:`MSHRFile.earliest_free`
-so callers can model structural stalls.
+so callers can model structural stalls.  A ``(fill time, line)`` min-heap
+holding exactly the in-flight entries finds both the retirees and a full
+file's soonest fill.
 """
 
 from __future__ import annotations
@@ -14,10 +16,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.obs import events as _ev
 from repro.obs import tracer as _trace
-
-#: Sentinel fill time meaning "no entry can expire" (empty file).
-_NEVER = float("inf")
-
 
 class MSHRFile:
     """Outstanding-miss tracker with bounded capacity.
@@ -33,23 +31,20 @@ class MSHRFile:
             raise ValueError("MSHR capacity must be positive")
         self.capacity = capacity
         self._inflight: Dict[int, int] = {}  # line -> fill (ready) time
-        # Earliest fill time among in-flight entries; lets _expire skip
-        # the retirement work entirely while no entry can have retired.
-        self._min_ready = _NEVER
-        # (ready, line) min-heap mirroring _inflight, with lazy deletion:
-        # an entry is live iff _inflight[line] == ready.  A retired
-        # line's later re-allocation always carries a strictly larger
-        # fill time, so a stale heap entry can never alias a live one.
+        # (ready, line) min-heap holding exactly the _inflight entries:
+        # an entry leaves _inflight only when it is popped off the heap
+        # top, and a line in flight cannot be allocated again.
         self._heap: List[Tuple[int, int]] = []
         self.merges = 0
         self.allocations = 0
         self.stalls = 0
 
     def _expire(self, now: int) -> None:
-        if now < self._min_ready:
+        """Retire every entry whose fill time is at or before ``now``."""
+        heap = self._heap
+        if not heap or heap[0][0] > now:
             return
         inflight = self._inflight
-        heap = self._heap
         if _trace.ENABLED:
             # Traced path: the heap finds the retirees cheaply, then a
             # positional index (built only for multi-entry batches)
@@ -57,37 +52,28 @@ class MSHRFile:
             # sequence matches the pre-heap behaviour byte for byte.
             expired = []
             while heap and heap[0][0] <= now:
-                ready, line = heapq.heappop(heap)
-                if inflight.get(line) == ready:
-                    expired.append(line)
-            if expired:
-                if len(expired) > 1:
-                    order = {line: i for i, line in enumerate(inflight)}
-                    expired.sort(key=order.__getitem__)
-                record = _trace.RECORD
-                core = _trace.CORE
-                for line in expired:
-                    # Stamped with the entry's fill time, not the
-                    # (later) cycle the lazy expiry happened to run at.
-                    record(
-                        (
-                            _ev.MSHR_RETIRE,
-                            inflight.pop(line),
-                            core,
-                            "mshr",
-                            None,
-                            {"line": line},
-                        )
+                expired.append(heapq.heappop(heap)[1])
+            if len(expired) > 1:
+                order = {line: i for i, line in enumerate(inflight)}
+                expired.sort(key=order.__getitem__)
+            record = _trace.RECORD
+            core = _trace.CORE
+            for line in expired:
+                # Stamped with the entry's fill time, not the (later)
+                # cycle the expiry happened to run at.
+                record(
+                    (
+                        _ev.MSHR_RETIRE,
+                        inflight.pop(line),
+                        core,
+                        "mshr",
+                        None,
+                        {"line": line},
                     )
-            self._min_ready = heap[0][0] if heap else _NEVER
+                )
             return
         while heap and heap[0][0] <= now:
-            ready, line = heapq.heappop(heap)
-            if inflight.get(line) == ready:
-                del inflight[line]
-        # The heap top is a lower bound on the live minimum (stale
-        # entries may linger); a too-small gate only costs a re-check.
-        self._min_ready = heap[0][0] if heap else _NEVER
+            del inflight[heapq.heappop(heap)[1]]
 
     def outstanding(self, now: int) -> int:
         """Number of misses still in flight at cycle ``now``."""
@@ -120,15 +106,8 @@ class MSHRFile:
         if len(self._inflight) < self.capacity:
             return now
         self.stalls += 1
-        # Exact earliest fill among live entries: the heap top, after
-        # discarding stale (lazily deleted) entries.  The file is full,
-        # so a live entry — and therefore a live heap top — exists.
-        heap = self._heap
-        while True:
-            ready, line = heap[0]
-            if self._inflight.get(line) == ready:
-                return ready
-            heapq.heappop(heap)
+        # The file is full, so its soonest fill is the heap top.
+        return self._heap[0][0]
 
     def allocate(self, line_addr: int, ready_time: int, now: int) -> None:
         """Record a new outstanding miss filling at ``ready_time``."""
@@ -139,8 +118,6 @@ class MSHRFile:
             raise RuntimeError(f"line {line_addr:#x} already has an MSHR")
         self._inflight[line_addr] = ready_time
         heapq.heappush(self._heap, (ready_time, line_addr))
-        if ready_time < self._min_ready:
-            self._min_ready = ready_time
         self.allocations += 1
         if _trace.ENABLED:
             _trace.emit(

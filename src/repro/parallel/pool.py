@@ -133,7 +133,6 @@ class SweepExecutor:
                 progress.cell_done(
                     _progress.SOURCE_CACHE, label=cells[index].describe()
                 )
-        progress.report(force=True)
         return results  # type: ignore[return-value]
 
     def _finish_ok(

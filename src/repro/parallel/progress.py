@@ -156,15 +156,14 @@ class SweepProgress:
             bits.append(f"eta {eta:.1f}s")
         return " · ".join(bits)
 
-    def report(self, force: bool = False) -> None:
-        """Write the progress line (rate-limited unless ``force``)."""
+    def report(self) -> None:
+        """Write the progress line, rate-limited until the last cell is
+        done, whose line is always written (once per run)."""
         if self.stream is None:
             return
         now = time.monotonic()
-        finished = self.done >= self.total
-        if not force and not finished:
-            if now - self._last_report < self.min_interval_s:
-                return
+        if self.done < self.total and now - self._last_report < self.min_interval_s:
+            return
         self._last_report = now
         self.stream.write(self._line() + "\n")
         try:

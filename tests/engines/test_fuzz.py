@@ -7,14 +7,18 @@ event engines.  Twenty more draw the policies that run a real
 ``select()`` (GTO, TA-CCWS, TCWS, and every non-round-robin policy in
 TBC block form under a blocking TLB), with cutoffs low enough to
 throttle: there the compute-only candidate pool of a blocked TLB,
-TBC's aliased warp ids and the policy's choice meet.  The full
-serialized result *and* the aggregated core statistics must match
-exactly.  Any divergence is an engine bug by definition: the cycle
-engine is the reference oracle.
+TBC's aliased warp ids and the policy's choice meet.  Twenty more draw
+the memory geometry the event engine inlines: MSHR file size, L1
+latency, a small L1 and L2, one to four L2 banks and the bank service
+interval.  The full serialized result *and* the aggregated core
+statistics must match exactly, and for the geometry draws so must every
+L1, MSHR, L2-bank and DRAM counter.  Any divergence is an engine bug by
+definition: the cycle engine is the reference oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import sys
 
@@ -24,12 +28,15 @@ from helpers import small_workload
 
 from repro.api import simulate
 from repro.core import presets
-from repro.core.config import CacheConfig, GPUConfig, SchedulerConfig
+from repro.core.config import CacheConfig, DRAMConfig, GPUConfig, SchedulerConfig
+from repro.core.simulator import Simulator
+from repro.workloads.base import TIMING_MISS_SCALE
 
 assert "helpers" in sys.modules  # conftest puts tests/ on sys.path
 
 SEEDS = list(range(20))
 SCHEDULER_SEEDS = list(range(20, 40))
+GEOMETRY_SEEDS = list(range(40, 60))
 
 _PRESETS = ("no_tlb", "naive", "blocking", "augmented", "ideal")
 
@@ -126,3 +133,78 @@ def test_engines_agree(seed):
 @pytest.mark.parametrize("seed", SCHEDULER_SEEDS)
 def test_engines_agree_under_select_policies(seed):
     _assert_engines_agree(*_draw_scheduled(seed))
+
+
+def _draw_geometry(seed: int):
+    """One seeded draw over the L1/MSHR/L2-bank/DRAM geometry."""
+    rng = random.Random(0x6E0 + seed)
+    config = GPUConfig.preset(
+        rng.choice(_PRESETS),
+        num_cores=1,
+        warps_per_core=rng.choice([4, 8]),
+        warp_width=8,
+        cache=CacheConfig(
+            l1_bytes=rng.choice([1024, 2048]),
+            l1_associativity=rng.choice([2, 4]),
+            l1_latency=rng.choice([0, 1, 3]),
+            l1_mshr_entries=rng.choice([1, 2, 4, 16]),
+            l2_bytes_per_channel=rng.choice([16 * 1024, 64 * 1024]),
+            l2_service_interval=rng.choice([1, 2]),
+        ),
+        # One core: every channel, and so every L2 bank, is its own.
+        dram=DRAMConfig(num_channels=rng.choice([1, 2, 4])),
+    )
+    return config, _draw_workload(rng)
+
+
+def _memory_counters(simulator: Simulator) -> tuple:
+    """Every counter of the core's L1, MSHR file, L2 banks and DRAM."""
+    memory = simulator.cores[0].memory
+    shared = memory.shared
+    mshrs = memory.mshrs
+    return (
+        (memory.l1.hits, memory.l1.misses),
+        (memory.l1_hits, memory.l1_misses, memory.total_miss_latency),
+        (mshrs.merges, mshrs.stalls, mshrs.allocations),
+        (shared.l2_hits, shared.l2_misses, shared.ptw_refs, shared.ptw_l2_hits),
+        tuple((bank.hits, bank.misses) for bank in shared.l2_banks),
+        tuple(
+            (channel.requests, channel.total_queue_delay)
+            for channel in shared.dram.channels
+        ),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _geometry_counters(seed: int) -> tuple:
+    """Run one geometry draw on both engines, assert they agree, and
+    return the cycle engine's memory counters."""
+    config, workload = _draw_geometry(seed)
+    runs = {}
+    for engine in ("cycle", "event"):
+        machine = config.with_(engine=engine)
+        work = workload.build(machine, miss_scale=TIMING_MISS_SCALE)
+        simulator = Simulator(machine, work, workload.name)
+        runs[engine] = (simulator.run(), _memory_counters(simulator))
+    (cycle, cycle_counters), (event, event_counters) = runs["cycle"], runs["event"]
+    assert event.stats == cycle.stats, config.describe()
+    assert event.canonical_json() == cycle.canonical_json(), config.describe()
+    assert event_counters == cycle_counters, config.describe()
+    return cycle_counters
+
+
+@pytest.mark.parametrize("seed", GEOMETRY_SEEDS)
+def test_engines_agree_on_memory_geometry(seed):
+    _geometry_counters(seed)
+
+
+def test_geometry_draws_reach_every_mshr_and_bank_branch():
+    """Together the geometry draws merge into in-flight misses, find
+    the MSHR file full, and spread lines over more than one L2 bank."""
+    counters = [_geometry_counters(seed) for seed in GEOMETRY_SEEDS]
+    assert sum(mshr[0] for _, _, mshr, *_ in counters) > 0  # merges
+    assert sum(mshr[1] for _, _, mshr, *_ in counters) > 0  # full-file stalls
+    assert any(
+        sum(1 for hits, misses in banks if hits + misses) > 1
+        for *_, banks, _ in counters
+    )

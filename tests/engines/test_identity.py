@@ -35,7 +35,9 @@ import pytest
 from repro.api import simulate
 from repro.core import presets
 from repro.core.config import CacheConfig, GPUConfig, SchedulerConfig, TraceConfig
+from repro.core.simulator import Simulator
 from repro.faults.config import FaultConfig
+from repro.gpu.instruction import MemoryInstruction, WarpTrace, compute_instruction
 from repro.obs.spans import SpanRecorder, record_spans
 from repro.prof import profiler
 
@@ -211,4 +213,45 @@ def test_event_matches_cycle_with_a_tiny_coalescing_memo(name, monkeypatch):
     kwargs = dict(spanned=True)
     assert _run(config, workload, form, "event", **kwargs) == _run(
         config, workload, form, "cycle", **kwargs
+    )
+
+
+def test_a_lane_without_an_origin_is_skipped_as_the_reference_does():
+    """A page's original warp is its first lane's, except that a lane
+    with an address but no origin is skipped (only hand-built
+    instructions have one): both engines must fill the TLB histories
+    identically."""
+    config = presets.with_tcws(_preset("naive", ports=3, warps_per_core=4))
+    page = 1 << 12
+
+    def trace(warp_id):
+        instructions = []
+        for i in range(12):
+            base = (warp_id * 16 + i) * page
+            instructions.append(
+                MemoryInstruction(
+                    addresses=(base, base + 128, base + page, None) * 2,
+                    origins=(None, warp_id + 4, warp_id, None) * 2,
+                )
+            )
+            instructions.append(compute_instruction(2))
+        return WarpTrace(warp_id=warp_id, instructions=instructions)
+
+    histories = {}
+    for engine in ("cycle", "event"):
+        machine = config.with_(engine=engine)
+        simulator = Simulator(machine, [[trace(w) for w in range(4)]])
+        result = simulator.run().canonical_json()
+        tlb_sets = simulator.cores[0].tlb._sets
+        histories[engine] = (
+            result,
+            {
+                vpn: list(entry.history)
+                for tlb_set in tlb_sets.values()
+                for vpn, entry in tlb_set.items()
+            },
+        )
+    assert histories["event"] == histories["cycle"]
+    assert any(
+        history and history[0] >= 4 for history in histories["cycle"][1].values()
     )

@@ -94,10 +94,11 @@ interleaved = st.lists(st.one_of(st.none(), _lane), min_size=1, max_size=32).fil
 @given(st.one_of(addresses, interleaved))
 def test_memo_entry_matches_coalesce(addrs):
     """The event engine's compact memo entry carries exactly the
-    coalescer's line and page sets, in both of its orders."""
+    coalescer's line and page sets, in both of its orders, and each
+    page's first lane."""
     for page_shift in (12, 21):
         coal = coalesce(addrs, 128, page_shift)
-        vpns, n_lines, runs, page_runs = coalesced_runs(
+        vpns, n_lines, runs, page_runs, lanes = coalesced_runs(
             tuple(addrs), 128, page_shift, {}
         )
 
@@ -115,6 +116,15 @@ def test_memo_entry_matches_coalesce(addrs):
         for run in page_runs:
             assert lines_of(run) == coal.lines_by_vpn[run[0]]
         assert (page_runs is runs) == (len(runs) == len(vpns))
+        # Each page's first lane: the lowest lane touching it.
+        assert lanes == tuple(
+            min(
+                lane
+                for lane, addr in enumerate(addrs)
+                if addr is not None and addr >> page_shift == vpn
+            )
+            for vpn in vpns
+        )
 
 
 class TestCoalescingMemo:

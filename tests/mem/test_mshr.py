@@ -1,6 +1,7 @@
 """MSHR file semantics."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mem.mshr import MSHRFile
 
@@ -53,3 +54,55 @@ class TestMSHR:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             MSHRFile(0)
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(("lookup", "earliest_free", "allocate", "outstanding")),
+        st.integers(0, 7),  # line
+        st.integers(0, 6),  # clock step
+        st.integers(0, 12),  # fill latency of an allocation
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), _OPS)
+def test_heap_mirrors_inflight(capacity, ops):
+    """After any operation sequence the heap holds exactly the in-flight
+    ``(ready, line)`` pairs, and an operation at cycle ``t`` leaves no
+    other entry filling at or before ``t``: equal fill times retire
+    together."""
+    mshrs = MSHRFile(capacity)
+    now = 0
+    for op, line, step, latency in ops:
+        now += step
+        line *= 128
+        allocated = None
+        if op == "lookup":
+            mshrs.lookup(line, now)
+            at = now
+        elif op == "earliest_free":
+            at = mshrs.earliest_free(now)
+            if at > now:  # full: the soonest fill retires, with its equals
+                mshrs.outstanding(at)
+        elif op == "outstanding":
+            mshrs.outstanding(now)
+            at = now
+        else:
+            # The engines' allocation sequence: a full file allocates at
+            # its soonest fill, possibly after later lookups' cycles.
+            at = mshrs.earliest_free(now)
+            if mshrs.lookup(line, at) is None:
+                mshrs.allocate(line, at + latency, at)
+                allocated = line
+        assert sorted(mshrs._heap) == sorted(
+            (ready, entry) for entry, ready in mshrs._inflight.items()
+        )
+        assert all(
+            ready > at
+            for entry, ready in mshrs._inflight.items()
+            if entry != allocated
+        )
+        assert len(mshrs._inflight) <= capacity

@@ -3,6 +3,7 @@ failures."""
 
 from __future__ import annotations
 
+import io
 import json
 import time
 
@@ -217,6 +218,16 @@ def test_two_labels_for_one_machine_simulate_once(jobs, tmp_path, monkeypatch):
     starts = [r for r in records if r["event"] == "run_start"]
     assert sorted(r["workload"] for r in starts) == ["bfs", "kmeans"]
     assert results[2] is results[0]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_the_finished_progress_line_is_written_once(jobs):
+    stream = io.StringIO()
+    matrix = [_cell("a", "bfs"), _cell("b", "kmeans"), _cell("c", "bfs")]
+    SweepExecutor(jobs=jobs, progress_stream=stream).run(matrix)
+    lines = stream.getvalue().splitlines()
+    assert sum("3/3 cells" in line for line in lines) == 1, lines
+    assert "3/3 cells" in lines[-1]
 
 
 def test_a_memo_hit_counts_as_a_cache_hit():
