@@ -25,26 +25,31 @@ cycle engine's.  Three mechanical changes carry the speedup:
   line count, compact page runs and each page's first lane (a formed
   warp's page owners come from it, with no lane scan).
 
-- **Inlined memory path.**  The TLB probe, L1/MSHR, L2 bank, and DRAM
-  channel state transitions are replicated inline (every state mutation
-  in the exact reference order) instead of crossing five method-call
-  layers per line; the L1, L2 and MSHR counters are summed in locals
-  and added to their objects once per instruction.
+- **Inlined memory path.**  Two places, where measurement shows it
+  pays, are replicated inline (every state mutation in the exact
+  reference order): the per-page TLB probe and the per-line L1, MSHR,
+  L2 bank and DRAM channel transitions, instead of crossing up to five
+  method-call layers per page or line; the L1, L2 and MSHR counters are
+  summed in locals and added to their objects once per instruction.
+  The rest of translation is the reference core's own code:
+  ``ShaderCore._inject_shootdown`` before a lookup batch and
+  ``ShaderCore._handle_misses`` for its misses.
 
 There is one issue loop (:meth:`EventEngine._loop`) and one memory path:
 an ``issue_memory`` closure, built at every ``run()`` entry, whose one
-line loop walks page runs and takes each line through L1, MSHR, L2 bank
-and DRAM in place, traced or not.  Observers are installed between
-runs, never mid-run, so each entry binds what is on as booleans:
-tracing (TraceEvents at the cycle engine's exact stamps and order), the
-interval sampler (the same loop-top clock visits), span recording
-(fills for the shared ``_record_spans`` assembler), fault injection
-(shootdowns before each lookup batch, invalidations inside
-``_fill_tlb``), and the scheduler's memory-side hooks —
-``on_l1_access``, ``on_tlb_hit`` and ``on_tlb_miss`` fire, and the TLB
-LRU depth is computed, only when the policy overrides the base-class
-no-ops (or the tracer needs the depth).  Traces, spans, histograms and
-interval series therefore equal the cycle engine's
+probe loop takes every translated instruction's pages through the TLB
+and whose one line loop walks page runs and takes each line through
+L1, MSHR, L2 bank and DRAM in place, traced or not.  Observers are
+installed between runs, never mid-run, so each entry binds what is on
+as booleans: tracing (TraceEvents at the cycle engine's exact stamps
+and order), the interval sampler (the same loop-top clock visits), span
+recording (fills for the shared ``_record_spans`` assembler), fault
+injection (the core's shootdown step before each lookup batch,
+invalidations inside ``_fill_tlb``), and the scheduler's memory-side
+hooks — ``on_l1_access``, ``on_tlb_hit`` and ``on_tlb_miss`` fire, and
+the TLB LRU depth is computed, only when the policy overrides the
+base-class no-ops (or the tracer needs the depth).  Traces, spans,
+histograms and interval series therefore equal the cycle engine's
 (``tests/engines/test_observers.py`` pins the raw trace streams), with
 no cycle-loop fallback anywhere.
 
@@ -474,9 +479,16 @@ class EventEngine(SimEngine):
         TraceEvent emissions (same kinds, stamps, tracks, args, and
         ordering as the cycle engine's), span fills handed to the shared
         ``_record_spans`` assembler, and the fault injector consulted at
-        the reference points (shootdown before the lookup batch;
-        invalidations inside ``_fill_tlb``, which runs unchanged via
-        ``_handle_misses``, as does ``on_tlb_evict``).
+        the reference points.
+
+        A translated instruction's pages go through one probe loop,
+        ``SetAssociativeTLB.lookup`` inline, one page per pass, as in
+        ``_issue_translated``.  The steps around it are the core's
+        own: ``_inject_shootdown`` before the batch, and for its misses
+        ``_handle_misses``, which walks them, fills the TLB through
+        ``_fill_tlb`` (injected invalidations, ``on_tlb_evict``), emits
+        TLB_MISS_BEGIN/END, charges the miss cycles, holds a blocking
+        TLB, and returns when the translations are ready.
 
         One line loop replicates CoreMemory.access → SharedMemory →
         DRAM, traced or not, and names each line's level as
@@ -517,7 +529,6 @@ class EventEngine(SimEngine):
         tlb_cfg = core.config.tlb
         ports = tlb_cfg.ports
         extra_latency = core.tlb_extra_latency
-        tlb_blocking = tlb_cfg.enabled and tlb_cfg.blocking
         cache_overlap = tlb_cfg.cache_overlap
         mem = core.memory
         l1 = mem.l1
@@ -577,8 +588,8 @@ class EventEngine(SimEngine):
 
             # The translation stage leaves the line loop each page's
             # physical base, when its lines may fill (``available``, or
-            # ``page_ready`` per page), the missed pages and their span
-            # fills, the issue cursor and the completion floor.
+            # per page from ``page_ready``), the missed pages and their
+            # span fills, the issue cursor and the completion floor.
             page_ready = span_fills = misses = None
             missed = ()
             if tlb is None:
@@ -593,24 +604,7 @@ class EventEngine(SimEngine):
                 cursor = now - 1
                 completion = available = now
             else:
-                shootdown = False
-                if injector is not None and injector.tlb_shootdown(core_id):
-                    # Full-TLB shootdown: every cached translation on
-                    # this core is dropped before the lookup.
-                    tlb.flush()
-                    core._shootdowns += 1
-                    shootdown = True
-                    if traced:
-                        record(
-                            (
-                                _ev.FAULT_INJECT,
-                                now,
-                                core_id,
-                                "faults",
-                                None,
-                                {"fault": "tlb_shootdown", "core": core_id},
-                            )
-                        )
+                shootdown = injector is not None and core._inject_shootdown(now)
                 if profiled:
                     _prof.begin(_prof.PHASE_TLB)
                 origins = _EMPTY_ORIGINS
@@ -624,66 +618,24 @@ class EventEngine(SimEngine):
                     }
                     if None in origins.values():
                         origins = core._vpn_origins(instr)
-                if n_pages == 1:
-                    # Single-page instruction (the common case for
-                    # coalesced streams): one direct probe, no ready map.
-                    # ceil(1 / ports) == 1.
-                    vpn = vpns[0]
-                    lookup_cycles = 1
-                    port_busy = core.tlb_port_busy_until
-                    port_start = now if now > port_busy else port_busy
-                    core.tlb_port_busy_until = port_start + 1
-                    tlb_done = port_start + extra_latency + 1
-                    stats.tlb_lookups += 1
-                    if cpm is not None:
-                        cpm.maybe_flush(now)
+                lookup_cycles = -(-n_pages // ports)  # ceil division
+                # The TLB's read ports arbitrate across warps: a lookup
+                # batch occupies them for lookup_cycles, queueing behind
+                # earlier batches still in flight.
+                port_busy = core.tlb_port_busy_until
+                port_start = now if now > port_busy else port_busy
+                core.tlb_port_busy_until = port_start + lookup_cycles
+                tlb_done = port_start + extra_latency + lookup_cycles
+                stats.tlb_lookups += n_pages
+                if cpm is not None:
+                    cpm.maybe_flush(now)
+                bases = {}
+                # One probe per page, SetAssociativeTLB.lookup inline.
+                for vpn in vpns:
                     history_id = origins.get(vpn, warp_id) if origins else warp_id
                     tlb_set = tlb_sets.get(vpn % num_sets)
-                    if tlb_set is not None and vpn in tlb_set:
-                        tlb.hits += 1
-                        if want_depth:
-                            depth = 0
-                            for resident_vpn in reversed(tlb_set):
-                                if resident_vpn == vpn:
-                                    break
-                                depth += 1
-                        entry = tlb_set.pop(vpn)
-                        history = entry.history
-                        prior = tuple(history) if cpm is not None else ()
-                        if history_id in history:
-                            history.remove(history_id)
-                        history.insert(0, history_id)
-                        del history[HISTORY_LENGTH:]
-                        tlb_set[vpn] = entry  # move to MRU
-                        stats.tlb_hits += 1
-                        if want_depth:
-                            if traced:
-                                record(
-                                    (
-                                        _ev.TLB_LOOKUP,
-                                        now,
-                                        core_id,
-                                        "tlb",
-                                        None,
-                                        {
-                                            "vpn": vpn,
-                                            "hit": True,
-                                            "depth": depth,
-                                            "warp": history_id,
-                                        },
-                                    )
-                                )
-                            if on_tlb_hit is not None:
-                                on_tlb_hit(warp_id, vpn, depth)
-                        if cpm is not None and prior:
-                            cpm.update(history_id, prior)
-                        bases = {vpn: entry.pfn << 12}
-                        all_ready = available = tlb_done
-                    else:
+                    if tlb_set is None or vpn not in tlb_set:
                         tlb.misses += 1
-                        stats.tlb_misses += 1
-                        if on_tlb_miss is not None:
-                            on_tlb_miss(warp_id, vpn)
                         if traced:
                             record(
                                 (
@@ -695,163 +647,69 @@ class EventEngine(SimEngine):
                                     {"vpn": vpn, "hit": False, "warp": history_id},
                                 )
                             )
-                            record(
-                                (
-                                    _ev.TLB_MISS_BEGIN,
-                                    tlb_done,
-                                    core_id,
-                                    "tlb",
-                                    None,
-                                    {"vpn": vpn, "warp": warp_id},
-                                )
-                            )
-                        missed = misses = [vpn]
-                        walk_ready = core._handle_misses(warp, misses, tlb_done, origins)
-                        pfn, resolved = walk_ready[vpn]
-                        stats.total_tlb_miss_cycles += resolved - tlb_done
+                        stats.tlb_misses += 1
+                        if on_tlb_miss is not None:
+                            on_tlb_miss(warp_id, vpn)
+                        if misses is None:
+                            misses = [vpn]
+                        else:
+                            misses.append(vpn)
+                        continue
+                    tlb.hits += 1
+                    if want_depth:
+                        depth = 0
+                        for resident_vpn in reversed(tlb_set):
+                            if resident_vpn == vpn:
+                                break
+                            depth += 1
+                    entry = tlb_set.pop(vpn)
+                    history = entry.history
+                    prior = tuple(history) if cpm is not None else ()
+                    if history_id in history:
+                        history.remove(history_id)
+                    history.insert(0, history_id)
+                    del history[HISTORY_LENGTH:]
+                    tlb_set[vpn] = entry  # move to MRU
+                    stats.tlb_hits += 1
+                    if want_depth:
                         if traced:
                             record(
                                 (
-                                    _ev.TLB_MISS_END,
-                                    resolved,
+                                    _ev.TLB_LOOKUP,
+                                    now,
                                     core_id,
                                     "tlb",
                                     None,
-                                    {"vpn": vpn, "latency": resolved - tlb_done},
+                                    {
+                                        "vpn": vpn,
+                                        "hit": True,
+                                        "depth": depth,
+                                        "warp": history_id,
+                                    },
                                 )
                             )
-                        all_ready = resolved if resolved > tlb_done else tlb_done
-                        if tlb_blocking and all_ready > core.tlb_blocked_until:
-                            core.tlb_blocked_until = all_ready
-                        bases = {vpn: pfn << 12}
-                        # The overlap stage uses the page's own fill
-                        # time, the serial stage the (clamped) barrier;
-                        # identical unless a walk resolves before the
-                        # lookup completes.
-                        available = resolved if cache_overlap else all_ready
-                else:
-                    lookup_cycles = -(-n_pages // ports)  # ceil division
-                    # The TLB's read ports arbitrate across warps: a
-                    # lookup batch occupies them for lookup_cycles,
-                    # queueing behind earlier batches still in flight.
-                    port_busy = core.tlb_port_busy_until
-                    port_start = now if now > port_busy else port_busy
-                    core.tlb_port_busy_until = port_start + lookup_cycles
-                    tlb_done = port_start + extra_latency + lookup_cycles
-                    stats.tlb_lookups += n_pages
-                    if cpm is not None:
-                        cpm.maybe_flush(now)
-                    bases = {}
-                    page_ready = {}
-                    for vpn in vpns:
-                        history_id = origins.get(vpn, warp_id) if origins else warp_id
-                        tlb_set = tlb_sets.get(vpn % num_sets)
-                        if tlb_set is None or vpn not in tlb_set:
-                            tlb.misses += 1
-                            if traced:
-                                record(
-                                    (
-                                        _ev.TLB_LOOKUP,
-                                        now,
-                                        core_id,
-                                        "tlb",
-                                        None,
-                                        {"vpn": vpn, "hit": False, "warp": history_id},
-                                    )
-                                )
-                            stats.tlb_misses += 1
-                            if on_tlb_miss is not None:
-                                on_tlb_miss(warp_id, vpn)
-                            if misses is None:
-                                misses = [vpn]
-                            else:
-                                misses.append(vpn)
-                            continue
-                        tlb.hits += 1
-                        if want_depth:
-                            depth = 0
-                            for resident_vpn in reversed(tlb_set):
-                                if resident_vpn == vpn:
-                                    break
-                                depth += 1
-                        entry = tlb_set.pop(vpn)
-                        history = entry.history
-                        prior = tuple(history) if cpm is not None else ()
-                        if history_id in history:
-                            history.remove(history_id)
-                        history.insert(0, history_id)
-                        del history[HISTORY_LENGTH:]
-                        tlb_set[vpn] = entry  # move to MRU
-                        stats.tlb_hits += 1
-                        if want_depth:
-                            if traced:
-                                record(
-                                    (
-                                        _ev.TLB_LOOKUP,
-                                        now,
-                                        core_id,
-                                        "tlb",
-                                        None,
-                                        {
-                                            "vpn": vpn,
-                                            "hit": True,
-                                            "depth": depth,
-                                            "warp": history_id,
-                                        },
-                                    )
-                                )
-                            if on_tlb_hit is not None:
-                                on_tlb_hit(warp_id, vpn, depth)
-                        if cpm is not None and prior:
-                            cpm.update(history_id, prior)
-                        bases[vpn] = entry.pfn << 12
-                        page_ready[vpn] = tlb_done
-                    all_ready = tlb_done
-                    if misses is not None:
-                        if traced:
-                            for vpn in misses:
-                                record(
-                                    (
-                                        _ev.TLB_MISS_BEGIN,
-                                        tlb_done,
-                                        core_id,
-                                        "tlb",
-                                        None,
-                                        {"vpn": vpn, "warp": warp_id},
-                                    )
-                                )
-                        walk_ready = core._handle_misses(warp, misses, tlb_done, origins)
-                        for vpn, resolved in walk_ready.items():
-                            pfn, ready = resolved
-                            bases[vpn] = pfn << 12
-                            page_ready[vpn] = ready
-                            stats.total_tlb_miss_cycles += ready - tlb_done
-                            if traced:
-                                record(
-                                    (
-                                        _ev.TLB_MISS_END,
-                                        ready,
-                                        core_id,
-                                        "tlb",
-                                        None,
-                                        {"vpn": vpn, "latency": ready - tlb_done},
-                                    )
-                                )
-                            if ready > all_ready:
-                                all_ready = ready
-                        if tlb_blocking and all_ready > core.tlb_blocked_until:
-                            # A blocking TLB services nothing until its
-                            # misses resolve.
-                            core.tlb_blocked_until = all_ready
-                        missed = set(misses)
+                        if on_tlb_hit is not None:
+                            on_tlb_hit(warp_id, vpn, depth)
+                    if cpm is not None and prior:
+                        cpm.update(history_id, prior)
+                    bases[vpn] = entry.pfn << 12
+                all_ready = tlb_done
+                if misses is not None:
+                    walk_ready, all_ready = core._handle_misses(
+                        warp, misses, tlb_done, origins
+                    )
+                    for vpn, (pfn, _ready) in walk_ready.items():
+                        bases[vpn] = pfn << 12
+                    missed = walk_ready
                     if cache_overlap:
                         # Lines of TLB-hitting pages go at once; a missed
                         # page's lines wait for its own walk.
-                        runs = page_runs
-                    else:
-                        # Every line waits for all translations.
-                        page_ready = None
-                        available = all_ready
+                        page_ready = walk_ready
+                if cache_overlap:
+                    runs = page_runs  # lines in page order
+                # Every line waits for all translations unless
+                # ``page_ready`` gives its page's own time.
+                available = all_ready
                 if profiled:
                     _prof.end()
                     _prof.begin(_prof.PHASE_CACHE)
@@ -866,9 +724,9 @@ class EventEngine(SimEngine):
             l1_hits = l1_misses = miss_latency = merges = stalls = l2_hits = 0
             for vpn, offsets in runs:
                 base = bases[vpn]
-                if page_ready is not None:
-                    available = page_ready[vpn]
                 tlb_missed = vpn in missed
+                if page_ready is not None:
+                    available = page_ready[vpn][1] if tlb_missed else tlb_done
                 fills = span_fills.get(vpn) if span_fills is not None else None
                 for offset in offsets:
                     cursor += 1
@@ -1072,23 +930,19 @@ class EventEngine(SimEngine):
             shm.l2_misses += allocations - l2_hits
             if profiled:
                 _prof.end()
-            if misses is not None:
-                stall = all_ready - tlb_done
-                if stall > 0:
-                    stats.tlb_miss_stall_cycles += stall
-                if span_fills is not None:
-                    core._record_spans(
-                        warp,
-                        n_pages,
-                        now,
-                        port_start,
-                        tlb_done,
-                        lookup_cycles,
-                        walk_ready,
-                        span_fills,
-                        completion,
-                        shootdown,
-                    )
+            if span_fills is not None:
+                core._record_spans(
+                    warp,
+                    n_pages,
+                    now,
+                    port_start,
+                    tlb_done,
+                    lookup_cycles,
+                    walk_ready,
+                    span_fills,
+                    completion,
+                    shootdown,
+                )
             return completion
 
         return issue_memory

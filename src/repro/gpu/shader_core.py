@@ -440,24 +440,27 @@ class ShaderCore:
                     vpn=vpn,
                 )
 
+    def _inject_shootdown(self, now: int) -> bool:
+        """Draw an injected full-TLB shootdown (e.g. an munmap broadcast)
+        before a lookup batch and apply it; return whether one hit.  Both
+        engines call this per translated instruction when an injector
+        is installed."""
+        if not self._injector.tlb_shootdown(self.core_id):
+            return False
+        self.tlb.flush()
+        self._shootdowns += 1
+        if _trace.ENABLED:
+            _trace.emit(
+                _ev.FAULT_INJECT,
+                cycle=now,
+                track="faults",
+                fault="tlb_shootdown",
+                core=self.core_id,
+            )
+        return True
+
     def _issue_translated(self, warp: Warp, instr: MemoryInstruction, coal, now: int) -> int:
-        shootdown = False
-        if self._injector is not None and self._injector.tlb_shootdown(
-            self.core_id
-        ):
-            # Full-TLB shootdown (e.g. an munmap broadcast): every cached
-            # translation on this core is dropped before the lookup.
-            self.tlb.flush()
-            self._shootdowns += 1
-            shootdown = True
-            if _trace.ENABLED:
-                _trace.emit(
-                    _ev.FAULT_INJECT,
-                    cycle=now,
-                    track="faults",
-                    fault="tlb_shootdown",
-                    core=self.core_id,
-                )
+        shootdown = self._injector is not None and self._inject_shootdown(now)
         config = self.config.tlb
         n_pages = coal.page_divergence
         lookup_cycles = -(-n_pages // config.ports)  # ceil division
@@ -491,32 +494,12 @@ class ShaderCore:
                 misses.append(vpn)
 
         if misses:
-            if _trace.ENABLED:
-                for vpn in misses:
-                    _trace.emit(
-                        _ev.TLB_MISS_BEGIN,
-                        cycle=tlb_done,
-                        track="tlb",
-                        vpn=vpn,
-                        warp=warp.warp_id,
-                    )
-            walk_ready = self._handle_misses(warp, misses, tlb_done, origins)
+            walk_ready, all_ready = self._handle_misses(
+                warp, misses, tlb_done, origins
+            )
             for vpn, (pfn, ready) in walk_ready.items():
                 translations[vpn] = pfn
                 page_ready[vpn] = ready
-                self.stats.total_tlb_miss_cycles += ready - tlb_done
-                if _trace.ENABLED:
-                    _trace.emit(
-                        _ev.TLB_MISS_END,
-                        cycle=ready,
-                        track="tlb",
-                        vpn=vpn,
-                        latency=ready - tlb_done,
-                    )
-            all_ready = max(r for _, r in walk_ready.values())
-            if config.blocking:
-                # A blocking TLB services nothing until its misses resolve.
-                self.tlb_blocked_until = max(self.tlb_blocked_until, all_ready)
         else:
             all_ready = tlb_done
 
@@ -568,21 +551,19 @@ class ShaderCore:
                 vpn = line >> self.page_shift
                 access_line(line, all_ready, vpn in missed_set)
 
-        if misses:
-            self.stats.tlb_miss_stall_cycles += max(0, all_ready - tlb_done)
-            if span_fills is not None:
-                self._record_spans(
-                    warp,
-                    coal.page_divergence,
-                    now,
-                    port_start,
-                    tlb_done,
-                    lookup_cycles,
-                    walk_ready,
-                    span_fills,
-                    completion,
-                    shootdown,
-                )
+        if span_fills is not None:
+            self._record_spans(
+                warp,
+                coal.page_divergence,
+                now,
+                port_start,
+                tlb_done,
+                lookup_cycles,
+                walk_ready,
+                span_fills,
+                completion,
+                shootdown,
+            )
         return completion
 
     # ------------------------------------------------------------------
@@ -716,11 +697,25 @@ class ShaderCore:
         misses: List[int],
         walk_start: int,
         origins: Dict[int, int],
-    ) -> Dict[int, Tuple[int, int]]:
-        """Resolve TLB misses via MSHRs and the walker.
+    ) -> Tuple[Dict[int, Tuple[int, int]], int]:
+        """Resolve one lookup batch's TLB misses via MSHRs and the walker.
 
-        Returns vpn → (pfn, translation-ready cycle).
+        ``walk_start`` is the cycle the lookup completes.  Both engines
+        call this, so it also takes the per-miss steps: the
+        TLB_MISS_BEGIN/END trace pairs, the miss and stall cycle
+        counters, and a blocking TLB's hold until the last translation
+        is ready.  Returns ``(walk_ready, all_ready)``: vpn → (pfn,
+        translation-ready cycle), and the cycle all are ready by.
         """
+        if _trace.ENABLED:
+            for vpn in misses:
+                _trace.emit(
+                    _ev.TLB_MISS_BEGIN,
+                    cycle=walk_start,
+                    track="tlb",
+                    vpn=vpn,
+                    warp=warp.warp_id,
+                )
         result: Dict[int, Tuple[int, int]] = {}
         # Expire completed walks.
         expired = [v for v, ready in self._pending_walks.items() if ready <= walk_start]
@@ -782,4 +777,21 @@ class ShaderCore:
                 len(self.page_table.walk(vpn << (self.page_shift - 12)))
                 for vpn in to_walk
             )
-        return result
+        all_ready = walk_start
+        for vpn, (_pfn, ready) in result.items():
+            self.stats.total_tlb_miss_cycles += ready - walk_start
+            if _trace.ENABLED:
+                _trace.emit(
+                    _ev.TLB_MISS_END,
+                    cycle=ready,
+                    track="tlb",
+                    vpn=vpn,
+                    latency=ready - walk_start,
+                )
+            if ready > all_ready:
+                all_ready = ready
+        self.stats.tlb_miss_stall_cycles += all_ready - walk_start
+        if self.config.tlb.blocking and all_ready > self.tlb_blocked_until:
+            # A blocking TLB services nothing until its misses resolve.
+            self.tlb_blocked_until = all_ready
+        return result, all_ready

@@ -194,9 +194,10 @@ class CoreMemory:
                 _prof.end()
             return MemAccessResult(now + self.l1_latency, "l1")
         self.l1_misses += 1
-        merge_ready = self.mshrs.lookup(line_addr, now)
-        if merge_ready is not None:
-            ready = merge_ready if merge_ready > now else now + self.l1_latency
+        # A merge joins an entry still in flight: the lookup retires
+        # every entry filling at or before ``now`` first.
+        ready = self.mshrs.lookup(line_addr, now)
+        if ready is not None:
             self.total_miss_latency += ready - now
             if _prof.ENABLED:
                 _prof.end()

@@ -10,14 +10,19 @@ throttle: there the compute-only candidate pool of a blocked TLB,
 TBC's aliased warp ids and the policy's choice meet.  Twenty more draw
 the memory geometry the event engine inlines: MSHR file size, L1
 latency, a small L1 and L2, one to four L2 banks and the bank service
-interval.  The full serialized result *and* the aggregated core
-statistics must match exactly, and for the geometry draws so must every
-L1, MSHR, L2-bank and DRAM counter.  Any divergence is an engine bug by
-definition: the cycle engine is the reference oracle.
+interval.  Twenty more draw the translation stage: every blocking and
+non-blocking TLB preset and walker pools, small TLBs, one to 32 TLB
+MSHRs, one-page instructions, injected shootdowns and invalidations,
+and TCWS or TLB-aware TBC on top.  The full serialized result *and* the
+aggregated core statistics must match exactly, and for the geometry
+draws so must every L1, MSHR, L2-bank and DRAM counter.  Any divergence
+is an engine bug by definition: the cycle engine is the reference
+oracle.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import random
 import sys
@@ -30,6 +35,7 @@ from repro.api import simulate
 from repro.core import presets
 from repro.core.config import CacheConfig, DRAMConfig, GPUConfig, SchedulerConfig
 from repro.core.simulator import Simulator
+from repro.faults.config import FaultConfig
 from repro.workloads.base import TIMING_MISS_SCALE
 
 assert "helpers" in sys.modules  # conftest puts tests/ on sys.path
@@ -37,6 +43,7 @@ assert "helpers" in sys.modules  # conftest puts tests/ on sys.path
 SEEDS = list(range(20))
 SCHEDULER_SEEDS = list(range(20, 40))
 GEOMETRY_SEEDS = list(range(40, 60))
+TRANSLATION_SEEDS = list(range(60, 80))
 
 _PRESETS = ("no_tlb", "naive", "blocking", "augmented", "ideal")
 
@@ -64,14 +71,14 @@ def _draw(seed: int):
     return config, _draw_workload(rng), form
 
 
-def _draw_workload(rng: random.Random):
+def _draw_workload(rng: random.Random, page_div_max: int = 4):
     return small_workload(
         seed=rng.randrange(1 << 16),
         instructions_per_warp=rng.choice([10, 20, 30]),
         shared_fraction=rng.choice([0.0, 0.4, 0.8]),
         cold_fraction=rng.choice([0.0, 0.1, 0.3]),
         page_div_mean=rng.choice([1.0, 2.0, 4.0]),
-        page_div_max=4,
+        page_div_max=page_div_max,
     )
 
 
@@ -123,6 +130,7 @@ def _assert_engines_agree(config, workload, form):
     assert event.stats == cycle.stats, config.describe()
     # ...and the full serialized result, byte for byte.
     assert event.canonical_json() == cycle.canonical_json(), config.describe()
+    return cycle
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -208,3 +216,94 @@ def test_geometry_draws_reach_every_mshr_and_bank_branch():
         sum(1 for hits, misses in banks if hits + misses) > 1
         for *_, banks, _ in counters
     )
+
+
+_TRANSLATION_PRESETS = (
+    "naive",
+    "blocking",
+    "hit_under_miss",
+    "non_blocking",
+    "augmented",
+    "multi_ptw",
+)
+
+
+def _draw_translation(seed: int):
+    """One seeded draw over the translation stage: TLB design point,
+    size and MSHR count, one-page instructions, fault injection."""
+    # Misses that merge into an in-flight walk are rare (about one draw
+    # in twenty), so the salt is one whose draws reach every path
+    # test_translation_draws_reach_every_miss_path names.
+    rng = random.Random(0x7A39 + seed)
+    overrides = dict(
+        num_cores=1,
+        warps_per_core=rng.choice([4, 8]),
+        warp_width=8,
+    )
+    name = rng.choice(_TRANSLATION_PRESETS)
+    if name == "multi_ptw":
+        config = presets.multi_ptw_tlb(rng.choice([2, 4]), **overrides)
+    elif name == "naive":
+        config = GPUConfig.preset(name, ports=rng.choice([1, 2, 3, 4]), **overrides)
+    else:
+        config = GPUConfig.preset(name, **overrides)
+    tlb = dataclasses.replace(
+        config.tlb,
+        entries=rng.choice([8, 16, 32, 128]),
+        associativity=4,
+        mshr_entries=rng.choice([1, 2, 32]),
+    )
+    config = config.with_(tlb=tlb)
+    if rng.random() < 1 / 3:
+        config = config.with_(
+            faults=FaultConfig(
+                enabled=True,
+                seed=rng.randrange(1 << 16),
+                tlb_shootdown_rate=rng.choice([0.02, 0.05]),
+                tlb_invalidate_rate=rng.choice([0.05, 0.1]),
+            )
+        )
+    form = None
+    sched = rng.random()
+    if sched < 0.25:
+        config = presets.with_tcws(config)
+    elif sched < 0.5:
+        config = config.with_(warmup_instructions=0)
+        config = presets.with_tbc(config, "tlb-tbc")
+        form = "blocks"
+    page_div_max = rng.choice([1, 4])
+    return config, _draw_workload(rng, page_div_max), form, page_div_max
+
+
+@functools.lru_cache(maxsize=None)
+def _translation_stats(seed: int):
+    """Run one translation draw on both engines, assert they agree, and
+    return its one-page flag and the cycle engine's core statistics."""
+    config, workload, form, page_div_max = _draw_translation(seed)
+    cycle = _assert_engines_agree(config, workload, form)
+    return page_div_max == 1, cycle.stats
+
+
+@pytest.mark.parametrize("seed", TRANSLATION_SEEDS)
+def test_engines_agree_on_translation(seed):
+    _translation_stats(seed)
+
+
+def test_translation_draws_reach_every_miss_path():
+    """Together the translation draws hit and miss on one-page
+    instructions, merge misses into in-flight walks, find the TLB MSHR
+    file full, shoot down and invalidate translations, and hold warps
+    behind a blocking TLB."""
+    draws = [_translation_stats(seed) for seed in TRANSLATION_SEEDS]
+    assert any(
+        one_page and stats.tlb_hits and stats.tlb_misses
+        for one_page, stats in draws
+    )
+    assert any(stats.tlb_misses > stats.walks for _, stats in draws)
+    for counter in (
+        "tlb_mshr_stalls",
+        "tlb_shootdowns",
+        "tlb_injected_invalidations",
+        "tlb_blocked_wait_cycles",
+    ):
+        assert sum(getattr(stats, counter) for _, stats in draws) > 0, counter

@@ -30,6 +30,7 @@ import pytest
 from repro.api import simulate
 from repro.core import presets
 from repro.core.config import GPUConfig, TraceConfig
+from repro.faults.config import FaultConfig
 from repro.obs.spans import SpanRecorder, record_spans
 
 _TINY = dict(num_cores=1, warps_per_core=8, warp_width=8)
@@ -43,7 +44,8 @@ def _preset(name: str, **overrides) -> GPUConfig:
 
 #: name -> (config, workload, form); a slice through the design space
 #: (no-TLB baseline, port-limited naive TLB, CCWS and TCWS scheduling,
-#: TBC compaction in blocks form, the augmented walker).
+#: TBC compaction in blocks form, the augmented walker, injected TLB
+#: shootdowns and invalidations).
 CASES = {
     "no-tlb": (_preset("no_tlb"), "bfs", None),
     "naive": (_preset("naive", ports=3), "bfs", None),
@@ -55,6 +57,20 @@ CASES = {
         "blocks",
     ),
     "augmented": (_preset("augmented"), "bfs", None),
+    "faults": (
+        _preset(
+            "naive",
+            ports=3,
+            faults=FaultConfig(
+                enabled=True,
+                seed=7,
+                tlb_shootdown_rate=0.02,
+                tlb_invalidate_rate=0.05,
+            ),
+        ),
+        "bfs",
+        None,
+    ),
 }
 
 
@@ -144,6 +160,11 @@ def test_trace_streams_byte_identical(runs, name):
         runs[(name, "event")]["raw_trace"]
         == runs[(name, "cycle")]["raw_trace"]
     )
+
+
+def test_fault_case_traces_injected_shootdowns(runs):
+    """The faults case reaches the shootdown both engines share."""
+    assert '"fault": "tlb_shootdown"' in runs[("faults", "cycle")]["raw_trace"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

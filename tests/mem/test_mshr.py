@@ -60,7 +60,9 @@ _OPS = st.lists(
     st.tuples(
         st.sampled_from(("lookup", "earliest_free", "allocate", "outstanding")),
         st.integers(0, 7),  # line
-        st.integers(0, 6),  # clock step
+        # Clock step: a later instruction's first lines may issue before
+        # an earlier one's last, so the clock can step back.
+        st.integers(-4, 6),
         st.integers(0, 12),  # fill latency of an allocation
     ),
     max_size=80,
@@ -73,15 +75,16 @@ def test_heap_mirrors_inflight(capacity, ops):
     """After any operation sequence the heap holds exactly the in-flight
     ``(ready, line)`` pairs, and an operation at cycle ``t`` leaves no
     other entry filling at or before ``t``: equal fill times retire
-    together."""
+    together, and a lookup hit (a merge) fills after ``t``, so a merge
+    needs no clamp."""
     mshrs = MSHRFile(capacity)
     now = 0
     for op, line, step, latency in ops:
-        now += step
+        now = max(0, now + step)
         line *= 128
-        allocated = None
+        allocated = merged = None
         if op == "lookup":
-            mshrs.lookup(line, now)
+            merged = mshrs.lookup(line, now)
             at = now
         elif op == "earliest_free":
             at = mshrs.earliest_free(now)
@@ -94,9 +97,11 @@ def test_heap_mirrors_inflight(capacity, ops):
             # The engines' allocation sequence: a full file allocates at
             # its soonest fill, possibly after later lookups' cycles.
             at = mshrs.earliest_free(now)
-            if mshrs.lookup(line, at) is None:
+            merged = mshrs.lookup(line, at)
+            if merged is None:
                 mshrs.allocate(line, at + latency, at)
                 allocated = line
+        assert merged is None or merged > at
         assert sorted(mshrs._heap) == sorted(
             (ready, entry) for entry, ready in mshrs._inflight.items()
         )
