@@ -1,9 +1,11 @@
 """The top-level simulator: build the machine, run the workload.
 
-Responsibilities: allocate physical memory and the process page table,
-pre-map every page the workload touches (the paper's workloads never
-page-fault, Section 6.2 — unless ``config.faults.demand_paging`` asks
-for pages to fault in on first touch), instantiate the shared memory
+Responsibilities: provide physical memory and the process page table
+with every page the workload touches pre-mapped (the paper's workloads
+never page-fault, Section 6.2 — unless ``config.faults.demand_paging``
+asks for pages to fault in on first touch; a pre-mapped address space
+is built once per work build and page size and shared, frozen, by every
+later run of that build), instantiate the shared memory
 system and one shader core per configured core, execute, aggregate
 statistics into a :class:`repro.core.results.SimulationResult`, and
 cross-check counter invariants afterwards.
@@ -12,12 +14,12 @@ cross-check counter invariants afterwards.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.config import GPUConfig, TraceConfig
 from repro.core.results import SimulationResult
 from repro.engines import DEFAULT_ENGINE
-from repro.faults.context import FaultContext
+from repro.faults.context import FaultContext, demand_paging
 from repro.faults.errors import InvariantViolation, SimulationError
 from repro.gpu.instruction import MemoryInstruction, WarpTrace
 from repro.gpu.shader_core import ShaderCore
@@ -31,7 +33,7 @@ from repro.prof import profiler as _prof
 from repro.ptw.multi import WalkerPool
 from repro.stats.counters import CoreStats
 from repro.stats.histograms import histograms_from_events
-from repro.vm.address import PAGE_SHIFT_2M, PAGE_SHIFT_4K
+from repro.vm.address import PAGE_SHIFT_2M
 from repro.vm.page_table import PageTable
 from repro.vm.physical_memory import PhysicalMemory
 
@@ -53,32 +55,55 @@ def _addresses_of(work: CoreWork) -> Iterable[int]:
                             yield addr
 
 
-#: page_shift -> {id(work item): (item, first-touch-ordered vpns)}.
-#: Workload builds are memoized, so the same trace / thread-block
-#: objects recur across a sweep's cells; extracting their page-touch
-#: order once amortizes pre-mapping.  Values hold the item itself, so
-#: an id() can never alias a collected object.
-_VPN_ORDER_CACHES: Dict[int, Dict[int, tuple]] = {}
+#: (page_shift, id of every work item in order) -> (items, memory,
+#: page table, frame_map).  A pre-mapped address space is a pure
+#: function of the work's first-touch page order and the page size, and
+#: workload builds are memoized, so every cell that simulates one build
+#: at one page size — across sweeps, serve executor threads and dist
+#: workers — shares one frozen table, whose walk cache stays warm.
+#: Values hold the items themselves, so an id() in a live key can never
+#: belong to another object.
+_ADDRESS_SPACES: Dict[tuple, tuple] = {}
 
-#: Entry cap per page size (each page_shift dict is checked on its
-#: own); eviction is a full clear.
-_VPN_ORDER_CACHE_LIMIT = 100_000
+#: Entry cap (one entry per build and page size, like the build memo's
+#: cap); eviction is a full clear.
+_ADDRESS_SPACE_LIMIT = 64
 
 
-def _vpns_of(item, page_shift: int) -> tuple:
-    """First-touch-ordered unique VPNs of one trace / thread block."""
-    cache = _VPN_ORDER_CACHES.setdefault(page_shift, {})
-    cached = cache.get(id(item))
-    if cached is not None and cached[0] is item:
-        return cached[1]
-    if len(cache) > _VPN_ORDER_CACHE_LIMIT:
-        cache.clear()
-    seen: Dict[int, None] = {}
-    for addr in _addresses_of((item,)):
-        seen[addr >> page_shift] = None
-    vpns = tuple(seen)
-    cache[id(item)] = (item, vpns)
-    return vpns
+def _address_space(
+    per_core_work: Sequence[CoreWork], page_shift: int
+) -> Tuple[PhysicalMemory, PageTable, Dict[int, int]]:
+    """The shared, frozen address space with every touched page mapped.
+
+    Pages are mapped (4 KB, or 2 MB in large-page mode) in global
+    first-touch order, which fixes the frame each page gets.
+    ``frame_map`` (vpn → pfn at ``page_shift``) gives the no-TLB
+    baseline zero-latency physical addressing, so baseline and TLB runs
+    exercise identical cache set behaviour and differ only in
+    translation cost.  Callers must not write to it.
+    """
+    items = tuple(item for work in per_core_work for item in work)
+    key = (page_shift, tuple(map(id, items)))
+    cached = _ADDRESS_SPACES.get(key)
+    if cached is not None:
+        return cached[1:]
+    memory = PhysicalMemory()
+    page_table = PageTable(memory)
+    ensure = (
+        page_table.ensure_mapped_large
+        if page_shift == PAGE_SHIFT_2M
+        else page_table.ensure_mapped
+    )
+    frame_map: Dict[int, int] = {}
+    for addr in _addresses_of(items):
+        vpn = addr >> page_shift
+        if vpn not in frame_map:
+            frame_map[vpn] = ensure(vpn)
+    page_table.freeze()
+    if len(_ADDRESS_SPACES) >= _ADDRESS_SPACE_LIMIT:
+        _ADDRESS_SPACES.clear()
+    _ADDRESS_SPACES[key] = (items, memory, page_table, frame_map)
+    return memory, page_table, frame_map
 
 
 #: When set, every run uses this trace configuration instead of its
@@ -133,15 +158,22 @@ class Simulator:
             )
         self.config = config
         self.workload_name = workload_name
-        self.memory = PhysicalMemory()
-        self.page_table = PageTable(self.memory)
+        if demand_paging(config.faults, config.tlb.enabled):
+            # Pages fault in at first touch through the fault model, so
+            # this run gets a table of its own that starts empty.
+            self.memory = PhysicalMemory()
+            self.page_table = PageTable(self.memory)
+            self.frame_map: Dict[int, int] = {}
+        else:
+            self.memory, self.page_table, self.frame_map = _address_space(
+                per_core_work, config.page_shift
+            )
         self.faults = FaultContext.build(
             config.faults,
             self.page_table,
             tlb_enabled=config.tlb.enabled,
             page_shift=config.page_shift,
         )
-        self._map_pages(per_core_work)
         dram = config.dram
         cache = config.cache
         # Cores execute sequentially in this simulator, and the
@@ -185,38 +217,6 @@ class Simulator:
             )
             for core_id, work in enumerate(per_core_work)
         ]
-
-    def _map_pages(self, per_core_work: Sequence[CoreWork]) -> None:
-        """Pre-map every touched page (4 KB, or 2 MB in large-page mode).
-
-        Also records ``frame_map`` (vpn → pfn at the configured page
-        size): the no-TLB baseline uses it for zero-latency physical
-        addressing, so baseline and TLB runs exercise identical cache
-        set behaviour and differ only in translation cost.
-
-        Under demand paging (``config.faults.demand_paging`` on a
-        TLB-enabled machine) nothing is pre-mapped: pages fault in at
-        first touch through :class:`repro.faults.model.FaultModel`.
-        """
-        large = self.config.page_shift == PAGE_SHIFT_2M
-        self.frame_map = {}
-        if self.faults is not None and self.faults.model is not None:
-            return
-        shift = PAGE_SHIFT_2M if large else PAGE_SHIFT_4K
-        ensure = (
-            self.page_table.ensure_mapped_large
-            if large
-            else self.page_table.ensure_mapped
-        )
-        frame_map = self.frame_map
-        # Per-item VPN first-touch order is cached (_vpns_of); walking
-        # items in work order preserves the global first-touch order —
-        # and with it the frame-assignment order — exactly.
-        for work in per_core_work:
-            for item in work:
-                for vpn in _vpns_of(item, shift):
-                    if vpn not in frame_map:
-                        frame_map[vpn] = ensure(vpn)
 
     def run(self, poll=None) -> SimulationResult:
         """Execute every core and aggregate the statistics.

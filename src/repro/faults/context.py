@@ -20,6 +20,18 @@ from repro.vm.address import PAGE_SHIFT_4K
 from repro.vm.page_table import PageTable
 
 
+def demand_paging(config: FaultConfig, tlb_enabled: bool) -> bool:
+    """Whether pages start unmapped and fault in at first touch.
+
+    Demand paging requires a TLB-enabled machine: the no-TLB baseline
+    models pinned, pre-mapped physical memory by definition (see
+    EXPERIMENTS.md).  The simulator pre-maps exactly when this is
+    False, and :meth:`FaultContext.build` attaches a fault model
+    exactly when it is True.
+    """
+    return config.paging_active and tlb_enabled
+
+
 @dataclass
 class FaultContext:
     """Live fault machinery for one simulation.
@@ -46,14 +58,9 @@ class FaultContext:
         tlb_enabled: bool = True,
         page_shift: int = PAGE_SHIFT_4K,
     ) -> Optional["FaultContext"]:
-        """Construct the context, or ``None`` when nothing is active.
-
-        Demand paging requires a TLB-enabled machine: the no-TLB
-        baseline models pinned, pre-mapped physical memory by
-        definition (see EXPERIMENTS.md).
-        """
+        """Construct the context, or ``None`` when nothing is active."""
         model = None
-        if config.paging_active and tlb_enabled:
+        if demand_paging(config, tlb_enabled):
             model = FaultModel(page_table, config, page_shift=page_shift)
         injector = FaultInjector(config) if config.injection_active else None
         if model is None and injector is None:

@@ -213,6 +213,8 @@ class ShaderCore:
 
     def _launch_region(self, run: _BlockRun, now: int) -> None:
         """Form and enqueue the warps of ``run``'s current region."""
+        if _prof.ENABLED:
+            _prof.begin(_prof.PHASE_TBC)
         traces = form_region_warps(
             run.block,
             run.region_index,
@@ -220,6 +222,8 @@ class ShaderCore:
             cpm=self.cpm,
             slot_base=run.slot_base,
         )
+        if _prof.ENABLED:
+            _prof.end()
         run.live_warps = len(traces)
         self.stats.regions_executed += 1
         self.stats.warp_fetches += len(traces)
@@ -773,10 +777,7 @@ class ShaderCore:
                 )
             self.stats.walks += len(to_walk)
             self.stats.walk_refs_issued += batch.refs
-            self.stats.walk_refs_naive += sum(
-                len(self.page_table.walk(vpn << (self.page_shift - 12)))
-                for vpn in to_walk
-            )
+            self.stats.walk_refs_naive += batch.naive_refs
         all_ready = walk_start
         for vpn, (_pfn, ready) in result.items():
             self.stats.total_tlb_miss_cycles += ready - walk_start

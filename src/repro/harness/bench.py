@@ -82,7 +82,8 @@ def _peak_rss_kb() -> int:
 
 def _memo_entries() -> Dict[str, int]:
     """Entry counts of the module-level memos a sweep process fills:
-    workload builds, coalescing, TBC-formed traces and VPN order."""
+    workload builds, coalescing, TBC-formed traces and pre-mapped
+    address spaces."""
     from repro.core import simulator
     from repro.engines import event
     from repro.gpu.tbc import compactor
@@ -92,9 +93,7 @@ def _memo_entries() -> Dict[str, int]:
         "build": len(base._BUILD_CACHE),
         "coalesce": sum(len(memo) for memo in event._COAL_CACHES.values()),
         "tbc_trace": len(compactor._TRACE_CACHE),
-        "vpn_order": sum(
-            len(memo) for memo in simulator._VPN_ORDER_CACHES.values()
-        ),
+        "address_space": len(simulator._ADDRESS_SPACES),
     }
 
 

@@ -40,7 +40,8 @@ Schema (``BENCH_SCHEMA_VERSION`` = 1)::
                  "peak_rss_kb",            # peak RSS after the plain passes
                  "memo_entries"?,          # optional: {memo: entries} after
                                            # the plain passes (build,
-                                           # coalesce, tbc_trace, vpn_order)
+                                           # coalesce, tbc_trace,
+                                           # address_space)
                  "observed_wall_s"?, "observed_overhead"?,
                  "observed_peak_rss_kb"?}, # optional (bench --observed):
                                            # peak RSS after the observed
@@ -55,7 +56,10 @@ measured.  ``totals.observed_peak_rss_kb`` postdates ``BENCH_5.json``:
 until then the observed passes interleaved with the plain ones, so an
 ``--observed`` report's ``peak_rss_kb`` was the observed peak.
 ``totals.memo_entries`` postdates ``BENCH_7.json``; when present it
-maps each memo's name to a non-negative entry count.
+maps each memo's name to a non-negative entry count.  Through
+``BENCH_9.json`` its fourth memo was ``vpn_order`` (per-item page-touch
+order); ``address_space`` (the shared pre-mapped page tables) replaced
+it in ``BENCH_10.json``.
 
 Comparison is threshold-based and wall-clock aware: a figure regresses
 when its wall time grows (or its cells/s throughput shrinks) by more

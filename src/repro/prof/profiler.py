@@ -58,6 +58,7 @@ PHASE_COALESCE = "coalescer"         # intra-warp address coalescing
 PHASE_WARP_SCHED = "warp_scheduler"  # scheduler.select
 PHASE_EVENT_SKIP = "event_skip"      # event engine dead-time skip bookkeeping
 PHASE_BUILD = "workload_build"       # Workload.build on a memo miss
+PHASE_TBC = "tbc_compact"            # TBC region warp formation
 
 #: Every phase the built-in instrumentation emits.
 PHASES = (
@@ -72,6 +73,7 @@ PHASES = (
     PHASE_WARP_SCHED,
     PHASE_EVENT_SKIP,
     PHASE_BUILD,
+    PHASE_TBC,
 )
 
 #: Fast-path flag: True exactly while a profiler is installed.

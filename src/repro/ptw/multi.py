@@ -76,6 +76,7 @@ class WalkerPool:
             translations=translations,
             ready_times=ready_times,
             refs=refs,
+            naive_refs=refs,  # a serial walk's refs are its walk length
         )
 
     @property

@@ -18,21 +18,18 @@ example (three walks needing 12 naive loads) this issues exactly 7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 from repro.obs import events as _ev
 from repro.obs import spans as _spans
 from repro.obs import tracer as _trace
 from repro.prof import profiler as _prof
 from repro.ptw.walker import PageTableWalker, WalkBatchResult
-from repro.vm.address import cache_line_of
 from repro.vm.page_table import TranslationFault
 from repro.vm.pte import PTE_FLAG_LARGE, unpack_pte
 
 
-@dataclass(frozen=True)
-class BatchPlan:
+class BatchPlan(NamedTuple):
     """The load schedule for one batch of concurrent page walks.
 
     Attributes
@@ -65,30 +62,27 @@ def plan_batch(steps_by_vpn: Dict[int, List[Tuple[int, int]]]) -> BatchPlan:
         vpn → list of ``(level, load_paddr)`` references, as produced by
         :meth:`repro.ptw.PageTableWalker.steps_for`.
     """
-    max_level = max(
-        (level for steps in steps_by_vpn.values() for level, _ in steps),
-        default=-1,
-    )
-    loads_per_level: List[Tuple[int, ...]] = []
+    levels: List[Set[int]] = []
     naive_refs = 0
-    scheduled_refs = 0
     for steps in steps_by_vpn.values():
         naive_refs += len(steps)
-    for level in range(max_level + 1):
-        addrs = {
-            paddr
-            for steps in steps_by_vpn.values()
-            for step_level, paddr in steps
-            if step_level == level
-        }
-        # Same-line loads adjacent; deterministic order within a line.
-        ordered = tuple(sorted(addrs, key=lambda a: (cache_line_of(a), a)))
-        loads_per_level.append(ordered)
-        scheduled_refs += len(ordered)
+        for level, paddr in steps:
+            while len(levels) <= level:
+                levels.append(set())
+            levels[level].add(paddr)
+    # Sorting by address puts same-line loads adjacent (a cache line is
+    # an aligned address range) in a deterministic order within a line.
+    loads_per_level = tuple(tuple(sorted(addrs)) for addrs in levels)
     return BatchPlan(
-        loads_per_level=tuple(loads_per_level),
+        loads_per_level=loads_per_level,
         naive_refs=naive_refs,
-        scheduled_refs=scheduled_refs,
+        scheduled_refs=sum(map(len, loads_per_level)),
+    )
+
+
+def _empty_batch(now: int) -> WalkBatchResult:
+    return WalkBatchResult(
+        ready_time=now, translations={}, ready_times={}, refs=0, naive_refs=0
     )
 
 
@@ -108,9 +102,7 @@ class ScheduledPageTableWalker(PageTableWalker):
     def walk_many(self, vpns: Iterable[int], now: int) -> WalkBatchResult:
         vpn_list = list(dict.fromkeys(vpns))
         if not vpn_list:
-            return WalkBatchResult(
-                ready_time=now, translations={}, ready_times={}, refs=0
-            )
+            return _empty_batch(now)
         start = now if now >= self.busy_until else self.busy_until
         if self._fault_model is not None:
             return self._walk_many_faulting(vpn_list, now, start)
@@ -144,9 +136,7 @@ class ScheduledPageTableWalker(PageTableWalker):
                 list(walk_steps), walk_steps, now, start
             )
         else:
-            batch = WalkBatchResult(
-                ready_time=now, translations={}, ready_times={}, refs=0
-            )
+            batch = _empty_batch(now)
         if not faulted:
             return batch
         retry_at = max(handler_ready, self.busy_until)
@@ -163,12 +153,13 @@ class ScheduledPageTableWalker(PageTableWalker):
             translations=translations,
             ready_times=ready_times,
             refs=batch.refs + retry.refs,
+            naive_refs=batch.naive_refs + retry.naive_refs,
         )
 
     def _walk_batch(
         self,
         vpn_list: List[int],
-        walk_steps: Dict[int, List],
+        walk_steps: Dict[int, Tuple],
         now: int,
         start: int,
     ) -> WalkBatchResult:
@@ -292,4 +283,5 @@ class ScheduledPageTableWalker(PageTableWalker):
             translations=translations,
             ready_times=ready_times,
             refs=plan.scheduled_refs,
+            naive_refs=plan.naive_refs,
         )

@@ -29,8 +29,7 @@ code path, keeping results byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.faults.errors import PTWError, WalkTimeout
 from repro.mem.hierarchy import SharedMemory
@@ -43,8 +42,7 @@ from repro.vm.page_table import PageTable, TranslationFault, WalkStep
 from repro.vm.pte import PTE_FLAG_LARGE, unpack_pte
 
 
-@dataclass(frozen=True)
-class WalkResult:
+class WalkResult(NamedTuple):
     """Outcome of one page walk: completion time, translation, load count."""
 
     ready_time: int
@@ -52,8 +50,7 @@ class WalkResult:
     refs: int
 
 
-@dataclass(frozen=True)
-class WalkBatchResult:
+class WalkBatchResult(NamedTuple):
     """Outcome of walking a set of pages that missed together.
 
     Attributes
@@ -67,12 +64,16 @@ class WalkBatchResult:
         the serial walker; batch-level milestones for the scheduler).
     refs:
         Total walk loads issued for the batch.
+    naive_refs:
+        Loads a serial walker would issue for the batch: the walk
+        lengths summed (a faulting batch's retry included).
     """
 
     ready_time: int
     translations: Dict[int, int]
     ready_times: Dict[int, int]
     refs: int
+    naive_refs: int
 
 
 class PageTableWalker:
@@ -161,7 +162,9 @@ class PageTableWalker:
             ready = result.ready_time
         return ready
 
-    def _resolve_steps(self, vpn: int, start: int) -> Tuple[List[WalkStep], int]:
+    def _resolve_steps(
+        self, vpn: int, start: int
+    ) -> Tuple[Tuple[WalkStep, ...], int]:
         """Walk the table functionally, faulting in the page if needed.
 
         Returns the walk's memory references and the cycle the hardware
@@ -179,7 +182,7 @@ class PageTableWalker:
 
     def _issue_steps(
         self,
-        steps: List[WalkStep],
+        steps: Tuple[WalkStep, ...],
         start: int,
         tracing: bool,
         segments: Optional[list] = None,
@@ -312,6 +315,7 @@ class PageTableWalker:
             translations=translations,
             ready_times=ready_times,
             refs=refs,
+            naive_refs=refs,  # a serial walk's refs are its walk length
         )
 
     @property

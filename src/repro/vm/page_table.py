@@ -9,6 +9,11 @@ structure the paper's PTW scheduler exploits (Figures 8 and 9).
 
 2 MB large pages set the Page Size bit in their PD entry and terminate
 the walk after three loads.
+
+A table can be frozen once it is populated (:meth:`PageTable.freeze`):
+mapping and unmapping then raise, so the one table a process shares
+across simulations (``repro.core.simulator``) can never change under a
+later walker.
 """
 
 from __future__ import annotations
@@ -126,8 +131,9 @@ class PageTable:
         self._mapped_2m: Dict[int, int] = {}
         # Successful walks keyed by vpn.  The radix tree only changes
         # through map/unmap (which clear this), so replaying a walk's
-        # step list is safe — callers must treat it as read-only.
-        self._walk_cache: Dict[int, List[WalkStep]] = {}
+        # (immutable) step tuple is safe.
+        self._walk_cache: Dict[int, Tuple[WalkStep, ...]] = {}
+        self._frozen = False
 
     @property
     def cr3(self) -> int:
@@ -138,6 +144,23 @@ class PageTable:
     def pages_mapped(self) -> int:
         """Count of mapped pages (4 KB and 2 MB both count once)."""
         return len(self._mapped_4k) + len(self._mapped_2m)
+
+    @property
+    def frozen(self) -> bool:
+        """True once :meth:`freeze` has been called."""
+        return self._frozen
+
+    def freeze(self) -> None:
+        """Make the table read-only: map/unmap raise from now on.
+
+        Walks and translations keep working (and keep filling the walk
+        cache, which only memoizes what the frozen tree already says).
+        """
+        self._frozen = True
+
+    def _check_writable(self) -> None:
+        if self._frozen:
+            raise RuntimeError("the page table is frozen: it cannot change")
 
     def _new_node(self) -> int:
         base = PhysicalMemory.frame_base(self.memory.alloc_frame())
@@ -154,6 +177,7 @@ class PageTable:
         Allocates a data frame when ``pfn`` is None.  Remapping an
         already-mapped page is an error (unmap first).
         """
+        self._check_writable()
         if vpn in self._mapped_4k:
             raise ValueError(f"virtual page {vpn:#x} is already mapped")
         self._walk_cache.clear()
@@ -180,6 +204,7 @@ class PageTable:
 
     def map_large_page(self, vpn_2m: int, pfn: Optional[int] = None) -> int:
         """Map a 2 MB page at 2 MB-page-number ``vpn_2m``; return base PFN."""
+        self._check_writable()
         if vpn_2m in self._mapped_2m:
             raise ValueError(f"2 MB page {vpn_2m:#x} is already mapped")
         self._walk_cache.clear()
@@ -224,6 +249,7 @@ class PageTable:
 
     def unmap_page(self, vpn: int) -> None:
         """Remove a 4 KB mapping and free its data frame."""
+        self._check_writable()
         self._walk_cache.clear()
         pfn = self._mapped_4k.pop(vpn, None)
         if pfn is None:
@@ -239,7 +265,7 @@ class PageTable:
         del self._nodes[node][indices[-1]]
         self.memory.free_frame(pfn)
 
-    def walk(self, vpn: int) -> List[WalkStep]:
+    def walk(self, vpn: int) -> Tuple[WalkStep, ...]:
         """Perform a full hardware walk for 4 KB page ``vpn``.
 
         Returns the ordered memory references a serial hardware walker
@@ -247,8 +273,8 @@ class PageTable:
         2 MB leaf at the PD.  Raises :class:`TranslationFault` when an
         entry is missing.
 
-        Successful walks are cached until the next map/unmap; the
-        returned list is shared and must not be mutated.
+        Successful walks are cached until the next map/unmap; every
+        call for the page returns the same (immutable) tuple.
         """
         cached = self._walk_cache.get(vpn)
         if cached is not None:
@@ -280,11 +306,10 @@ class PageTable:
                 )
             )
             if is_leaf:
-                self._walk_cache[vpn] = steps
-                return steps
+                break
             node = pfn << PAGE_SHIFT_4K
-        self._walk_cache[vpn] = steps
-        return steps
+        walk = self._walk_cache[vpn] = tuple(steps)
+        return walk
 
     def translate(self, vaddr: int) -> int:
         """Translate a byte virtual address to its physical address."""

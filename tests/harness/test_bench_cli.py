@@ -41,7 +41,10 @@ class TestBenchCli:
         assert "tlb_lookup" in figure["phases"]
         assert report["totals"]["peak_rss_kb"] > 0
         memos = report["totals"]["memo_entries"]
-        assert set(memos) == {"build", "coalesce", "tbc_trace", "vpn_order"}
+        assert set(memos) == {
+            "build", "coalesce", "tbc_trace", "address_space"
+        }
+        assert memos["address_space"] > 0
         assert memos["build"] > 0 and memos["coalesce"] > 0
         assert "memo entries build" in first
         assert report["metrics"]  # registry snapshot is populated

@@ -1,11 +1,12 @@
 """The coalescing PTW scheduler, including the paper's worked example."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.mem.hierarchy import SharedMemory
-from repro.ptw.scheduler import ScheduledPageTableWalker, plan_batch
+from repro.ptw.scheduler import BatchPlan, ScheduledPageTableWalker, plan_batch
 from repro.ptw.walker import PageTableWalker
-from repro.vm.address import compose_vpn
+from repro.vm.address import cache_line_of, compose_vpn
 from repro.vm.page_table import PageTable
 
 #: The three pages of Figure 8.
@@ -108,3 +109,65 @@ class TestSchedulerProperties:
         base = table.map_large_page(9)
         batch = walker.walk_many([compose_vpn(1, 2, 3, 4), 9 << 9], now=0)
         assert batch.translations[9 << 9] == base
+
+
+def reference_plan_batch(steps_by_vpn):
+    """The level-at-a-time planner with an explicit (line, address) sort
+    key, kept as the reference the one-pass planner must equal."""
+    max_level = max(
+        (level for steps in steps_by_vpn.values() for level, _ in steps),
+        default=-1,
+    )
+    loads_per_level = []
+    naive_refs = 0
+    scheduled_refs = 0
+    for steps in steps_by_vpn.values():
+        naive_refs += len(steps)
+    for level in range(max_level + 1):
+        addrs = {
+            paddr
+            for steps in steps_by_vpn.values()
+            for step_level, paddr in steps
+            if step_level == level
+        }
+        ordered = tuple(sorted(addrs, key=lambda a: (cache_line_of(a), a)))
+        loads_per_level.append(ordered)
+        scheduled_refs += len(ordered)
+    return BatchPlan(
+        loads_per_level=tuple(loads_per_level),
+        naive_refs=naive_refs,
+        scheduled_refs=scheduled_refs,
+    )
+
+
+#: One walk: per-level entry addresses drawn from a few table nodes, so
+#: batches share entries and cache lines; 3 levels for a 2 MB leaf.
+_walks = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),  # table node
+        st.integers(min_value=0, max_value=511),  # entry index
+    ),
+    min_size=3,
+    max_size=4,
+).map(
+    lambda parts: [
+        (level, ((node + 1) << 12) + 8 * index)
+        for level, (node, index) in enumerate(parts)
+    ]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(min_value=0, max_value=1 << 20), _walks,
+                       max_size=12))
+def test_one_pass_plan_equals_reference(steps_by_vpn):
+    assert plan_batch(steps_by_vpn) == reference_plan_batch(steps_by_vpn)
+
+
+def test_plan_of_real_walks_equals_reference():
+    table, walker = make(ScheduledPageTableWalker)
+    for vpn in FIG8_PAGES:
+        table.map_page(vpn)
+    table.map_large_page(9)
+    steps = walker.steps_for(FIG8_PAGES + [9 << 9])
+    assert plan_batch(steps) == reference_plan_batch(steps)
