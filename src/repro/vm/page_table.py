@@ -133,6 +133,11 @@ class PageTable:
         # through map/unmap (which clear this), so replaying a walk's
         # (immutable) step tuple is safe.
         self._walk_cache: Dict[int, Tuple[WalkStep, ...]] = {}
+        # Interior (non-leaf) steps keyed by entry address, shared by
+        # every walk through that entry.  An interior entry never
+        # changes once written (nodes are never freed, and unmapping
+        # only deletes leaves), so these survive map/unmap.
+        self._interior_steps: Dict[int, WalkStep] = {}
         self._frozen = False
 
     @property
@@ -295,16 +300,20 @@ class PageTable:
                 )
             pfn, flags = unpack_pte(entry)
             is_leaf = level == 3 or bool(flags & PTE_FLAG_LARGE)
-            steps.append(
-                WalkStep(
+            paddr = self._entry_paddr(node, index)
+            step = None if is_leaf else self._interior_steps.get(paddr)
+            if step is None:
+                step = WalkStep(
                     level=level,
                     level_name=LEVEL_NAMES[level],
-                    load_paddr=self._entry_paddr(node, index),
+                    load_paddr=paddr,
                     index=index,
                     entry=entry,
                     is_leaf=is_leaf,
                 )
-            )
+                if not is_leaf:
+                    self._interior_steps[paddr] = step
+            steps.append(step)
             if is_leaf:
                 break
             node = pfn << PAGE_SHIFT_4K

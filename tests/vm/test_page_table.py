@@ -96,6 +96,18 @@ class TestWalkStructure:
         assert wa[1].load_paddr == wb[1].load_paddr  # same PDP entry
         assert wa[2].load_paddr != wb[2].load_paddr  # different PD entries
 
+    def test_walks_share_interior_steps(self, page_table):
+        a = compose_vpn(0xB9, 0x0C, 0xAC, 0x03)
+        b = compose_vpn(0xB9, 0x0C, 0xAC, 0x04)
+        page_table.map_page(a)
+        wa = page_table.walk(a)
+        page_table.map_page(b)  # clears the walk cache, not the steps
+        wb = page_table.walk(b)
+        assert all(x is y for x, y in zip(wa[:3], wb[:3]))
+        assert wa[3] is not wb[3] and wa[3].load_paddr != wb[3].load_paddr
+        page_table.unmap_page(a)
+        assert page_table.walk(b)[:3] == wb[:3]
+
     def test_walk_fault_reports_level(self, page_table):
         with pytest.raises(TranslationFault, match="PML4"):
             page_table.walk(compose_vpn(400, 0, 0, 0))
