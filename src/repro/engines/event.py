@@ -31,9 +31,15 @@ cycle engine's.  Three mechanical changes carry the speedup:
   L2 bank and DRAM channel transitions, instead of crossing up to five
   method-call layers per page or line; the L1, L2 and MSHR counters are
   summed in locals and added to their objects once per instruction.
-  The rest of translation is the reference core's own code:
+  Every set-associative structure keeps a preallocated list of per-set
+  dicts, bound once per run and reached by one list index (which is
+  why their ``flush`` empties the sets in place).  The rest of
+  translation is the reference core's own code:
   ``ShaderCore._inject_shootdown`` before a lookup batch and
-  ``ShaderCore._handle_misses`` for its misses.
+  ``ShaderCore._handle_misses`` for its misses, whose walkers issue
+  each load through ``SharedMemory.walk_load``; a TLB entry's warp
+  history is updated only when the core keeps it (the TLB's
+  ``keep_history``, decided by the core for both engines).
 
 There is one issue loop (:meth:`EventEngine._loop`) and one memory path:
 an ``issue_memory`` closure, built at every ``run()`` entry, whose one
@@ -72,7 +78,7 @@ from repro.gpu.instruction import ComputeInstruction
 from repro.gpu.scheduler.base import (
     Candidate,
     RoundRobinScheduler,
-    WarpScheduler,
+    policy_hook,
 )
 from repro.obs import events as _ev
 from repro.obs import spans as _spans
@@ -151,14 +157,6 @@ def coalesced_runs(addresses, line_bytes: int, page_shift: int, memo: dict):
         memo.clear()
     memo[addresses] = entry
     return entry
-
-
-def _hook(sched, name: str):
-    """``sched``'s bound hook ``name``, or None while the policy keeps
-    the base-class no-op (so the memory path can skip the call)."""
-    if getattr(type(sched), name, None) is getattr(WarpScheduler, name):
-        return None
-    return getattr(sched, name)
 
 
 class EventEngine(SimEngine):
@@ -505,9 +503,9 @@ class EventEngine(SimEngine):
         spanned = _spans.ENABLED
         injector = core._injector
         sched = core.scheduler
-        on_l1 = _hook(sched, "on_l1_access")
-        on_tlb_hit = _hook(sched, "on_tlb_hit")
-        on_tlb_miss = _hook(sched, "on_tlb_miss")
+        on_l1 = policy_hook(sched, "on_l1_access")
+        on_tlb_hit = policy_hook(sched, "on_tlb_hit")
+        on_tlb_miss = policy_hook(sched, "on_tlb_miss")
         # LRU stack depth from the MRU end (TCWS's depth-weighted
         # scoring, the trace's lookup events), computed before the
         # reinsertion disturbs the order, as the reference lookup does.
@@ -526,6 +524,7 @@ class EventEngine(SimEngine):
         if tlb is not None:
             tlb_sets = tlb._sets
             num_sets = tlb.num_sets
+            keep_history = tlb.keep_history
         tlb_cfg = core.config.tlb
         ports = tlb_cfg.ports
         extra_latency = core.tlb_extra_latency
@@ -545,6 +544,7 @@ class EventEngine(SimEngine):
         mshr_capacity = mshrs.capacity
         shm = mem.shared
         banks = shm.l2_banks
+        bank_sets = [bank._sets for bank in banks]
         bank_labels = [bank.label for bank in banks]
         bank_line = banks[0].line_bytes
         bank_num_sets = banks[0].num_sets
@@ -633,8 +633,8 @@ class EventEngine(SimEngine):
                 # One probe per page, SetAssociativeTLB.lookup inline.
                 for vpn in vpns:
                     history_id = origins.get(vpn, warp_id) if origins else warp_id
-                    tlb_set = tlb_sets.get(vpn % num_sets)
-                    if tlb_set is None or vpn not in tlb_set:
+                    tlb_set = tlb_sets[vpn % num_sets]
+                    if vpn not in tlb_set:
                         tlb.misses += 1
                         if traced:
                             record(
@@ -663,12 +663,13 @@ class EventEngine(SimEngine):
                                 break
                             depth += 1
                     entry = tlb_set.pop(vpn)
-                    history = entry.history
-                    prior = tuple(history) if cpm is not None else ()
-                    if history_id in history:
-                        history.remove(history_id)
-                    history.insert(0, history_id)
-                    del history[HISTORY_LENGTH:]
+                    if keep_history:
+                        history = entry.history
+                        prior = tuple(history) if cpm is not None else ()
+                        if history_id in history:
+                            history.remove(history_id)
+                        history.insert(0, history_id)
+                        del history[HISTORY_LENGTH:]
                     tlb_set[vpn] = entry  # move to MRU
                     stats.tlb_hits += 1
                     if want_depth:
@@ -731,10 +732,7 @@ class EventEngine(SimEngine):
                 for offset in offsets:
                     cursor += 1
                     paddr = base + offset
-                    index = paddr // l1_line % l1_num_sets
-                    cache_set = l1_sets.get(index)
-                    if cache_set is None:
-                        cache_set = l1_sets[index] = {}
+                    cache_set = l1_sets[paddr // l1_line % l1_num_sets]
                     ev_line = ev_warp = None
                     if paddr in cache_set:
                         l1_hits += 1
@@ -814,11 +812,9 @@ class EventEngine(SimEngine):
                             service_start = arrive if arrive > busy else busy
                             bank_busy[channel] = service_start + l2_interval
                             bank = banks[channel]
-                            bank_index = paddr // bank_line % bank_num_sets
-                            bank_sets = bank._sets
-                            bank_set = bank_sets.get(bank_index)
-                            if bank_set is None:
-                                bank_set = bank_sets[bank_index] = {}
+                            bank_set = bank_sets[channel][
+                                paddr // bank_line % bank_num_sets
+                            ]
                             if paddr in bank_set:
                                 bank.hits += 1
                                 l2_hits += 1

@@ -69,6 +69,14 @@ class WarpScheduler:
         """A translation was evicted; ``owner_warp`` last touched it."""
 
 
+def policy_hook(sched: WarpScheduler, name: str):
+    """``sched``'s bound hook ``name``, or None while the policy keeps
+    the base-class no-op (so the memory path can skip the call)."""
+    if getattr(type(sched), name, None) is getattr(WarpScheduler, name):
+        return None
+    return getattr(sched, name)
+
+
 class RoundRobinScheduler(WarpScheduler):
     """Loose round-robin: the GPU default the paper's baseline uses."""
 

@@ -34,7 +34,7 @@ from repro.faults.context import FaultContext
 from repro.faults.watchdog import Watchdog
 from repro.gpu.coalescer import coalesce
 from repro.gpu.instruction import MemoryInstruction, WarpTrace
-from repro.gpu.scheduler.base import Candidate
+from repro.gpu.scheduler.base import Candidate, policy_hook
 from repro.gpu.scheduler.factory import make_scheduler
 from repro.gpu.tbc.blocks import ThreadBlock
 from repro.gpu.tbc.compactor import form_region_warps
@@ -126,6 +126,17 @@ class ShaderCore:
             mshr_entries=cache.l1_mshr_entries,
         )
         self.scheduler = make_scheduler(config.scheduler, config.warps_per_core)
+        # TLB evictions reach a policy that overrides the no-op (TCWS).
+        self._on_tlb_evict = policy_hook(self.scheduler, "on_tlb_evict")
+        self.tbc_mode = config.tbc.mode
+        block_mode = bool(work) and isinstance(work[0], ThreadBlock)
+        self.cpm: Optional[CommonPageMatrix] = None
+        if block_mode and self.tbc_mode == "tlb-tbc":
+            self.cpm = CommonPageMatrix(
+                num_warps=config.warps_per_core,
+                counter_bits=config.tbc.cpm_counter_bits,
+                flush_interval=config.tbc.cpm_flush_interval,
+            )
         self.page_shift = config.page_shift
         self.page_mask = (1 << config.page_shift) - 1
         self.line_bytes = cache.line_bytes
@@ -137,10 +148,16 @@ class ShaderCore:
         self.tlb_port_busy_until = 0
         self._pending_walks: Dict[int, int] = {}  # vpn -> translation ready
         if config.tlb.enabled:
+            # A TLB entry's warp history is read by the Common Page
+            # Matrix (its prior history on a hit) and by on_tlb_evict
+            # (the evicted entry's owner); without either it is not kept.
             self.tlb = SetAssociativeTLB(
                 entries=config.tlb.entries,
                 associativity=config.tlb.associativity,
                 ports=config.tlb.ports,
+                keep_history=(
+                    self.cpm is not None or self._on_tlb_evict is not None
+                ),
             )
             self.tlb_extra_latency = access_latency(
                 config.tlb.entries, config.tlb.ports, ideal=config.tlb.ideal_latency
@@ -158,17 +175,9 @@ class ShaderCore:
                     page_table, shared_memory, faults=faults
                 )
 
-        self.tbc_mode = config.tbc.mode
-        self.cpm: Optional[CommonPageMatrix] = None
         self._block_runs: List[_BlockRun] = []
         self.warps: List[Warp] = []
-        if work and isinstance(work[0], ThreadBlock):
-            if self.tbc_mode == "tlb-tbc":
-                self.cpm = CommonPageMatrix(
-                    num_warps=config.warps_per_core,
-                    counter_bits=config.tbc.cpm_counter_bits,
-                    flush_interval=config.tbc.cpm_flush_interval,
-                )
+        if block_mode:
             slot_base = 0
             for block in work:
                 run = _BlockRun(block=block, slot_base=slot_base)
@@ -430,8 +439,8 @@ class ShaderCore:
         race); the next access re-walks.
         """
         eviction = self.tlb.fill(vpn, pfn, owner)
-        if eviction is not None:
-            self.scheduler.on_tlb_evict(eviction.vpn, eviction.owner)
+        if eviction is not None and self._on_tlb_evict is not None:
+            self._on_tlb_evict(eviction.vpn, eviction.owner)
         if self._injector is not None and self._injector.tlb_invalidate(vpn):
             self.tlb.invalidate(vpn)
             self._injected_invalidations += 1

@@ -81,19 +81,21 @@ def _peak_rss_kb() -> int:
 
 
 def _memo_entries() -> Dict[str, int]:
-    """Entry counts of the module-level memos a sweep process fills:
-    workload builds, coalescing, TBC-formed traces and pre-mapped
-    address spaces."""
+    """Entry counts of the memos a sweep process fills: workload
+    builds, coalescing, TBC-formed traces, pre-mapped address spaces
+    and the scheduled walker's batch plans on their frozen tables."""
     from repro.core import simulator
     from repro.engines import event
     from repro.gpu.tbc import compactor
     from repro.workloads import base
 
+    spaces = simulator._ADDRESS_SPACES.values()
     return {
         "build": len(base._BUILD_CACHE),
         "coalesce": sum(len(memo) for memo in event._COAL_CACHES.values()),
         "tbc_trace": len(compactor._TRACE_CACHE),
-        "address_space": len(simulator._ADDRESS_SPACES),
+        "address_space": len(spaces),
+        "walk_plan": sum(len(page_table.plans) for _, _, page_table, _ in spaces),
     }
 
 

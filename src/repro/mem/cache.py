@@ -8,7 +8,7 @@ Figure 12 of the paper).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.obs import events as _ev
 from repro.obs import tracer as _trace
@@ -78,6 +78,10 @@ class SetAssociativeCache:
     label:
         Name stamped onto trace events (and their Perfetto track) so
         L1s and L2 banks are distinguishable in a trace.
+
+    Each set is an insertion-ordered dict of line address → allocating
+    warp (LRU first), held in a list preallocated at construction and
+    indexed by set number; :meth:`flush` empties the sets in place.
     """
 
     def __init__(
@@ -100,9 +104,11 @@ class SetAssociativeCache:
         self.associativity = associativity
         self.label = label
         self.num_sets = num_lines // associativity
-        # Per set: insertion-ordered dict of line_addr -> allocating warp.
-        # Oldest (LRU) entry first; hits reinsert to move to MRU.
-        self._sets: Dict[int, Dict[int, Optional[int]]] = {}
+        # The event engine and SharedMemory.walk_load index this list
+        # directly.  Hits reinsert a line to move it to MRU.
+        self._sets: List[Dict[int, Optional[int]]] = [
+            {} for _ in range(self.num_sets)
+        ]
         self.hits = 0
         self.misses = 0
 
@@ -111,13 +117,11 @@ class SetAssociativeCache:
 
     def lookup(self, line_addr: int) -> bool:
         """Probe without updating LRU state or filling."""
-        cache_set = self._sets.get(self._set_index(line_addr))
-        return cache_set is not None and line_addr in cache_set
+        return line_addr in self._sets[self._set_index(line_addr)]
 
     def access(self, line_addr: int, warp_id: Optional[int] = None) -> CacheAccess:
         """Access ``line_addr``; fill (and possibly evict) on a miss."""
-        index = self._set_index(line_addr)
-        cache_set = self._sets.setdefault(index, {})
+        cache_set = self._sets[self._set_index(line_addr)]
         if line_addr in cache_set:
             self.hits += 1
             owner = cache_set.pop(line_addr)
@@ -163,8 +167,7 @@ class SetAssociativeCache:
 
     def fill(self, line_addr: int, warp_id: Optional[int] = None) -> CacheAccess:
         """Install a line without counting a demand access (e.g. PTW fill)."""
-        index = self._set_index(line_addr)
-        cache_set = self._sets.setdefault(index, {})
+        cache_set = self._sets[self._set_index(line_addr)]
         if line_addr in cache_set:
             owner = cache_set.pop(line_addr)
             cache_set[line_addr] = owner
@@ -181,21 +184,25 @@ class SetAssociativeCache:
 
     def invalidate(self, line_addr: int) -> bool:
         """Drop a line if present; return whether it was resident."""
-        index = self._set_index(line_addr)
-        cache_set = self._sets.get(index)
-        if cache_set is not None and line_addr in cache_set:
+        cache_set = self._sets[self._set_index(line_addr)]
+        if line_addr in cache_set:
             del cache_set[line_addr]
             return True
         return False
 
     def flush(self) -> None:
-        """Empty the cache (e.g. on a TLB shootdown / context switch)."""
-        self._sets.clear()
+        """Empty the cache (e.g. on a TLB shootdown / context switch).
+
+        The sets are emptied in place: the event engine binds the list
+        once per run.
+        """
+        for cache_set in self._sets:
+            cache_set.clear()
 
     @property
     def resident_lines(self) -> int:
         """Number of lines currently held."""
-        return sum(len(s) for s in self._sets.values())
+        return sum(map(len, self._sets))
 
     @property
     def miss_rate(self) -> float:

@@ -5,7 +5,8 @@ Mirrors the paper's evaluation platform (Section 5.2): per-shader-core
 unified L2, and DRAM behind each channel.  Page table walker references
 are injected into the shared L2 ("MSHR allocation triggers page table
 walks, which inject memory requests to the shared caches and main
-memory"), and the hierarchy keeps separate counters for them so the PTW
+memory") as their own request class, :meth:`SharedMemory.walk_load`,
+and the hierarchy keeps separate counters for them so the PTW
 scheduler's cache-hit-rate improvements are measurable (Figure 10).
 """
 
@@ -16,6 +17,8 @@ from typing import List, Optional
 from repro.mem.cache import SetAssociativeCache
 from repro.mem.dram import DRAM
 from repro.mem.mshr import MSHRFile
+from repro.obs import events as _ev
+from repro.obs import tracer as _trace
 from repro.prof import profiler as _prof
 
 
@@ -84,6 +87,7 @@ class SharedMemory:
         dram_service_interval: int = 8,
     ):
         self.line_bytes = line_bytes
+        self.num_channels = num_channels
         self.l2_latency = l2_latency
         self.l2_service_interval = l2_service_interval
         self.interconnect_latency = interconnect_latency
@@ -111,35 +115,23 @@ class SharedMemory:
         self.ptw_refs = 0
         self.ptw_l2_hits = 0
 
-    def access_line(self, line_addr: int, now: int, is_ptw: bool = False) -> MemAccessResult:
-        """Access a line in the shared levels; returns ready time and level.
+    def access_line(self, line_addr: int, now: int) -> MemAccessResult:
+        """A data access to a line in the shared levels; returns its
+        ready time and the level that served it.
 
-        Page-walk references are prioritized past the bank's data queue:
-        they are a small fraction of traffic, every cycle they wait is
-        multiplied by the walk's four dependent levels, and real memory
-        controllers arbitrate request classes rather than FIFO-ing
-        translation traffic behind data bursts.  They still consume bank
-        bandwidth (the busy window advances).
+        Data requests queue behind the bank's busy window (one access
+        per service interval); page-walk loads take
+        :meth:`walk_load` instead.
         """
         if _prof.ENABLED:
             _prof.begin(_prof.PHASE_L2)
         channel = self.dram.channel_of(line_addr)
         bank = self.l2_banks[channel]
         arrive = now + self.interconnect_latency
-        if is_ptw:
-            self.ptw_refs += 1
-            start = arrive
-            self._bank_busy_until[channel] = (
-                max(arrive, self._bank_busy_until[channel])
-                + self.l2_service_interval
-            )
-        else:
-            start = max(arrive, self._bank_busy_until[channel])
-            self._bank_busy_until[channel] = start + self.l2_service_interval
+        start = max(arrive, self._bank_busy_until[channel])
+        self._bank_busy_until[channel] = start + self.l2_service_interval
         if bank.access(line_addr).hit:
             self.l2_hits += 1
-            if is_ptw:
-                self.ptw_l2_hits += 1
             if _prof.ENABLED:
                 _prof.end()
             return MemAccessResult(start + self.l2_latency, "l2")
@@ -148,6 +140,78 @@ class SharedMemory:
         if _prof.ENABLED:
             _prof.end()
         return MemAccessResult(ready + self.interconnect_latency, "dram")
+
+    def walk_load(self, line_addr: int, now: int) -> int:
+        """A page walk's load of ``line_addr`` issued at ``now``; returns
+        the cycle its data is ready.
+
+        Walk loads are prioritized past the bank's data queue: they are
+        a small fraction of traffic, every cycle they wait is multiplied
+        by the walk's dependent levels, and real memory controllers
+        arbitrate request classes rather than FIFO-ing translation
+        traffic behind data bursts.  They still consume bank bandwidth
+        (the busy window advances).  The bank's LRU set is updated in
+        place, with the CACHE_ACCESS event and ``cache_l2`` profiler
+        phase ``SetAssociativeCache.access`` and :meth:`access_line`
+        would record; an L2 miss goes on to ``DRAM.access``.
+        """
+        profiled = _prof.ENABLED
+        if profiled:
+            _prof.begin(_prof.PHASE_L2)
+        self.ptw_refs += 1
+        channel = line_addr // self.line_bytes % self.num_channels
+        arrive = now + self.interconnect_latency
+        busy = self._bank_busy_until[channel]
+        self._bank_busy_until[channel] = (
+            arrive if arrive > busy else busy
+        ) + self.l2_service_interval
+        bank = self.l2_banks[channel]
+        bank_set = bank._sets[line_addr // bank.line_bytes % bank.num_sets]
+        ready = arrive + self.l2_latency
+        if line_addr in bank_set:
+            bank.hits += 1
+            self.l2_hits += 1
+            self.ptw_l2_hits += 1
+            bank_set[line_addr] = bank_set.pop(line_addr)  # move to MRU
+            if _trace.ENABLED:
+                _trace.RECORD(
+                    (
+                        _ev.CACHE_ACCESS,
+                        _trace.NOW,
+                        _trace.CORE,
+                        bank.label,
+                        None,
+                        {"line": line_addr, "hit": True, "warp": None},
+                    )
+                )
+        else:
+            bank.misses += 1
+            self.l2_misses += 1
+            evicted = None
+            if len(bank_set) >= bank.associativity:
+                evicted = next(iter(bank_set))
+                del bank_set[evicted]
+            bank_set[line_addr] = None
+            if _trace.ENABLED:
+                _trace.RECORD(
+                    (
+                        _ev.CACHE_ACCESS,
+                        _trace.NOW,
+                        _trace.CORE,
+                        bank.label,
+                        None,
+                        {
+                            "line": line_addr,
+                            "hit": False,
+                            "warp": None,
+                            "evicted": evicted,
+                        },
+                    )
+                )
+            ready = self.dram.access(line_addr, ready) + self.interconnect_latency
+        if profiled:
+            _prof.end()
+        return ready
 
     @property
     def ptw_l2_hit_rate(self) -> float:

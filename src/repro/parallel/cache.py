@@ -40,7 +40,7 @@ from repro.durable import atomic_write
 from repro.parallel.cells import Cell
 
 #: Code-version salt: bump on any change to simulated timing/semantics.
-SIMULATION_VERSION = "sim-v1"
+SIMULATION_VERSION = "sim-v2"
 
 
 def cache_key(cell: Cell) -> str:

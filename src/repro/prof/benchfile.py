@@ -41,7 +41,7 @@ Schema (``BENCH_SCHEMA_VERSION`` = 1)::
                  "memo_entries"?,          # optional: {memo: entries} after
                                            # the plain passes (build,
                                            # coalesce, tbc_trace,
-                                           # address_space)
+                                           # address_space, walk_plan)
                  "observed_wall_s"?, "observed_overhead"?,
                  "observed_peak_rss_kb"?}, # optional (bench --observed):
                                            # peak RSS after the observed
@@ -59,7 +59,8 @@ until then the observed passes interleaved with the plain ones, so an
 maps each memo's name to a non-negative entry count.  Through
 ``BENCH_9.json`` its fourth memo was ``vpn_order`` (per-item page-touch
 order); ``address_space`` (the shared pre-mapped page tables) replaced
-it in ``BENCH_10.json``.
+it in ``BENCH_10.json``.  ``walk_plan`` (the scheduled walker's batch
+plans, kept on those tables) first appears in ``BENCH_11.json``.
 
 Comparison is threshold-based and wall-clock aware: a figure regresses
 when its wall time grows (or its cells/s throughput shrinks) by more

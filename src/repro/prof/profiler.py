@@ -52,7 +52,7 @@ PHASE_TLB = "tlb_lookup"             # SetAssociativeTLB.lookup
 PHASE_PTW = "ptw_walk"               # serial walker / pool walks
 PHASE_PTW_SCHED = "ptw_schedule"     # the coalescing scheduled walker
 PHASE_CACHE = "cache_l1"             # CoreMemory.access (L1 + MSHRs)
-PHASE_L2 = "cache_l2"                # SharedMemory.access_line
+PHASE_L2 = "cache_l2"                # SharedMemory.access_line / walk_load
 PHASE_DRAM = "dram"                  # DRAM.access
 PHASE_COALESCE = "coalescer"         # intra-warp address coalescing
 PHASE_WARP_SCHED = "warp_scheduler"  # scheduler.select

@@ -59,6 +59,7 @@ class WalkerPool:
         translations: Dict[int, int] = {}
         ready_times: Dict[int, int] = {}
         refs = 0
+        naive = self.refs_naive
         finish = now
         for vpn in dict.fromkeys(vpns):
             walker = self._earliest_free(now)
@@ -76,7 +77,7 @@ class WalkerPool:
             translations=translations,
             ready_times=ready_times,
             refs=refs,
-            naive_refs=refs,  # a serial walk's refs are its walk length
+            naive_refs=self.refs_naive - naive,  # the walk lengths
         )
 
     @property

@@ -25,8 +25,13 @@ from repro.obs import spans as _spans
 from repro.obs import tracer as _trace
 from repro.prof import profiler as _prof
 from repro.ptw.walker import PageTableWalker, WalkBatchResult
-from repro.vm.page_table import TranslationFault
-from repro.vm.pte import PTE_FLAG_LARGE, unpack_pte
+from repro.vm.page_table import PageTable, TranslationFault
+
+#: Entry cap of one frozen table's plan memo (see :func:`memoized_plan`):
+#: a plan of a few pages retains about 0.65 KB, and a sweep's busiest
+#: table holds well under a tenth of the cap.  Eviction is a full
+#: clear, as for the other memos.
+PLAN_MEMO_LIMIT = 10_000
 
 
 class BatchPlan(NamedTuple):
@@ -41,16 +46,36 @@ class BatchPlan(NamedTuple):
         Loads a serial walker would have issued (walk lengths summed).
     scheduled_refs:
         Loads this plan issues.
+    pfns / leaf_loads:
+        Each page's translation and the address of its leaf entry, in
+        batch order (a plan of real walks, :func:`plan_walks`; empty
+        from :func:`plan_batch`, which sees only load addresses).
     """
 
     loads_per_level: Tuple[Tuple[int, ...], ...]
     naive_refs: int
     scheduled_refs: int
+    pfns: Tuple[int, ...] = ()
+    leaf_loads: Tuple[int, ...] = ()
 
     @property
     def refs_eliminated(self) -> int:
         """Loads removed by deduplicating repeated references."""
         return self.naive_refs - self.scheduled_refs
+
+
+def _level_loads(refs: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, ...], ...]:
+    """Each level's distinct loads of ``(level, load_paddr)`` references.
+
+    Sorting by address puts same-line loads adjacent (a cache line is
+    an aligned address range) in a deterministic order within a line.
+    """
+    levels: List[Set[int]] = []
+    for level, paddr in refs:
+        while len(levels) <= level:
+            levels.append(set())
+        levels[level].add(paddr)
+    return tuple(tuple(sorted(addrs)) for addrs in levels)
 
 
 def plan_batch(steps_by_vpn: Dict[int, List[Tuple[int, int]]]) -> BatchPlan:
@@ -62,22 +87,49 @@ def plan_batch(steps_by_vpn: Dict[int, List[Tuple[int, int]]]) -> BatchPlan:
         vpn → list of ``(level, load_paddr)`` references, as produced by
         :meth:`repro.ptw.PageTableWalker.steps_for`.
     """
-    levels: List[Set[int]] = []
-    naive_refs = 0
-    for steps in steps_by_vpn.values():
-        naive_refs += len(steps)
-        for level, paddr in steps:
-            while len(levels) <= level:
-                levels.append(set())
-            levels[level].add(paddr)
-    # Sorting by address puts same-line loads adjacent (a cache line is
-    # an aligned address range) in a deterministic order within a line.
-    loads_per_level = tuple(tuple(sorted(addrs)) for addrs in levels)
+    loads_per_level = _level_loads(
+        ref for steps in steps_by_vpn.values() for ref in steps
+    )
     return BatchPlan(
         loads_per_level=loads_per_level,
-        naive_refs=naive_refs,
+        naive_refs=sum(map(len, steps_by_vpn.values())),
         scheduled_refs=sum(map(len, loads_per_level)),
     )
+
+
+def plan_walks(page_table: PageTable, pages: Tuple[int, ...]) -> BatchPlan:
+    """The plan of walking ``pages`` (all mapped) on ``page_table``:
+    :func:`plan_batch`'s schedule plus each page's pfn and leaf load."""
+    walks = [page_table.walk(vpn) for vpn in pages]
+    loads_per_level = _level_loads(
+        (step.level, step.load_paddr) for steps in walks for step in steps
+    )
+    return BatchPlan(
+        loads_per_level=loads_per_level,
+        naive_refs=sum(map(len, walks)),
+        scheduled_refs=sum(map(len, loads_per_level)),
+        pfns=tuple(map(page_table.translate_vpn, pages)),
+        leaf_loads=tuple(steps[-1].load_paddr for steps in walks),
+    )
+
+
+def memoized_plan(page_table: PageTable, pages: Tuple[int, ...]) -> BatchPlan:
+    """:func:`plan_walks`, memoized by page tuple on a frozen table.
+
+    A frozen table's walks never change, so its plans are kept in
+    ``page_table.plans``; an unfrozen (demand-paging) table has none
+    and plans every batch afresh.
+    """
+    memo = page_table.plans
+    if memo is None:
+        return plan_walks(page_table, pages)
+    plan = memo.get(pages)
+    if plan is None:
+        plan = plan_walks(page_table, pages)
+        if len(memo) >= PLAN_MEMO_LIMIT:
+            memo.clear()
+        memo[pages] = plan
+    return plan
 
 
 def _empty_batch(now: int) -> WalkBatchResult:
@@ -100,17 +152,16 @@ class ScheduledPageTableWalker(PageTableWalker):
     """
 
     def walk_many(self, vpns: Iterable[int], now: int) -> WalkBatchResult:
-        vpn_list = list(dict.fromkeys(vpns))
-        if not vpn_list:
+        pages = tuple(dict.fromkeys(vpns))
+        if not pages:
             return _empty_batch(now)
         start = now if now >= self.busy_until else self.busy_until
         if self._fault_model is not None:
-            return self._walk_many_faulting(vpn_list, now, start)
-        walk_steps = {vpn: self.page_table.walk(vpn) for vpn in vpn_list}
-        return self._walk_batch(vpn_list, walk_steps, now, start)
+            return self._walk_many_faulting(pages, now, start)
+        return self._walk_batch(pages, now, start)
 
     def _walk_many_faulting(
-        self, vpn_list: List[int], now: int, start: int
+        self, pages: Tuple[int, ...], now: int, start: int
     ) -> WalkBatchResult:
         """Batch walk under demand paging.
 
@@ -121,20 +172,20 @@ class ScheduledPageTableWalker(PageTableWalker):
         handler(s) complete, the faulted pages retry as a second
         scheduled batch.
         """
-        walk_steps = {}
+        mapped: List[int] = []
         faulted: List[int] = []
         handler_ready = start
-        for vpn in vpn_list:
+        for vpn in pages:
             try:
-                walk_steps[vpn] = self.page_table.walk(vpn)
+                self.page_table.walk(vpn)
             except TranslationFault:
                 ready = self._fault_model.page_fault(vpn, start)
                 handler_ready = max(handler_ready, ready)
                 faulted.append(vpn)
-        if walk_steps:
-            batch = self._walk_batch(
-                list(walk_steps), walk_steps, now, start
-            )
+            else:
+                mapped.append(vpn)
+        if mapped:
+            batch = self._walk_batch(tuple(mapped), now, start)
         else:
             batch = _empty_batch(now)
         if not faulted:
@@ -157,21 +208,12 @@ class ScheduledPageTableWalker(PageTableWalker):
         )
 
     def _walk_batch(
-        self,
-        vpn_list: List[int],
-        walk_steps: Dict[int, Tuple],
-        now: int,
-        start: int,
+        self, pages: Tuple[int, ...], now: int, start: int
     ) -> WalkBatchResult:
         """Schedule and issue one batch whose walks all succeed."""
         if _prof.ENABLED:
             _prof.begin(_prof.PHASE_PTW_SCHED)
-        plan = plan_batch(
-            {
-                vpn: [(step.level, step.load_paddr) for step in steps]
-                for vpn, steps in walk_steps.items()
-            }
-        )
+        plan = memoized_plan(self.page_table, pages)
         tracing = _trace.ENABLED
         if tracing:
             self._walk_seq += 1
@@ -181,21 +223,24 @@ class ScheduledPageTableWalker(PageTableWalker):
                 cycle=start,
                 track="walker",
                 id=batch_id,
-                vpns=len(vpn_list),
+                vpns=len(pages),
                 queued=start - now,
                 naive_refs=plan.naive_refs,
             )
         spanning = _spans.ENABLED
         level_end: Dict[int, int] = {}
         load_ready: Dict[int, int] = {}
+        issued = self.refs_issued
+        load = self._load
         clock = start
         for level, level_loads in enumerate(plan.loads_per_level):
             if level_loads:
                 level_done = clock
                 for offset, paddr in enumerate(level_loads):
-                    ready = self._load(paddr, clock + offset)
+                    ready = load(paddr, clock + offset)
                     load_ready[paddr] = ready
-                    level_done = max(level_done, ready)
+                    if ready > level_done:
+                        level_done = ready
                     if tracing:
                         _trace.emit(
                             _ev.WALK_STEP,
@@ -208,17 +253,10 @@ class ScheduledPageTableWalker(PageTableWalker):
                 clock = level_done
             if spanning:
                 level_end[level] = clock
-        translations: Dict[int, int] = {}
-        ready_times: Dict[int, int] = {}
-        for vpn, steps in walk_steps.items():
-            leaf = steps[-1]
-            leaf_pfn, leaf_flags = unpack_pte(leaf.entry)
-            if leaf_flags & PTE_FLAG_LARGE:
-                within = vpn & ((1 << 9) - 1)
-                translations[vpn] = leaf_pfn + within
-            else:
-                translations[vpn] = leaf_pfn
-            ready_times[vpn] = load_ready[leaf.load_paddr]
+        translations = dict(zip(pages, plan.pfns))
+        ready_times = {
+            vpn: load_ready[leaf] for vpn, leaf in zip(pages, plan.leaf_loads)
+        }
         if self._fault_model is not None:
             # Translations installed by a still-running OS handler are
             # not visible before the handler completes.
@@ -232,7 +270,8 @@ class ScheduledPageTableWalker(PageTableWalker):
             # model: a walk's level-k reference is satisfied when the
             # batch's level-k loads all return; its leaf completes with
             # its own load's data.
-            for vpn, steps in walk_steps.items():
+            for vpn in pages:
+                steps = self.page_table.walk(vpn)
                 prev = start
                 segments = []
                 for step in steps[:-1]:
@@ -252,7 +291,7 @@ class ScheduledPageTableWalker(PageTableWalker):
                         segments=segments,
                         ready=ready_times[vpn],
                         args={
-                            "batch": len(vpn_list),
+                            "batch": len(pages),
                             "refs": plan.scheduled_refs,
                             "eliminated": plan.refs_eliminated,
                         },
@@ -262,11 +301,9 @@ class ScheduledPageTableWalker(PageTableWalker):
         # reference of this batch has been injected; the in-flight data
         # returns overlap with subsequent batches.
         self.busy_until = start + plan.scheduled_refs
-        self.walks += len(vpn_list)
+        self.walks += len(pages)
         self.refs_naive += plan.naive_refs
-        self.total_walk_cycles += sum(
-            ready - now for ready in ready_times.values()
-        )
+        self.total_walk_cycles += sum(ready_times.values()) - now * len(pages)
         if tracing:
             _trace.emit(
                 _ev.WALK_END,
@@ -282,6 +319,6 @@ class ScheduledPageTableWalker(PageTableWalker):
             ready_time=clock,
             translations=translations,
             ready_times=ready_times,
-            refs=plan.scheduled_refs,
+            refs=self.refs_issued - issued,
             naive_refs=plan.naive_refs,
         )

@@ -43,7 +43,9 @@ from repro.vm.pte import PTE_FLAG_LARGE, unpack_pte
 
 
 class WalkResult(NamedTuple):
-    """Outcome of one page walk: completion time, translation, load count."""
+    """Outcome of one page walk: completion time, translation, and the
+    loads issued (a reissued errored load and a timed-out walk's second
+    pass included)."""
 
     ready_time: int
     pfn: int
@@ -63,7 +65,8 @@ class WalkBatchResult(NamedTuple):
         vpn → cycle its individual translation completed (per-walk for
         the serial walker; batch-level milestones for the scheduler).
     refs:
-        Total walk loads issued for the batch.
+        Total walk loads issued for the batch, reissued errored loads
+        and timed-out walks' second passes included.
     naive_refs:
         Loads a serial walker would issue for the batch: the walk
         lengths summed (a faulting batch's retry included).
@@ -123,12 +126,11 @@ class PageTableWalker:
         error; errored loads reissue after the backoff until one
         succeeds or the retry budget is exhausted.
         """
-        result = self.shared.access_line(cache_line_of(paddr), now, is_ptw=True)
+        ready = self.shared.walk_load(cache_line_of(paddr), now)
         self.refs_issued += 1
         injector = self._injector
         if injector is None:
-            return result.ready_time
-        ready = result.ready_time
+            return ready
         errors = 0
         while injector.ptw_transient_error(paddr):
             self.transient_errors += 1
@@ -153,13 +155,11 @@ class PageTableWalker:
                         "cycle": ready,
                     },
                 )
-            retry_at = ready + self._retry_backoff
-            result = self.shared.access_line(
-                cache_line_of(paddr), retry_at, is_ptw=True
+            ready = self.shared.walk_load(
+                cache_line_of(paddr), ready + self._retry_backoff
             )
             self.refs_issued += 1
             self.load_retries += 1
-            ready = result.ready_time
         return ready
 
     def _resolve_steps(
@@ -217,6 +217,7 @@ class PageTableWalker:
             _prof.begin(_prof.PHASE_PTW)
         start = now if now >= self.busy_until else self.busy_until
         queue_end = start  # walker accepted the walk (pre-fault-handler)
+        issued = self.refs_issued
         steps, start = self._resolve_steps(vpn, start)
         tracing = _trace.ENABLED
         segments = [] if _spans.ENABLED else None
@@ -296,13 +297,14 @@ class PageTableWalker:
             pfn = leaf_pfn
         if _prof.ENABLED:
             _prof.end()
-        return WalkResult(ready_time=clock, pfn=pfn, refs=len(steps))
+        return WalkResult(clock, pfn, self.refs_issued - issued)
 
     def walk_many(self, vpns: Iterable[int], now: int) -> WalkBatchResult:
         """Walk several pages back to back (no scheduling, no overlap)."""
         translations: Dict[int, int] = {}
         ready_times: Dict[int, int] = {}
         refs = 0
+        naive = self.refs_naive
         finish = now
         for vpn in dict.fromkeys(vpns):
             result = self.walk(vpn, now)
@@ -315,7 +317,7 @@ class PageTableWalker:
             translations=translations,
             ready_times=ready_times,
             refs=refs,
-            naive_refs=refs,  # a serial walk's refs are its walk length
+            naive_refs=self.refs_naive - naive,  # the walk lengths
         )
 
     @property

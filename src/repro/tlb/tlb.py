@@ -10,13 +10,14 @@ within each set.  Two paper-specific extensions live here:
 - **Warp history** — each entry remembers the last two warps that hit
   it, mirroring the 12 spare PTE bits the paper borrows; TLB-aware TBC's
   Common Page Matrix is updated from this history on every hit
-  (Section 8.2, Figure 21).
+  (Section 8.2, Figure 21), and an eviction names the entry's most
+  recent warp (TCWS's page victim tag arrays).  A TLB whose machine
+  reads neither keeps no history (``keep_history=False``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs import events as _ev
 from repro.obs import tracer as _trace
@@ -78,8 +79,7 @@ class TLBLookup:
 _MISS = TLBLookup(hit=False)
 
 
-@dataclass(frozen=True)
-class TLBEviction:
+class TLBEviction(NamedTuple):
     """A translation displaced by a fill.
 
     ``owner`` is the warp that most recently hit the entry (None when it
@@ -89,6 +89,10 @@ class TLBEviction:
 
     vpn: int
     owner: Optional[int]
+
+
+#: The history of every entry of a TLB that keeps none.
+_NO_HISTORY: Tuple[int, ...] = ()
 
 
 class _TLBEntry:
@@ -113,9 +117,23 @@ class SetAssociativeTLB:
         Simultaneous lookups per cycle.  Port arbitration is enforced by
         the shader core's memory unit; the TLB records the count so the
         core can compute occupancy.
+    keep_history:
+        Whether entries keep their per-hit warp history.  Without it,
+        lookups report an empty ``prior_history`` and evictions no
+        owner; the shader core turns it off when nothing reads either.
+
+    Each set is an insertion-ordered dict of vpn → entry (LRU first),
+    held in a list preallocated at construction and indexed by set
+    number; :meth:`flush` empties the sets in place.
     """
 
-    def __init__(self, entries: int = 128, associativity: int = 4, ports: int = 4):
+    def __init__(
+        self,
+        entries: int = 128,
+        associativity: int = 4,
+        ports: int = 4,
+        keep_history: bool = True,
+    ):
         if entries <= 0 or associativity <= 0 or ports <= 0:
             raise ValueError("TLB geometry must be positive")
         if entries % associativity:
@@ -126,8 +144,11 @@ class SetAssociativeTLB:
         self.associativity = associativity
         self.ports = ports
         self.num_sets = entries // associativity
-        # Per set: insertion-ordered dict vpn -> entry, oldest (LRU) first.
-        self._sets: Dict[int, Dict[int, _TLBEntry]] = {}
+        self.keep_history = keep_history
+        # The event engine indexes this list directly.
+        self._sets: List[Dict[int, _TLBEntry]] = [
+            {} for _ in range(self.num_sets)
+        ]
         self.hits = 0
         self.misses = 0
 
@@ -138,8 +159,8 @@ class SetAssociativeTLB:
         """Look up a translation, updating LRU and warp history on a hit."""
         if _prof.ENABLED:
             _prof.begin(_prof.PHASE_TLB)
-        tlb_set = self._sets.get(self._set_index(vpn))
-        if tlb_set is None or vpn not in tlb_set:
+        tlb_set = self._sets[self._set_index(vpn)]
+        if vpn not in tlb_set:
             self.misses += 1
             if _trace.ENABLED:
                 _trace.emit(
@@ -156,12 +177,13 @@ class SetAssociativeTLB:
                 break
             depth_from_mru += 1
         entry = tlb_set.pop(vpn)
-        prior_history = tuple(entry.history)
-        if warp_id is not None:
-            if warp_id in entry.history:
-                entry.history.remove(warp_id)
-            entry.history.insert(0, warp_id)
-            del entry.history[HISTORY_LENGTH:]
+        history = entry.history
+        prior_history = tuple(history)
+        if warp_id is not None and self.keep_history:
+            if warp_id in history:
+                history.remove(warp_id)
+            history.insert(0, warp_id)
+            del history[HISTORY_LENGTH:]
         tlb_set[vpn] = entry  # move to MRU
         if _trace.ENABLED:
             _trace.emit(
@@ -183,8 +205,7 @@ class SetAssociativeTLB:
 
     def probe(self, vpn: int) -> bool:
         """Check residency without disturbing LRU, history, or counters."""
-        tlb_set = self._sets.get(self._set_index(vpn))
-        return tlb_set is not None and vpn in tlb_set
+        return vpn in self._sets[self._set_index(vpn)]
 
     def fill(self, vpn: int, pfn: int, warp_id: Optional[int] = None) -> Optional[TLBEviction]:
         """Install a translation; return the eviction it caused, if any.
@@ -192,8 +213,7 @@ class SetAssociativeTLB:
         The evicted page and its owning warp feed TCWS's page-grain
         victim tag arrays.
         """
-        index = self._set_index(vpn)
-        tlb_set = self._sets.setdefault(index, {})
+        tlb_set = self._sets[self._set_index(vpn)]
         if vpn in tlb_set:
             entry = tlb_set.pop(vpn)
             entry.pfn = pfn
@@ -204,20 +224,30 @@ class SetAssociativeTLB:
             evicted_vpn = next(iter(tlb_set))
             victim = tlb_set.pop(evicted_vpn)
             owner = victim.history[0] if victim.history else None
-            eviction = TLBEviction(vpn=evicted_vpn, owner=owner)
-        history = [warp_id] if warp_id is not None else []
-        tlb_set[vpn] = _TLBEntry(vpn=vpn, pfn=pfn, history=history)
+            eviction = TLBEviction(evicted_vpn, owner)
+        if not self.keep_history:
+            history = _NO_HISTORY
+        elif warp_id is not None:
+            history = [warp_id]
+        else:
+            history = []
+        tlb_set[vpn] = _TLBEntry(vpn, pfn, history)
         return eviction
 
     def flush(self) -> None:
-        """Invalidate all entries (TLB shootdown, Section 6.2)."""
-        self._sets.clear()
+        """Invalidate all entries (TLB shootdown, Section 6.2).
+
+        The sets are emptied in place: the event engine binds the list
+        once per run.
+        """
+        for tlb_set in self._sets:
+            tlb_set.clear()
 
     def invalidate(self, vpn: int) -> bool:
         """Invalidate one translation (targeted shootdown / injected
         invalidation); return whether it was resident."""
-        tlb_set = self._sets.get(self._set_index(vpn))
-        if tlb_set is None or vpn not in tlb_set:
+        tlb_set = self._sets[self._set_index(vpn)]
+        if vpn not in tlb_set:
             return False
         del tlb_set[vpn]
         return True
@@ -225,7 +255,7 @@ class SetAssociativeTLB:
     @property
     def resident(self) -> int:
         """Number of translations currently held."""
-        return sum(len(s) for s in self._sets.values())
+        return sum(map(len, self._sets))
 
     @property
     def miss_rate(self) -> float:

@@ -14,7 +14,7 @@ agnostic.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List
 
 
 class VictimTagArray:
@@ -30,6 +30,10 @@ class VictimTagArray:
     associativity:
         Ways per set (paper: 8-way).  When ``entries_per_warp`` is below
         the associativity the array degenerates to fully associative.
+
+    Each warp's sets are insertion-ordered dicts of tags (LRU first),
+    preallocated in a list indexed by set number; :meth:`flush` empties
+    them in place.
     """
 
     def __init__(self, num_warps: int, entries_per_warp: int = 16, associativity: int = 8):
@@ -44,14 +48,14 @@ class VictimTagArray:
                 f"{self.associativity}-way sets"
             )
         self.num_sets = entries_per_warp // self.associativity
-        # arrays[warp][set] = insertion-ordered dict of tags (LRU first).
-        self._arrays: Dict[int, Dict[int, Dict[int, None]]] = {}
+        self._arrays: List[List[Dict[int, None]]] = [
+            [{} for _ in range(self.num_sets)] for _ in range(num_warps)
+        ]
         self.probes = 0
         self.probe_hits = 0
 
     def _set_of(self, warp_id: int, tag: int) -> Dict[int, None]:
-        warp_sets = self._arrays.setdefault(warp_id, {})
-        return warp_sets.setdefault(tag % self.num_sets, {})
+        return self._arrays[warp_id][tag % self.num_sets]
 
     def insert(self, warp_id: int, tag: int) -> None:
         """Record that ``tag`` was just evicted from warp ``warp_id``."""
@@ -78,8 +82,10 @@ class VictimTagArray:
         return False
 
     def flush(self) -> None:
-        """Clear all warps' arrays."""
-        self._arrays.clear()
+        """Clear all warps' arrays (in place)."""
+        for warp_sets in self._arrays:
+            for vta_set in warp_sets:
+                vta_set.clear()
 
     @property
     def hit_rate(self) -> float:

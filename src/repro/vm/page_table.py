@@ -13,7 +13,8 @@ the walk after three loads.
 A table can be frozen once it is populated (:meth:`PageTable.freeze`):
 mapping and unmapping then raise, so the one table a process shares
 across simulations (``repro.core.simulator``) can never change under a
-later walker.
+later walker, and it keeps the scheduled walker's batch plans beside
+its walk cache (:attr:`PageTable.plans`).
 """
 
 from __future__ import annotations
@@ -139,6 +140,11 @@ class PageTable:
         # only deletes leaves), so these survive map/unmap.
         self._interior_steps: Dict[int, WalkStep] = {}
         self._frozen = False
+        #: The scheduled walker's batch plans keyed by page tuple
+        #: (``repro.ptw.scheduler.memoized_plan``); None until the
+        #: table is frozen, since a plan is only as stable as the walks
+        #: it was built from.
+        self.plans: Optional[Dict[Tuple[int, ...], tuple]] = None
 
     @property
     def cr3(self) -> int:
@@ -159,9 +165,12 @@ class PageTable:
         """Make the table read-only: map/unmap raise from now on.
 
         Walks and translations keep working (and keep filling the walk
-        cache, which only memoizes what the frozen tree already says).
+        cache and the batch plans, which only memoize what the frozen
+        tree already says).
         """
-        self._frozen = True
+        if not self._frozen:
+            self._frozen = True
+            self.plans = {}
 
     def _check_writable(self) -> None:
         if self._frozen:

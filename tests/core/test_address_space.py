@@ -105,6 +105,18 @@ class TestDemandPaging:
         assert paging.page_table.pages_mapped == 0
         assert paging.frame_map == {}
 
+    def test_paging_table_never_memoizes_a_walk_plan(self):
+        """The scheduled walker memoizes batch plans on a frozen table
+        only: a demand-paging table changes as pages fault in."""
+        workload = small_workload(seed=4_122)
+        paging = Simulator(_demand_paging(), workload.build(_demand_paging()))
+        paging.run()
+        assert paging.cores[0].walker.walks > 0
+        assert paging.page_table.plans is None
+        shared = Simulator(_fault_free(), workload.build(_fault_free()))
+        shared.run()
+        assert shared.page_table.plans
+
     def test_fault_free_cell_after_paging_matches_a_fresh_process(self):
         workload = small_workload(seed=4_121)
         paged = simulate(

@@ -247,7 +247,7 @@ def test_a_lane_without_an_origin_is_skipped_as_the_reference_does():
             result,
             {
                 vpn: list(entry.history)
-                for tlb_set in tlb_sets.values()
+                for tlb_set in tlb_sets
                 for vpn, entry in tlb_set.items()
             },
         )

@@ -133,3 +133,35 @@ def test_injected_shootdown_forces_rewalks():
     faulty = _run(fc)
     assert faulty.stats.tlb_shootdowns > 0
     assert faulty.stats.tlb_misses > clean.stats.tlb_misses
+
+
+@pytest.mark.parametrize("kind", ["serial", "pool", "scheduled"])
+@pytest.mark.parametrize(
+    "fault_config",
+    [
+        FaultConfig(enabled=True, ptw_error_rate=0.2, seed=3),
+        FaultConfig(enabled=True, walk_timeout_cycles=300, seed=3),
+    ],
+    ids=["errors", "timeouts"],
+)
+def test_issued_walk_refs_count_reissued_loads(kind, fault_config):
+    """CoreStats counts the walk loads actually issued: a reissued
+    errored load and a timed-out walk's second pass included, as the
+    walker and the L2 count them."""
+    from repro.core.config import PTWConfig
+
+    ptw = {
+        "serial": PTWConfig(),
+        "pool": PTWConfig(count=3),
+        "scheduled": PTWConfig(scheduled=True),
+    }[kind]
+    config = small_config(faults=fault_config, ptw=ptw, warmup_instructions=0)
+    simulator = Simulator(config, small_workload().build(config), "tiny")
+    stats = simulator.run().stats
+    walker = simulator.cores[0].walker
+    if fault_config.ptw_error_rate:
+        assert walker.load_retries > 0
+    elif kind != "scheduled":  # the scheduled walker has no timeout
+        assert walker.walk_timeouts > 0
+    assert stats.walk_refs_issued == walker.refs_issued
+    assert stats.walk_refs_issued == simulator.shared_per_core[0].ptw_refs

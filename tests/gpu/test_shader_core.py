@@ -119,3 +119,44 @@ class TestTBCExecution:
         sim, result = run(config, form="blocks")
         assert sim.cores[0].cpm is not None
         assert result.cycles > 0
+
+
+class TestTLBHistory:
+    """A TLB entry's warp history is kept only where something reads
+    it: the Common Page Matrix (TLB-aware TBC) and TCWS's eviction hook.
+    Both engines follow the core's decision."""
+
+    @staticmethod
+    def _machines():
+        from repro.core import presets
+
+        geom = dict(num_cores=1, warps_per_core=8, warp_width=8)
+        augmented = presets.augmented_tlb(**geom)
+        return [
+            ("augmented", augmented, None, False),
+            ("naive", presets.naive_tlb(**geom), None, False),
+            ("ccws", presets.with_ccws(augmented), None, False),
+            ("ta-ccws", presets.with_ta_ccws(augmented), None, False),
+            ("tbc", presets.with_tbc(augmented), "blocks", False),
+            ("tcws", presets.with_tcws(augmented), None, True),
+            ("tlb-tbc", presets.with_tbc(augmented, "tlb-tbc"), "blocks", True),
+        ]
+
+    def test_only_cpm_and_tcws_cores_keep_history(self):
+        for label, config, form, keeps in self._machines():
+            histories = {}
+            for engine in ("cycle", "event"):
+                sim, result = run(config.with_(engine=engine), form=form)
+                tlb = sim.cores[0].tlb
+                assert tlb.keep_history is keeps, label
+                histories[engine] = (
+                    result.canonical_json(),
+                    {
+                        vpn: tuple(entry.history)
+                        for tlb_set in tlb._sets
+                        for vpn, entry in tlb_set.items()
+                    },
+                )
+            assert histories["event"] == histories["cycle"], label
+            kept = [h for h in histories["cycle"][1].values() if h]
+            assert bool(kept) is keeps, label

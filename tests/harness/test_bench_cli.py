@@ -42,7 +42,7 @@ class TestBenchCli:
         assert report["totals"]["peak_rss_kb"] > 0
         memos = report["totals"]["memo_entries"]
         assert set(memos) == {
-            "build", "coalesce", "tbc_trace", "address_space"
+            "build", "coalesce", "tbc_trace", "address_space", "walk_plan"
         }
         assert memos["address_space"] > 0
         assert memos["build"] > 0 and memos["coalesce"] > 0

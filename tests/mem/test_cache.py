@@ -106,3 +106,32 @@ class TestWarpTagging:
         cache.access(0)
         cache.flush()
         assert cache.resident_lines == 0
+
+
+class TestListSets:
+    """One preallocated dict per set, indexed by set number; three sets
+    (not a power of two) so the index is a true modulo."""
+
+    def test_lines_land_in_their_set(self):
+        cache = tiny_cache(assoc=2, sets=3)
+        assert cache.num_sets == 3 and len(cache._sets) == 3
+        for line in (0, 128, 256, 384, 512):
+            cache.access(line)
+        assert [sorted(s) for s in cache._sets] == [[0, 384], [128, 512], [256]]
+        assert cache.resident_lines == 5
+        assert cache.lookup(512) and not cache.lookup(640)
+
+    def test_invalidate_and_flush_in_place(self):
+        cache = tiny_cache(assoc=2, sets=3)
+        sets = cache._sets
+        members = list(sets)
+        for line in range(0, 6 * 128, 128):
+            cache.access(line)
+        assert cache.invalidate(256) and not cache.invalidate(256)
+        assert cache.resident_lines == 5
+        cache.flush()
+        assert cache._sets is sets
+        assert all(a is b for a, b in zip(cache._sets, members))
+        assert cache.resident_lines == 0 and not cache.lookup(0)
+        assert not cache.access(0).hit  # refills after the flush
+        assert cache.lookup(0)

@@ -19,8 +19,8 @@ class TestSharedLevels:
 
     def test_ptw_refs_counted(self):
         shared, _ = make_system()
-        shared.access_line(0, 0, is_ptw=True)
-        shared.access_line(0, 500, is_ptw=True)
+        shared.walk_load(0, 0)
+        shared.walk_load(0, 500)
         assert shared.ptw_refs == 2
         assert shared.ptw_l2_hits == 1
         assert shared.ptw_l2_hit_rate == 0.5
@@ -33,9 +33,10 @@ class TestSharedLevels:
         # Warm a line so the PTW ref is an L2 hit, then check its
         # latency ignores the queued data burst.
         shared.access_line(0, 0)
-        result = shared.access_line(0, 1, is_ptw=True)
-        assert result.level == "l2"
-        assert result.ready_time <= 1 + shared.interconnect_latency + shared.l2_latency
+        hits = shared.ptw_l2_hits
+        ready = shared.walk_load(0, 1)
+        assert shared.ptw_l2_hits == hits + 1
+        assert ready <= 1 + shared.interconnect_latency + shared.l2_latency
 
 
 class TestCoreMemory:

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mem.hierarchy import SharedMemory
-from repro.ptw.scheduler import BatchPlan, ScheduledPageTableWalker, plan_batch
+from repro.ptw import scheduler
+from repro.ptw.scheduler import (
+    BatchPlan,
+    ScheduledPageTableWalker,
+    memoized_plan,
+    plan_batch,
+)
 from repro.ptw.walker import PageTableWalker
 from repro.vm.address import cache_line_of, compose_vpn
 from repro.vm.page_table import PageTable
@@ -171,3 +177,82 @@ def test_plan_of_real_walks_equals_reference():
     table.map_large_page(9)
     steps = walker.steps_for(FIG8_PAGES + [9 << 9])
     assert plan_batch(steps) == reference_plan_batch(steps)
+
+
+#: A frozen table for the plan-memo properties: 4 KB pages under two
+#: PML4 entries (shared interior entries, shared leaf lines) and 2 MB
+#: pages under a third, walked at any 4 KB page inside them.
+_SMALL_PAGES = [
+    compose_vpn(pml4, pdp, pd, pt)
+    for pml4 in (0, 1)
+    for pdp in (0, 3)
+    for pd in (0, 1, 2)
+    for pt in range(0, 40, 3)
+]
+_LARGE_PAGES = [compose_vpn(5, pdp, pd, 0) >> 9 for pdp in (0, 1) for pd in range(6)]
+
+
+def _memo_table(frozen=True):
+    table = PageTable()
+    for vpn in _SMALL_PAGES:
+        table.map_page(vpn)
+    for vpn_2m in _LARGE_PAGES:
+        table.map_large_page(vpn_2m)
+    if frozen:
+        table.freeze()
+    return table
+
+
+_batch_pages = st.one_of(
+    st.sampled_from(_SMALL_PAGES),
+    st.tuples(st.sampled_from(_LARGE_PAGES), st.integers(0, 511)).map(
+        lambda large: (large[0] << 9) + large[1]
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_batch_pages, min_size=1, max_size=12, unique=True))
+def test_memoized_plan_equals_plan_batch(pages):
+    pages = tuple(pages)
+    table = _memo_table()
+    plan = memoized_plan(table, pages)
+    assert memoized_plan(table, pages) is plan  # the second call hits
+    assert table.plans[pages] is plan
+    steps = {vpn: [(s.level, s.load_paddr) for s in table.walk(vpn)] for vpn in pages}
+    assert plan[:3] == plan_batch(steps)[:3]
+    assert plan.pfns == tuple(table.translate_vpn(vpn) for vpn in pages)
+    assert plan.leaf_loads == tuple(table.walk(vpn)[-1].load_paddr for vpn in pages)
+
+
+def test_memoized_batch_walks_as_a_fresh_plan_does():
+    """A walker over the frozen table (memoized plans) and one over an
+    unfrozen table mapped alike (plans built per batch) agree batch by
+    batch, repeats included."""
+    memo_table = _memo_table()
+    fresh_table = _memo_table(frozen=False)
+    memo = ScheduledPageTableWalker(memo_table, SharedMemory(num_channels=2))
+    fresh = ScheduledPageTableWalker(fresh_table, SharedMemory(num_channels=2))
+    batches = [
+        _SMALL_PAGES[:5],
+        [(_LARGE_PAGES[1] << 9) + 7, _SMALL_PAGES[20]],
+        _SMALL_PAGES[3:9],
+    ]
+    now = 0
+    for batch in batches * 3:
+        got = memo.walk_many(batch, now)
+        assert got == fresh.walk_many(batch, now)
+        now = got.ready_time
+    assert len(memo_table.plans) == len(batches)
+    assert fresh_table.plans is None
+
+
+def test_plan_memo_is_capped(monkeypatch):
+    table = PageTable()
+    for vpn in FIG8_PAGES:
+        table.map_page(vpn)
+    table.freeze()
+    monkeypatch.setattr(scheduler, "PLAN_MEMO_LIMIT", 2)
+    for count in (1, 2, 3):
+        memoized_plan(table, tuple(FIG8_PAGES[:count]))
+    assert list(table.plans) == [tuple(FIG8_PAGES)]

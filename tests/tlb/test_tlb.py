@@ -118,3 +118,36 @@ class TestWarpHistory:
         tlb.fill(5, 500, warp_id=1)
         tlb.lookup(5, warp_id=1)
         assert tlb.lookup(5, warp_id=2).prior_history == (1,)
+
+
+class TestListSets:
+    """One preallocated dict per set, indexed by set number; three sets
+    (not a power of two) so the index is a true modulo."""
+
+    def test_invalidate_flush_resident_and_probe(self):
+        tlb = tiny_tlb(entries=6, assoc=2)
+        assert tlb.num_sets == 3 and len(tlb._sets) == 3
+        for vpn in (0, 1, 2, 3, 7):
+            tlb.fill(vpn, vpn + 100)
+        assert [sorted(s) for s in tlb._sets] == [[0, 3], [1, 7], [2]]
+        assert tlb.resident == 5
+        assert tlb.probe(7) and not tlb.probe(4)
+        assert tlb.invalidate(7) and not tlb.invalidate(7)
+        assert tlb.resident == 4
+        sets, members = tlb._sets, list(tlb._sets)
+        tlb.flush()
+        assert tlb._sets is sets
+        assert all(a is b for a, b in zip(tlb._sets, members))
+        assert tlb.resident == 0 and not tlb.lookup(0).hit
+
+
+class TestWithoutHistory:
+    def test_no_history_is_kept_or_reported(self):
+        tlb = SetAssociativeTLB(entries=2, associativity=2, keep_history=False)
+        tlb.fill(5, 500, warp_id=1)
+        hit = tlb.lookup(5, warp_id=2)
+        assert hit.hit and hit.pfn == 500 and hit.prior_history == ()
+        assert tlb.lookup(5, warp_id=3).prior_history == ()
+        tlb.fill(6, 600, warp_id=4)
+        eviction = tlb.fill(7, 700, warp_id=4)
+        assert eviction == (5, None)  # LRU order still holds

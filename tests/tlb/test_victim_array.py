@@ -56,3 +56,27 @@ class TestVTA:
             VictimTagArray(num_warps=0)
         with pytest.raises(ValueError):
             VictimTagArray(num_warps=1, entries_per_warp=6, associativity=4)
+
+
+class TestListSets:
+    def test_three_sets_per_warp_flush_in_place(self):
+        vta = VictimTagArray(num_warps=2, entries_per_warp=6, associativity=2)
+        assert vta.num_sets == 3
+        for tag in (0, 3, 6):  # one set: 6 evicts 0
+            vta.insert(1, tag)
+        vta.insert(1, 4)
+        assert [sorted(s) for s in vta._arrays[1]] == [[3, 6], [4], []]
+        assert not vta.probe(1, 0) and vta.probe(1, 3) and vta.probe(1, 4)
+        assert not vta.probe(0, 3)  # another warp's array
+        arrays = vta._arrays
+        members = [list(warp_sets) for warp_sets in arrays]
+        vta.flush()
+        assert vta._arrays is arrays
+        assert all(
+            a is b
+            for warp_sets, kept in zip(vta._arrays, members)
+            for a, b in zip(warp_sets, kept)
+        )
+        assert not vta.probe(1, 3)
+        vta.insert(1, 3)
+        assert vta.probe(1, 3)
