@@ -54,12 +54,13 @@ figure matrix and records a ``BENCH_<n>.json`` perf-trajectory report
 campaign — SIGKILLed workers, torn cache entries, injected faults —
 proving recovered sweeps byte-identical to clean serial runs
 (see :mod:`repro.harness.chaos`; ``chaos --server`` attacks the serve
-daemon instead — SIGKILL mid-sweep, torn journal, expired leases,
+daemon instead — SIGKILL mid-job, torn journal, expired leases,
 admission floods, and ``chaos --distributed`` attacks the
-coordinator/worker sharding protocol — SIGKILLed workers mid-cell,
-partitions while holding a lease, duplicated completion pushes, torn
-result bodies); ``serve`` runs the crash-safe simulation server
-(see :mod:`repro.serve`); ``worker`` pulls and executes sweep cells
+coordinator/worker sharding protocol — SIGKILLed workers mid-cell, a
+SIGKILLed coordinator, partitions while holding a lease, duplicated
+completion pushes, torn result bodies); ``serve`` runs the crash-safe
+simulation server (see :mod:`repro.serve`); ``worker`` pulls and
+executes sweep cells
 from a coordinator (see :mod:`repro.dist.worker`); ``top`` is the live
 terminal ops view over a
 serve daemon's ``/metrics`` endpoint or a Prometheus textfile scrape

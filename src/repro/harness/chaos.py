@@ -1,8 +1,12 @@
-"""``python -m repro.harness chaos`` — the recovery-proof campaign.
+"""``python -m repro.harness chaos`` — the recovery-proof campaigns.
 
-A seeded chaos campaign that attacks the sweep machinery the way real
-infrastructure does — SIGKILLed workers, files truncated mid-write,
-faults injected mid-sweep — and verifies the recovery guarantees hold:
+A seeded chaos campaign attacks the machinery the way real
+infrastructure does — SIGKILLed workers, daemons and coordinators,
+files truncated mid-write, faults injected mid-sweep — and verifies
+the recovery guarantees hold.  Each campaign is an ordered table of
+*inject → recover → assert* scenarios, run by one :class:`Campaign`
+that owns the serial oracle, the step lines, the failure list and the
+exit code.  The sweep campaign's table (this module):
 
 1. **kill/restart** — a supervised sweep whose chaos hook SIGKILLs a
    worker holding a cell on each supervision tick until the campaign's
@@ -20,28 +24,22 @@ faults injected mid-sweep — and verifies the recovery guarantees hold:
    fail with its structured :class:`~repro.faults.errors.PTWError`
    while every healthy cell completes byte-identically.
 
-``--server`` runs the companion campaign against the ``repro.serve``
-daemon instead (see :mod:`repro.harness.chaos_server`): SIGKILL the
-daemon mid-sweep, tear the job journal's final line, expire a lease
-under a wedged executor, and flood admission past its high-water mark
-— asserting byte-identical recovery, exactly-one-terminal-state per
-job, and correct ``429``/``503`` shedding.  ``--distributed`` runs the
-third campaign, against the coordinator/worker sharding protocol (see
-:mod:`repro.harness.chaos_dist`): SIGKILL a worker holding a lease,
-partition a lease holder (one-way and total), replay a completion
-push, and tear a result body mid-flight — asserting byte-identical
-reassembly, exactly-once terminal states per cell, and that every
-stale or corrupt push bounces off the fencing/digest gates.
-``--workloads`` narrows the campaign to a workload subset (unknown
-names exit ``2``).  The three campaigns share this module's plumbing:
-:class:`Campaign` (progress lines, failures, exit code), the tiny
-machines, the serial :func:`oracle`, the exactly-once check
-:func:`terminal_once`, and the :class:`Proc`/:class:`Daemon`
-subprocess handles.
+``--server`` runs the table of :mod:`repro.harness.chaos_server`
+against the ``repro.serve`` daemon (SIGKILL it mid-job, tear its
+journal, expire a lease under a wedged executor, flood admission), and
+``--distributed`` the table of :mod:`repro.harness.chaos_dist` against
+the coordinator/worker sharding protocol (SIGKILL a worker or the
+coordinator mid-lease, partition a lease holder, replay and tear
+completion pushes).  ``--workloads`` narrows a campaign to a workload
+subset (unknown names exit ``2``).  The scenarios share this module's
+fixtures: :func:`wait_for`, the :class:`Proc`/:class:`Daemon`
+subprocess handles, the tiny machines, and :meth:`Campaign.verdict`,
+the one recovery verdict (byte-identical to the oracle, every key
+terminal exactly once in its journal).
 
 Exit codes: ``0`` — every check passed; ``1`` — a verification failed
-(result mismatch, fewer kills landed than wanted, unexpected warnings);
-``2`` — usage error.
+(result mismatch, fewer kills landed than wanted, unexpected warnings,
+a scenario that timed out or crashed); ``2`` — usage error.
 """
 
 from __future__ import annotations
@@ -49,23 +47,24 @@ from __future__ import annotations
 import argparse
 import os
 import random
-import re
 import signal
 import subprocess
 import sys
 import tempfile
 import time
+import traceback
 import warnings
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.core.config import GPUConfig
 from repro.engines import available_engines
 from repro.faults.config import FaultConfig
-from repro.faults.errors import PTWError, SimulationError
+from repro.faults.errors import PTWError
 from repro.parallel.cache import ResultCache, cache_key
 from repro.parallel.cells import Cell, execute_cell
 from repro.parallel.pool import SweepExecutor
+from repro.prof.export import parse_prometheus
 from repro.serve.client import ServeClient, ServeHTTPError
 
 #: Restarts per cell during the kill campaign — generous, so seeded
@@ -75,17 +74,52 @@ RESTART_BUDGET = 5
 #: Wall-clock budget for a subprocess daemon to bind and become ready.
 STARTUP_TIMEOUT = 30.0
 
+#: A scenario: injects a fault, lets the system recover, records every
+#: broken assertion with :meth:`Campaign.check`, and returns the detail
+#: of its step line.
+Scenario = Callable[["Campaign"], str]
 
-# -- shared plumbing (the sweep, server and distributed campaigns) -----
+
+# -- the runner and the shared fixtures ---------------------------------
 
 
 class Campaign:
-    """One campaign's progress lines, failure list, and exit code."""
+    """One campaign: its serial oracle, step lines, failures, exit code.
 
-    def __init__(self, prefix: str, verbose: bool = False):
+    :meth:`run` computes the oracle, then runs a table of scenarios in
+    order, each under its name; a scenario that raises (a
+    :func:`wait_for` that timed out, a crash) fails with the exception
+    and the table goes on.
+    """
+
+    def __init__(
+        self,
+        prefix: str,
+        *,
+        seed: int = 0,
+        quick: bool = False,
+        jobs: int = 2,
+        workloads: Optional[List[str]] = None,
+        engine: Optional[str] = None,
+        verbose: bool = False,
+    ):
         self.prefix = prefix
+        self.seed = seed
+        self.quick = quick
+        self.jobs = jobs
+        self.workloads = workloads
+        self.engine = engine
         self.verbose = verbose
         self.failures: List[str] = []
+        #: The running scenario's name (prefixes its failures).
+        self.scenario = ""
+        #: The campaign's cells and their serial results (the oracle).
+        self.cells: List[Cell] = []
+        self.expected: List[Any] = []
+        #: Scratch directory the scenarios of one :meth:`play` share.
+        self.tmp = ""
+        #: Workers the kill/restart scenario SIGKILLed (summary line).
+        self.kills = 0
 
     def step(self, name: str, detail: str = "") -> None:
         suffix = f" — {detail}" if detail else ""
@@ -93,18 +127,94 @@ class Campaign:
         if self.verbose:
             sys.stdout.flush()
 
-    def fail(self, message: str) -> None:
-        self.failures.append(message)
+    def check(self, ok: Any, message: str) -> bool:
+        """Record ``message`` as a failure unless ``ok``; returns ``ok``."""
+        if not ok:
+            scenario = f"{self.scenario}: " if self.scenario else ""
+            self.failures.append(scenario + message)
+        return bool(ok)
 
-    def exit_code(self, summary: str) -> int:
-        """Report the verdict: 0 if every check passed, else 1."""
+    def once(self, counts: Dict[str, int], keys: Iterable[str]) -> bool:
+        """Check every key is terminal exactly once in a journal's
+        ``terminal_counts`` (job or cell)."""
+        bad = {
+            key: counts.get(key, 0) for key in keys if counts.get(key, 0) != 1
+        }
+        return self.check(
+            not bad, f"terminal counts off (want exactly 1 each): {bad}"
+        )
+
+    def verdict(
+        self,
+        results: Sequence[Any],
+        expected: Optional[Sequence[Any]] = None,
+        counts: Optional[Dict[str, int]] = None,
+        keys: Iterable[str] = (),
+    ) -> str:
+        """The recovery verdict: ``results`` byte-identical to the
+        oracle (``expected``, default the campaign's) and, given a
+        journal's terminal ``counts``, every one of ``keys`` terminal
+        exactly once.  Returns the step line's word for the results."""
+        want = self.expected if expected is None else expected
+        identical = list(results) == list(want)
+        self.check(
+            identical, "results are not byte-identical to the serial oracle"
+        )
+        if counts is not None:
+            self.once(counts, keys)
+        return "identical" if identical else "MISMATCH"
+
+    def play(self, table: Dict[str, Scenario]) -> None:
+        """Run ``table``'s scenarios in order in one scratch directory."""
+        with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
+            self.tmp = tmp
+            for name, scenario in table.items():
+                self.scenario = name
+                try:
+                    self.step(name, scenario(self))
+                except Exception as exc:  # noqa: BLE001 — fail, go on
+                    traceback.print_exc()
+                    self.check(False, f"{type(exc).__name__}: {exc}")
+        self.scenario = ""
+
+    def run(
+        self,
+        table: Dict[str, Scenario],
+        oracle_step: str,
+        describe: str,
+        truth: Callable[[], List[Any]],
+        summary: Callable[[], str],
+    ) -> int:
+        """Compute the oracle (``truth``), play ``table``, and report the
+        verdict: exit code 0 if every check passed, else 1."""
+        self.step(oracle_step, describe)
+        started = time.monotonic()
+        self.expected = truth()
+        self.step(f"{oracle_step} done", f"{time.monotonic() - started:.1f}s")
+        self.play(table)
         if self.failures:
             print()
             for failure in self.failures:
                 print(f"{self.prefix} FAILED: {failure}", file=sys.stderr)
             return 1
-        print(f"{self.prefix}: all checks passed ({summary})")
+        print(f"{self.prefix}: all checks passed ({summary()})")
         return 0
+
+
+def wait_for(predicate: Callable[[], Any], timeout: float, what: str) -> Any:
+    """Poll ``predicate`` until it returns something truthy; return it.
+
+    Raises :class:`TimeoutError` naming ``what`` after ``timeout``
+    seconds, which fails the running scenario.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        value = predicate()
+        if value:
+            return value
+        if time.monotonic() > deadline:
+            raise TimeoutError(f"no {what} within {timeout:.0f}s")
+        time.sleep(0.02)
 
 
 def tiny(preset: str, **overrides) -> GPUConfig:
@@ -121,28 +231,32 @@ def on_engine(cell: Cell, engine: Optional[str]) -> Cell:
     return replace(cell, config=cell.config.with_(engine=engine))
 
 
+def campaign_cells(campaign: Campaign, rows: Sequence[tuple]) -> List[Cell]:
+    """The cells of ``(label, workload, config)`` rows on the campaign's
+    engine; ``--workloads`` replaces the workloads in turn."""
+    names = campaign.workloads
+    return [
+        on_engine(
+            Cell(
+                label=label,
+                workload=names[index % len(names)] if names else workload,
+                config=config,
+                miss_scale=1.0,
+            ),
+            campaign.engine,
+        )
+        for index, (label, workload, config) in enumerate(rows)
+    ]
+
+
 def oracle(cells: Sequence[Cell]) -> List[str]:
     """The serial ground truth every recovery is compared against."""
     return [execute_cell(cell).canonical_json() for cell in cells]
 
 
-def terminal_once(
-    counts: Dict[str, int], keys: Iterable[str]
-) -> Optional[str]:
-    """None if every key is terminal exactly once, else a complaint.
-
-    ``counts`` is a journal's ``terminal_counts`` (job or cell).
-    """
-    bad = {
-        key: counts.get(key, 0) for key in keys if counts.get(key, 0) != 1
-    }
-    if bad:
-        return f"terminal counts off (want exactly 1 each): {bad}"
-    return None
-
-
 class Proc:
-    """A ``python -m <module>`` subprocess, SIGKILL-able."""
+    """A ``python -m <module>`` subprocess, SIGKILLed when its ``with``
+    block ends."""
 
     def __init__(self, *module_args: str):
         self.process = subprocess.Popen(
@@ -150,6 +264,12 @@ class Proc:
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
         )
+
+    def __enter__(self) -> "Proc":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.kill()
 
     def kill(self) -> None:
         """SIGKILL — no drain, no cleanup; the crash being tested."""
@@ -163,10 +283,16 @@ class Proc:
         """SIGTERM — the graceful drain path; returns the exit code."""
         if self.process.poll() is None:
             self.process.send_signal(signal.SIGTERM)
-        code = self.process.wait(timeout=30)
-        if self.process.stdout is not None:
-            self.process.stdout.close()
-        return code
+        return self.wait(30.0)
+
+    def wait(self, timeout: float) -> int:
+        """The exit code once the process ends by itself (SIGKILLed,
+        and the wait raising, past ``timeout``)."""
+        try:
+            self.process.communicate(timeout=timeout)
+        finally:
+            self.kill()
+        return self.process.returncode
 
 
 class Daemon(Proc):
@@ -178,8 +304,8 @@ class Daemon(Proc):
             "repro.serve", "--port", "0", "--port-file", port_file,
             *serve_args,
         )
-        deadline = time.monotonic() + STARTUP_TIMEOUT
-        while not os.path.exists(port_file):
+
+        def bound() -> bool:
             if self.process.poll() is not None:
                 out = (self.process.stdout.read() or b"").decode(
                     "utf-8", errors="replace"
@@ -188,64 +314,49 @@ class Daemon(Proc):
                     f"serve daemon died during startup "
                     f"(exit {self.process.returncode}): {out}"
                 )
-            if time.monotonic() > deadline:
-                self.process.kill()
-                raise RuntimeError("serve daemon never wrote its port file")
-            time.sleep(0.02)
-        with open(port_file, "r", encoding="utf-8") as handle:
-            self.base_url = f"http://{handle.read().strip()}"
-        self.client = ServeClient(self.base_url)
-        # Readiness gate: replay finished, dispatcher running.
-        deadline = time.monotonic() + STARTUP_TIMEOUT
-        while True:
+            return os.path.exists(port_file)
+
+        def ready() -> Any:
             try:
-                self.client.readyz()
-                break
+                return self.client.readyz()
             except (ServeHTTPError, OSError):
-                if time.monotonic() > deadline:
-                    self.kill()
-                    raise RuntimeError("serve daemon never became ready")
-                time.sleep(0.05)
+                return None
+
+        try:
+            wait_for(bound, STARTUP_TIMEOUT, "port file from the serve daemon")
+            with open(port_file, "r", encoding="utf-8") as handle:
+                self.base_url = f"http://{handle.read().strip()}"
+            self.client = ServeClient(self.base_url)
+            # Readiness gate: replay finished, dispatcher running.
+            wait_for(ready, STARTUP_TIMEOUT, "ready serve daemon")
+        except BaseException:
+            self.kill()
+            raise
 
     def metrics_value(self, name: str) -> float:
         """Sum of ``name``'s series scraped from the daemon's /metrics."""
-        total = 0.0
-        for line in self.client.metrics_text().splitlines():
-            match = re.match(
-                rf"^{re.escape(name)}(?:\{{[^}}]*\}})?\s+([0-9.eE+-]+)$",
-                line,
-            )
-            if match:
-                total += float(match.group(1))
-        return total
+        samples = parse_prometheus(self.client.metrics_text())
+        return sum(
+            value for (sample, _), value in samples.items() if sample == name
+        )
 
 
 # -- the sweep campaign ------------------------------------------------
 
 
-def _matrix(quick: bool, workloads: Optional[List[str]] = None) -> List[Cell]:
-    def pick(index: int, default: str) -> str:
-        if workloads is None:
-            return default
-        return workloads[index % len(workloads)]
-
-    cells = [
-        Cell(label="naive", workload=pick(0, "bfs"), config=tiny("naive"), miss_scale=1.0),
-        Cell(label="aug", workload=pick(1, "kmeans"), config=tiny("augmented"), miss_scale=1.0),
-        Cell(label="base", workload=pick(2, "bfs"), config=tiny("no_tlb"), miss_scale=1.0),
+def _matrix(campaign: Campaign) -> List[Cell]:
+    rows = [
+        ("naive", "bfs", tiny("naive")),
+        ("aug", "kmeans", tiny("augmented")),
+        ("base", "bfs", tiny("no_tlb")),
     ]
-    if not quick:
-        cells += [
-            Cell(label="aug", workload=pick(3, "bfs"), config=tiny("augmented"), miss_scale=1.0),
-            Cell(label="naive", workload=pick(4, "kmeans"), config=tiny("naive"), miss_scale=1.0),
-            Cell(
-                label="ideal",
-                workload=pick(5, "memcached"),
-                config=tiny("ideal"),
-                miss_scale=1.0,
-            ),
+    if not campaign.quick:
+        rows += [
+            ("aug", "bfs", tiny("augmented")),
+            ("naive", "kmeans", tiny("naive")),
+            ("ideal", "memcached", tiny("ideal")),
         ]
-    return cells
+    return campaign_cells(campaign, rows)
 
 
 def _poisoned_cell() -> Cell:
@@ -333,129 +444,102 @@ class _RecordingCache(ResultCache):
         super().put(key, result)
 
 
-def run_campaign(
-    *,
-    seed: int = 0,
-    quick: bool = False,
-    jobs: int = 2,
-    workloads: Optional[List[str]] = None,
-    verbose: bool = False,
-    engine: Optional[str] = None,
-) -> int:
-    """Execute the full campaign; returns the process exit code."""
-    campaign = Campaign("chaos", verbose)
-    matrix = [on_engine(cell, engine) for cell in _matrix(quick, workloads)]
-    kills_wanted = 1 if quick else 2
-
-    campaign.step("baseline", f"{len(matrix)} cells, serial")
-    started = time.monotonic()
-    baseline = oracle(matrix)
-    campaign.step("baseline done", f"{time.monotonic() - started:.1f}s")
-
-    # -- 1. kill/restart ----------------------------------------------
-    killer = _Killer(seed, max_kills=kills_wanted)
+def kill_restart(c: Campaign) -> str:
+    """SIGKILL supervised workers mid-cell; their cells re-run."""
+    killer = _Killer(c.seed, max_kills=1 if c.quick else 2)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         executor = SweepExecutor(
-            jobs=jobs, chaos=killer, restart_budget=RESTART_BUDGET
+            jobs=c.jobs, chaos=killer, restart_budget=RESTART_BUDGET
         )
-        recovered = _canonical(executor.run(matrix))
-    if killer.kills < kills_wanted:
-        campaign.fail(
-            f"kill/restart: {killer.kills} of {kills_wanted} wanted "
-            "kill(s) landed — the campaign under-exercised the restart "
-            "path"
-        )
+        recovered = _canonical(executor.run(c.cells))
+    c.kills = killer.kills
+    c.check(
+        killer.kills >= killer.max_kills,
+        f"{killer.kills} of {killer.max_kills} wanted kill(s) landed — the "
+        "campaign under-exercised the restart path",
+    )
     unrestarted = killer.unrestarted()
-    if unrestarted:
-        campaign.fail(
-            "kill/restart: killed cells not re-run once per kill: "
-            + "; ".join(unrestarted)
-        )
-    if recovered != baseline:
-        campaign.fail(
-            "kill/restart: recovered results differ from the clean "
-            "serial run"
-        )
-    if caught:
-        rendered = "; ".join(str(w.message) for w in caught)
-        campaign.fail(
-            f"kill/restart: sweep degraded with warnings ({rendered})"
-        )
-    campaign.step(
-        "kill/restart",
-        f"{killer.kills} worker(s) SIGKILLed, results "
-        + ("identical" if recovered == baseline else "MISMATCH"),
+    c.check(
+        not unrestarted,
+        "killed cells not re-run once per kill: " + "; ".join(unrestarted),
+    )
+    rendered = "; ".join(str(w.message) for w in caught)
+    c.check(not caught, f"sweep degraded with warnings ({rendered})")
+    return (
+        f"{killer.kills} worker(s) SIGKILLed, results {c.verdict(recovered)}"
     )
 
-    # -- 2. torn cache entry -----------------------------------------
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as tmp:
-        part = matrix[:3]
-        SweepExecutor(jobs=1, cache=ResultCache(tmp)).run(part)
-        cache = _RecordingCache(tmp)
-        torn, emptied = cache_key(part[0]), cache_key(part[1])
-        with open(cache.path(torn), "r+b") as handle:
-            handle.truncate(os.path.getsize(cache.path(torn)) // 2)
-        with open(cache.path(emptied), "w", encoding="utf-8") as handle:
-            handle.write("{}")
-        resumed = _canonical(SweepExecutor(jobs=1, cache=cache).run(matrix))
-        keys = [cache_key(cell) for cell in matrix]
-        want = {torn, emptied} | (set(keys) - {cache_key(c) for c in part})
-        if sorted(cache.stored) != sorted(want):
-            campaign.fail(
-                f"torn cache entry: re-simulated {len(cache.stored)} "
-                f"cell(s), wanted exactly the {len(want)} torn or never run"
-            )
-        clean = dict(zip(keys, baseline))
-        for key in (torn, emptied):
-            with open(cache.path(key), "r", encoding="utf-8") as handle:
-                if handle.read() != clean[key]:
-                    campaign.fail(
-                        "torn cache entry: a damaged entry was not "
-                        "rewritten with the clean result"
-                    )
-        if resumed != baseline:
-            campaign.fail(
-                "torn cache entry: resumed results differ from baseline"
-            )
-        campaign.step(
-            "torn cache entry",
-            f"re-simulated {len(cache.stored)}/{len(want)}, "
-            + ("identical" if resumed == baseline else "MISMATCH"),
-        )
 
-    # -- 3. mid-sweep faults ------------------------------------------
-    poisoned = on_engine(_poisoned_cell(), engine)
-    chaos_matrix = matrix[:2] + [poisoned] + matrix[2:]
-    poisoned_index = 2
-    error: Optional[SimulationError] = None
+def torn_cache_entry(c: Campaign) -> str:
+    """Resume a sweep from a cache with one entry torn, one emptied."""
+    root = os.path.join(c.tmp, "cache")
+    part = c.cells[:3]
+    SweepExecutor(jobs=1, cache=ResultCache(root)).run(part)
+    cache = _RecordingCache(root)
+    torn, emptied = cache_key(part[0]), cache_key(part[1])
+    with open(cache.path(torn), "r+b") as handle:
+        handle.truncate(os.path.getsize(cache.path(torn)) // 2)
+    with open(cache.path(emptied), "w", encoding="utf-8") as handle:
+        handle.write("{}")
+    resumed = _canonical(SweepExecutor(jobs=1, cache=cache).run(c.cells))
+    keys = [cache_key(cell) for cell in c.cells]
+    want = {torn, emptied} | (set(keys) - {cache_key(cell) for cell in part})
+    c.check(
+        sorted(cache.stored) == sorted(want),
+        f"re-simulated {len(cache.stored)} cell(s), wanted exactly the "
+        f"{len(want)} torn or never run",
+    )
+    clean = dict(zip(keys, c.expected))
+    for key in (torn, emptied):
+        with open(cache.path(key), "r", encoding="utf-8") as handle:
+            c.check(
+                handle.read() == clean[key],
+                "a damaged entry was not rewritten with the clean result",
+            )
+    return (
+        f"re-simulated {len(cache.stored)}/{len(want)}, {c.verdict(resumed)}"
+    )
+
+
+def mid_sweep_faults(c: Campaign) -> str:
+    """A poisoned cell fails with its structured error mid-sweep."""
+    poisoned = on_engine(_poisoned_cell(), c.engine)
+    error: Optional[PTWError] = None
     try:
-        SweepExecutor(jobs=jobs, restart_budget=RESTART_BUDGET).run(
-            chaos_matrix
-        )
-        campaign.fail(
-            "mid-sweep faults: the poisoned cell did not raise"
+        SweepExecutor(jobs=c.jobs, restart_budget=RESTART_BUDGET).run(
+            c.cells[:2] + [poisoned] + c.cells[2:]
         )
     except PTWError as exc:
         error = exc
-    except SimulationError as exc:
-        campaign.fail(
-            f"mid-sweep faults: expected PTWError, got "
-            f"{type(exc).__name__}: {exc}"
-        )
-    if error is not None and error.diagnostics.get("series") != "poisoned":
-        campaign.fail(
-            "mid-sweep faults: the structured error does not name the "
-            "poisoned series"
-        )
-    campaign.step(
-        "mid-sweep faults",
-        f"poisoned cell #{poisoned_index} raised "
-        f"{type(error).__name__ if error else 'nothing'}",
+    c.check(error is not None, "the poisoned cell did not raise")
+    c.check(
+        error is None or error.diagnostics.get("series") == "poisoned",
+        "the structured error does not name the poisoned series",
+    )
+    return (
+        f"poisoned cell #2 raised "
+        f"{type(error).__name__ if error else 'nothing'}"
     )
 
-    return campaign.exit_code(
-        f"seed {seed}, {killer.kills} kill(s), {len(matrix)} cells"
+
+SCENARIOS: Dict[str, Scenario] = {
+    "kill/restart": kill_restart,
+    "torn cache entry": torn_cache_entry,
+    "mid-sweep faults": mid_sweep_faults,
+}
+
+
+def run_campaign(**params: Any) -> int:
+    """Execute the sweep campaign; returns the process exit code."""
+    c = Campaign("chaos", **params)
+    c.cells = _matrix(c)
+    return c.run(
+        SCENARIOS,
+        "baseline",
+        f"{len(c.cells)} cells, serial",
+        lambda: oracle(c.cells),
+        lambda: f"seed {c.seed}, {c.kills} kill(s), {len(c.cells)} cells",
     )
 
 
@@ -488,15 +572,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--server",
         action="store_true",
         help="attack the repro.serve daemon instead of the sweep pool "
-        "(SIGKILL mid-sweep, torn journal, expired leases, admission "
+        "(SIGKILL mid-job, torn journal, expired leases, admission "
         "floods)",
     )
     parser.add_argument(
         "--distributed",
         action="store_true",
         help="attack the repro.dist coordinator/worker protocol instead "
-        "(SIGKILL a worker holding a lease, partition a lease holder, "
-        "replay completion pushes, tear result bodies)",
+        "(SIGKILL a worker or the coordinator holding a lease, partition "
+        "a lease holder, replay completion pushes, tear result bodies)",
     )
     parser.add_argument(
         "--engine",
@@ -524,38 +608,26 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.server and args.distributed:
         print("pick one of --server / --distributed", file=sys.stderr)
         return 2
-    if args.distributed:
-        from repro.harness.chaos_dist import run_dist_campaign
-
-        return run_dist_campaign(
-            seed=args.seed,
-            quick=args.quick,
-            workloads=workloads,
-            verbose=args.verbose,
-            engine=args.engine,
-        )
-    if args.server:
-        from repro.harness.chaos_server import run_server_campaign
-
-        return run_server_campaign(
-            seed=args.seed,
-            quick=args.quick,
-            workloads=workloads,
-            verbose=args.verbose,
-            engine=args.engine,
-        )
-    if args.jobs < 2:
-        print("chaos needs --jobs >= 2 (supervision only runs in the "
-              "parallel path)", file=sys.stderr)
-        return 2
-    return run_campaign(
+    params = dict(
         seed=args.seed,
         quick=args.quick,
-        jobs=args.jobs,
         workloads=workloads,
         verbose=args.verbose,
         engine=args.engine,
     )
+    if args.distributed:
+        from repro.harness.chaos_dist import run_dist_campaign
+
+        return run_dist_campaign(**params)
+    if args.server:
+        from repro.harness.chaos_server import run_server_campaign
+
+        return run_server_campaign(**params)
+    if args.jobs < 2:
+        print("chaos needs --jobs >= 2 (supervision only runs in the "
+              "parallel path)", file=sys.stderr)
+        return 2
+    return run_campaign(jobs=args.jobs, **params)
 
 
 if __name__ == "__main__":  # pragma: no cover

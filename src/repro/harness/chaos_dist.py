@@ -1,30 +1,35 @@
-"""The distributed half of the chaos campaign: attack ``repro.dist``.
+"""The distributed table of the chaos campaign: attack ``repro.dist``.
 
 ``python -m repro.harness chaos --distributed`` points the seeded
 adversary at the coordinator/worker sharding protocol:
 
-1. **worker SIGKILL mid-cell** — a real ``repro.serve`` daemon (started
-   with ``--dist-journal``) shards a sweep; a real worker subprocess is
+1. **worker sigkill** — a real ``repro.serve`` daemon (started with
+   ``--dist-journal``) shards a sweep; a real worker subprocess is
    SIGKILLed while ``/dist/status`` shows it holding a lease.  The
    lease must expire, the cell re-queue, and a replacement worker
    finish the sweep byte-identical to the serial oracle — with exactly
    one terminal state per cell in the cell journal and
    ``dist_lease_expirations_total`` visible on ``/metrics``.
-2. **seeded faulty fleet** — in-process workers pull through a seeded
+2. **coordinator restart** — the daemon itself is SIGKILLed after a
+   worker finished one cell and while another cell is leased; a
+   restart on the same journals re-queues the leased cell, a fresh
+   worker finishes, ``/dist/assemble`` equals the oracle, every cell
+   is terminal exactly once, and SIGTERM drains with exit 0.
+3. **faulty fleet** — in-process workers pull through a seeded
    :class:`~repro.dist.faultnet.FaultyTransport` (refusals, torn
    bodies, duplicated deliveries, lost responses).  Whatever the
    channel does, reassembly must be byte-identical and every cell
    terminal exactly once.
-3. **partition while holding a lease** — a one-way partition grants a
-   lease whose response never reaches the worker (state mutated, owner
-   oblivious), then a total partition silences a live lease holder.
-   Both leases must expire and re-queue; the healed holder's late push
-   must be fenced off as stale, its heartbeat refused.
-4. **duplicate completion push + torn result body** — a verbatim
-   replay of an accepted completion must be discarded as a duplicate,
-   and a result string torn in flight must fail digest verification
-   with ``retry`` (so the worker re-pushes the true bytes, which are
-   then accepted).
+4. **partition** — a one-way partition grants a lease whose response
+   never reaches the worker (state mutated, owner oblivious), then a
+   total partition silences a live lease holder.  Both leases must
+   expire and re-queue; the healed holder's late push must be fenced
+   off as stale, its heartbeat refused.
+5. **duplicate push** — a verbatim replay of an accepted completion
+   must be discarded as a duplicate.
+6. **torn body** — a result string torn in flight must fail digest
+   verification with ``retry`` (so the worker re-pushes the true
+   bytes, which are then accepted), and a torn wire body is a 400.
 
 Exit codes match :mod:`repro.harness.chaos`: 0 pass, 1 verification
 failure.
@@ -33,10 +38,11 @@ failure.
 from __future__ import annotations
 
 import os
-import tempfile
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from collections import Counter
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.config import GPUConfig
 from repro.dist.coordinator import DistCoordinator
@@ -50,10 +56,12 @@ from repro.harness.chaos import (
     Campaign,
     Daemon,
     Proc,
+    Scenario,
+    campaign_cells,
     on_engine,
     oracle,
-    terminal_once,
     tiny,
+    wait_for,
 )
 from repro.parallel.cells import Cell, execute_cell
 from repro.prof.registry import MetricsRegistry
@@ -68,617 +76,493 @@ SWEEP_TIMEOUT = 180.0
 KILL_LEASE_TTL = 2.0
 
 
-def _matrix(quick: bool, workloads: Optional[List[str]] = None) -> List[Cell]:
+def _matrix(campaign: Campaign) -> List[Cell]:
     """The campaign sweep: one deliberately slow cell, then tiny ones.
 
     The first cell runs for north of a second on purpose — it is the
     SIGKILL window.  Tiny cells finish in ~0.1 s, far too fast to
     reliably murder a worker mid-cell.
     """
-
-    def pick(index: int, default: str) -> str:
-        if workloads is None:
-            return default
-        return workloads[index % len(workloads)]
-
     slow = GPUConfig.preset(
         "naive", num_cores=4, warps_per_core=48, warp_width=32
     )
-    cells = [
-        Cell(label="slow", workload=pick(0, "bfs"), config=slow,
-             miss_scale=1.0),
-        Cell(label="aug", workload=pick(1, "kmeans"),
-             config=tiny("augmented"), miss_scale=1.0),
-        Cell(label="base", workload=pick(2, "bfs"), config=tiny("no_tlb"),
-             miss_scale=1.0),
+    rows = [
+        ("slow", "bfs", slow),
+        ("aug", "kmeans", tiny("augmented")),
+        ("base", "bfs", tiny("no_tlb")),
     ]
-    if not quick:
-        cells += [
-            Cell(label="naive", workload=pick(3, "kmeans"),
-                 config=tiny("naive"), miss_scale=1.0),
-            Cell(label="ideal", workload=pick(4, "bfs"),
-                 config=tiny("ideal"), miss_scale=1.0),
+    if not campaign.quick:
+        rows += [
+            ("naive", "kmeans", tiny("naive")),
+            ("ideal", "bfs", tiny("ideal")),
         ]
-    return cells
+    return campaign_cells(campaign, rows)
 
 
-def _drive_to_terminal(
-    coordinator: DistCoordinator,
-    worker: DistWorker,
-    deadline_s: float = SWEEP_TIMEOUT,
-) -> bool:
-    """Step ``worker`` until every cell is terminal (False = timed out)."""
-    deadline = time.monotonic() + deadline_s
-    while not coordinator.all_terminal():
-        if time.monotonic() > deadline:
-            return False
-        coordinator.maintain()
-        worker.step()
-    return True
-
-
-def _worker(coordinator_url: str, worker_id: str) -> Proc:
+def _worker(daemon: Daemon, worker_id: str, *args: str) -> Proc:
     """A ``python -m repro.harness worker`` subprocess, SIGKILL-able."""
     return Proc(
-        "repro.harness", "worker", "--coordinator", coordinator_url,
-        "--id", worker_id, "--poll", "0.05",
+        "repro.harness", "worker", "--coordinator", daemon.base_url,
+        "--id", worker_id, "--poll", "0.05", *args,
     )
 
 
-def _scenario_worker_sigkill(
-    campaign: Campaign,
-    cells: List[Cell],
-    expected: List[str],
+def _run_worker(
+    c: Campaign, daemon: Daemon, worker_id: str, cells: int
 ) -> None:
-    """Scenario 1: SIGKILL a real worker holding a real lease."""
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-dist-") as tmp:
-        dist_journal = os.path.join(tmp, "cells.jsonl")
-        daemon = Daemon(
-            tmp, "a",
-            "--journal", os.path.join(tmp, "serve-journal.jsonl"),
-            "--dist-journal", dist_journal,
-            "--dist-lease-ttl", str(KILL_LEASE_TTL),
-            "--dist-max-attempts", "5",
-        )
-        transport = HttpTransport(daemon.base_url)
-        victim = replacement = None
-        try:
-            status, body = transport.request(
-                "POST",
-                "/dist/shard",
-                {"cells": [cell_to_wire(cell) for cell in cells]},
-            )
-            if status != 200:
-                campaign.fail(f"sigkill: shard returned {status}: {body}")
-                return
-            keys = body["keys"]
-            campaign.step("sharded", f"{len(keys)} cells via /dist/shard")
+    """Run a worker until it has finished ``cells`` cells; it exits 0."""
+    proc = _worker(daemon, worker_id, "--max-cells", str(cells))
+    code = proc.wait(SWEEP_TIMEOUT)
+    c.check(code == 0, f"worker {worker_id} exited {code}")
 
-            # One worker alone, so the lease we see is necessarily its.
-            victim = _worker(daemon.base_url, "w-victim")
-            held: Optional[Dict[str, Any]] = None
-            deadline = time.monotonic() + STARTUP_TIMEOUT
-            while time.monotonic() < deadline:
-                _, view = transport.request("GET", "/dist/status")
-                leases = [
-                    lease
-                    for lease in view.get("leases", [])
-                    if lease.get("owner") == "w-victim"
-                ]
-                if leases:
-                    held = leases[0]
-                    break
-                time.sleep(0.02)
-            if held is None:
-                campaign.fail(
-                    "sigkill: the victim worker never appeared as a "
-                    "lease owner in /dist/status"
-                )
-                return
+
+def _shard(c: Campaign, http: HttpTransport) -> List[str]:
+    """``POST /dist/shard`` the campaign's cells; their keys."""
+    wires = [cell_to_wire(cell) for cell in c.cells]
+    status, body = http.request("POST", "/dist/shard", {"cells": wires})
+    if status != 200:
+        raise RuntimeError(f"shard returned {status}: {body}")
+    c.step("sharded", f"{len(body['keys'])} cells via /dist/shard")
+    return body["keys"]
+
+
+def _assembled(http: HttpTransport, keys: List[str]) -> Optional[List[Dict]]:
+    """The ``/dist/assemble`` rows once every cell is terminal."""
+    status, body = http.request("POST", "/dist/assemble", {"keys": keys})
+    return body["cells"] if status == 200 and body.get("complete") else None
+
+
+def _lease_of(http: HttpTransport, worker: str) -> Optional[Dict[str, Any]]:
+    """A lease ``/dist/status`` shows ``worker`` holding."""
+    _, view = http.request("GET", "/dist/status")
+    owned = [lease for lease in view.get("leases", [])
+             if lease.get("owner") == worker]
+    return owned[0] if owned else None
+
+
+def worker_sigkill(c: Campaign) -> str:
+    """SIGKILL a real worker holding a real lease; a replacement ends
+    the sweep once the lease expires."""
+    journal = os.path.join(c.tmp, "sigkill-cells.jsonl")
+    with Daemon(
+        c.tmp, "sigkill",
+        "--journal", os.path.join(c.tmp, "sigkill-jobs.jsonl"),
+        "--dist-journal", journal,
+        "--dist-lease-ttl", str(KILL_LEASE_TTL),
+        "--dist-max-attempts", "5",
+    ) as daemon:
+        http = HttpTransport(daemon.base_url)
+        keys = _shard(c, http)
+        # One worker alone, so the lease we see is necessarily its.
+        with _worker(daemon, "w-victim") as victim:
+            held = wait_for(
+                lambda: _lease_of(http, "w-victim"),
+                STARTUP_TIMEOUT,
+                "lease owned by the victim worker in /dist/status",
+            )
             victim.kill()
-            campaign.step(
-                "worker SIGKILLed",
-                f"held {held['key'][:12]}… attempt {held['attempt']}",
+        c.step(
+            "worker SIGKILLed",
+            f"held {held['key'][:12]}… attempt {held['attempt']}",
+        )
+        with _worker(daemon, "w-replacement"):
+            rows = wait_for(
+                lambda: _assembled(http, keys),
+                SWEEP_TIMEOUT,
+                "completed sweep after the kill",
             )
-
-            # A replacement (plus lease expiry) must finish the sweep.
-            replacement = _worker(daemon.base_url, "w-replacement")
-            deadline = time.monotonic() + SWEEP_TIMEOUT
-            assembled: Optional[Dict[str, Any]] = None
-            while time.monotonic() < deadline:
-                status, assembled = transport.request(
-                    "POST", "/dist/assemble", {"keys": keys}
-                )
-                if status == 200 and assembled.get("complete"):
-                    break
-                time.sleep(0.1)
-            else:
-                campaign.fail(
-                    "sigkill: the sweep never completed after the kill"
-                )
-                return
-
-            rows = assembled["cells"]
-            not_done = [r["key"] for r in rows if r["state"] != "done"]
-            if not_done:
-                campaign.fail(
-                    f"sigkill: cells ended non-done after recovery: "
-                    f"{not_done}"
-                )
-            reassembled = [row["result"] for row in rows]
-            identical = reassembled == expected
-            if not identical:
-                campaign.fail(
-                    "sigkill: reassembled results are not byte-identical "
-                    "to the serial oracle"
-                )
-            complaint = terminal_once(
-                CellJournal.terminal_counts(dist_journal), keys
-            )
-            if complaint:
-                campaign.fail(f"sigkill: {complaint}")
-            expirations = daemon.metrics_value(
-                "dist_lease_expirations_total"
-            )
-            if expirations < 1:
-                campaign.fail(
-                    "sigkill: dist_lease_expirations_total never "
-                    "incremented — the dead worker's lease never expired"
-                )
-            campaign.step(
-                "worker sigkill",
-                f"expirations={expirations:.0f}, "
-                + ("identical" if identical else "MISMATCH"),
-            )
-        finally:
-            for proc in (victim, replacement):
-                if proc is not None:
-                    proc.kill()
-            daemon.kill()
+        not_done = [row["key"] for row in rows if row["state"] != "done"]
+        c.check(
+            not not_done, f"cells ended non-done after recovery: {not_done}"
+        )
+        verdict = c.verdict(
+            [row["result"] for row in rows],
+            counts=CellJournal.terminal_counts(journal),
+            keys=keys,
+        )
+        expirations = daemon.metrics_value("dist_lease_expirations_total")
+    c.check(
+        expirations >= 1,
+        "dist_lease_expirations_total never incremented — the dead "
+        "worker's lease never expired",
+    )
+    return f"expirations={expirations:.0f}, {verdict}"
 
 
-def _scenario_faulty_fleet(
-    campaign: Campaign,
-    seed: int,
-    cells: List[Cell],
-    expected: List[str],
-) -> None:
-    """Scenario 2: an in-process fleet behind seeded channel faults."""
+def coordinator_restart(c: Campaign) -> str:
+    """SIGKILL the coordinator while a lease is held; a restart on the
+    same journals finishes the sweep."""
+    journal = os.path.join(c.tmp, "restart-cells.jsonl")
+    journals = (
+        "--journal", os.path.join(c.tmp, "restart-jobs.jsonl"),
+        "--dist-journal", journal,
+    )
+    with Daemon(c.tmp, "restart-a", *journals) as daemon:
+        http = HttpTransport(daemon.base_url)
+        keys = _shard(c, http)
+        _run_worker(c, daemon, "w-before", 1)
+        # Another cell is mid-lease when the coordinator dies.
+        _, body = http.request("POST", "/dist/lease", {"worker": "doomed"})
+        held = body["lease"]
+        if held is None:
+            raise RuntimeError(f"no cell left to hold under a lease: {body}")
+        daemon.kill()
+    with Daemon(c.tmp, "restart-b", *journals) as daemon:
+        http = HttpTransport(daemon.base_url)
+        _run_worker(c, daemon, "w-after", len(keys) - 1)
+        rows = wait_for(
+            lambda: _assembled(http, keys),
+            SWEEP_TIMEOUT,
+            "completed sweep after the restart",
+        )
+        code = daemon.terminate()
+    c.check(code == 0, f"graceful drain exited {code} (want 0)")
+    verdict = c.verdict(
+        [row["result"] for row in rows],
+        counts=CellJournal.terminal_counts(journal),
+        keys=keys,
+    )
+    return f"held {held['key'][:12]}… at the SIGKILL, {verdict}"
+
+
+@contextmanager
+def coordinator(
+    c: Campaign, tag: str, **options: Any
+) -> Iterator[DistCoordinator]:
+    """An in-process :class:`DistCoordinator` on a fresh cell journal,
+    with its own metrics registry; closed on exit."""
+    journal = os.path.join(c.tmp, f"{tag}-cells.jsonl")
+    coord = DistCoordinator(journal, registry=MetricsRegistry(), **options)
+    try:
+        yield coord
+    finally:
+        coord.close()
+
+
+def _drive(coord: DistCoordinator, worker: DistWorker, what: str) -> None:
+    """Step ``worker`` until every cell is terminal."""
+
+    def terminal() -> bool:
+        if coord.all_terminal():
+            return True
+        coord.maintain()
+        worker.step()
+        return False
+
+    wait_for(terminal, 60.0, what)
+
+
+def _cell_verdict(
+    c: Campaign, coord: DistCoordinator, keys: List[str], expected: List[str]
+) -> str:
+    """The recovery verdict on an in-process coordinator's cells."""
+    return c.verdict(
+        coord.result_strings(keys),
+        expected,
+        CellJournal.terminal_counts(coord.ledger.journal.path),
+        keys,
+    )
+
+
+def faulty_fleet(c: Campaign) -> str:
+    """An in-process fleet behind seeded channel faults."""
     spec = FaultSpec(
         refuse=0.10, tear=0.08, duplicate=0.15, drop_response=0.15
     )
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-dist-") as tmp:
-        registry = MetricsRegistry()
-        coordinator = DistCoordinator(
-            os.path.join(tmp, "cells.jsonl"),
-            registry=registry,
-            lease_ttl=3.0,
-            max_attempts=8,
-            backoff_seed=seed,
-        )
+    with coordinator(
+        c, "fleet", lease_ttl=3.0, max_attempts=8, backoff_seed=c.seed
+    ) as coord:
+        keys = coord.submit_cells(c.cells)
+        transports = [
+            FaultyTransport(LocalTransport(coord), spec, seed=c.seed * 101 + i)
+            for i in range(2)
+        ]
+        workers = [
+            DistWorker(
+                transport,
+                worker_id=f"faulty-{i}",
+                poll_s=0.02,
+                push_retries=24,
+                backoff_seed=c.seed + i,
+            )
+            for i, transport in enumerate(transports)
+        ]
+        threads = [
+            threading.Thread(
+                target=worker.run, kwargs={"idle_exit_s": 1.0}, daemon=True
+            )
+            for worker in workers
+        ]
+        for thread in threads:
+            thread.start()
+
+        def drained() -> bool:
+            coord.maintain()
+            return not any(thread.is_alive() for thread in threads)
+
         try:
-            keys = coordinator.submit_cells(cells)
-            transports = [
-                FaultyTransport(
-                    LocalTransport(coordinator), spec, seed=seed * 101 + i
-                )
-                for i in range(2)
-            ]
-            workers = [
-                DistWorker(
-                    transport,
-                    worker_id=f"faulty-{i}",
-                    poll_s=0.02,
-                    push_retries=24,
-                    backoff_seed=seed + i,
-                )
-                for i, transport in enumerate(transports)
-            ]
-            threads = [
-                threading.Thread(
-                    target=worker.run,
-                    kwargs={"idle_exit_s": 1.0},
-                    daemon=True,
-                )
-                for worker in workers
-            ]
-            for thread in threads:
-                thread.start()
-            deadline = time.monotonic() + SWEEP_TIMEOUT
-            while any(t.is_alive() for t in threads):
-                if time.monotonic() > deadline:
-                    campaign.fail("faulty fleet: workers never drained")
-                    for worker in workers:
-                        worker.stop.set()
-                    break
-                coordinator.maintain()
-                time.sleep(0.05)
+            wait_for(drained, SWEEP_TIMEOUT, "drain of the faulty fleet")
+        finally:
+            for worker in workers:
+                worker.stop.set()
             for thread in threads:
                 thread.join(timeout=10)
-
-            # Backoff'd re-queues can outlive the fleet's idle-exit; a
-            # clean sweeper drains the stragglers (still exactly-once).
-            if not coordinator.all_terminal():
-                sweeper = DistWorker(
-                    LocalTransport(coordinator),
-                    worker_id="sweeper",
-                    poll_s=0.02,
-                )
-                if not _drive_to_terminal(coordinator, sweeper, 60.0):
-                    campaign.fail(
-                        "faulty fleet: cells still non-terminal after "
-                        "the clean sweeper"
-                    )
-                    return
-
-            counts = coordinator.counts()
-            if counts.get("failed"):
-                campaign.fail(
-                    f"faulty fleet: {counts['failed']} cell(s) failed "
-                    "structurally — channel faults must never poison a "
-                    "cell"
-                )
-            strings = coordinator.result_strings(keys)
-            identical = strings == expected
-            if not identical:
-                campaign.fail(
-                    "faulty fleet: reassembled results are not "
-                    "byte-identical to the serial oracle"
-                )
-            complaint = terminal_once(
-                CellJournal.terminal_counts(coordinator.ledger.journal.path), keys
-            )
-            if complaint:
-                campaign.fail(f"faulty fleet: {complaint}")
-            injected: Dict[str, int] = {}
-            for transport in transports:
-                for name, count in transport.injected.items():
-                    injected[name] = injected.get(name, 0) + count
-            if sum(injected.values()) < 3:
-                campaign.fail(
-                    f"faulty fleet: almost no faults injected "
-                    f"({injected}) — the campaign proved nothing"
-                )
-            campaign.step(
-                "faulty fleet",
-                f"injected={injected}, "
-                + ("identical" if identical else "MISMATCH"),
-            )
-        finally:
-            coordinator.close()
+        # Backoff'd re-queues can outlive the fleet's idle-exit; a
+        # clean sweeper drains the stragglers (still exactly-once).
+        sweeper = DistWorker(
+            LocalTransport(coord), worker_id="sweeper", poll_s=0.02
+        )
+        _drive(coord, sweeper, "terminal cells after the clean sweeper")
+        failed = coord.counts().get("failed")
+        c.check(
+            not failed,
+            f"{failed} cell(s) failed structurally — channel faults must "
+            "never poison a cell",
+        )
+        verdict = _cell_verdict(c, coord, keys, c.expected)
+    injected: Counter = Counter()
+    for transport in transports:
+        injected.update(transport.injected)
+    c.check(
+        sum(injected.values()) >= 3,
+        f"almost no faults injected ({dict(injected)}) — the campaign "
+        "proved nothing",
+    )
+    return f"injected={dict(injected)}, {verdict}"
 
 
-def _scenario_partition(
-    campaign: Campaign,
-    seed: int,
-    engine: Optional[str],
-) -> None:
-    """Scenario 3: partitions around a live lease holder."""
+def _cells(c: Campaign, *rows: tuple) -> List[Cell]:
+    """A scenario's own cells: ``(label, workload, preset)`` rows on tiny
+    machines and the campaign's engine."""
+    return [
+        on_engine(
+            Cell(label=label, workload=workload, config=tiny(preset),
+                 miss_scale=1.0),
+            c.engine,
+        )
+        for label, workload, preset in rows
+    ]
+
+
+def _lost(channel: FaultyTransport, path: str, body: Dict[str, Any]) -> bool:
+    """Whether a POST met a partition (no response reached the caller)."""
+    try:
+        channel.request("POST", path, body)
+    except ConnectionError:
+        return True
+    return False
+
+
+def partition(c: Campaign) -> str:
+    """Partitions around a live lease holder."""
     ttl = 0.3
-    cells = [
-        on_engine(
-            Cell(label="p1", workload="bfs", config=tiny("naive"),
-                 miss_scale=1.0),
-            engine,
-        ),
-        on_engine(
-            Cell(label="p2", workload="bfs", config=tiny("augmented"),
-                 miss_scale=1.0),
-            engine,
-        ),
-    ]
+    cells = _cells(c, ("p1", "bfs", "naive"), ("p2", "bfs", "augmented"))
     expected = oracle(cells)
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-dist-") as tmp:
-        registry = MetricsRegistry()
-        coordinator = DistCoordinator(
-            os.path.join(tmp, "cells.jsonl"),
-            registry=registry,
-            lease_ttl=ttl,
-            max_attempts=6,
-            backoff_seed=seed,
+    with coordinator(
+        c, "partition", lease_ttl=ttl, max_attempts=6, backoff_seed=c.seed
+    ) as coord:
+        keys = coord.submit_cells(cells)
+        channel = FaultyTransport(
+            LocalTransport(coord), FaultSpec(), seed=c.seed
         )
-        try:
-            keys = coordinator.submit_cells(cells)
-            channel = FaultyTransport(
-                LocalTransport(coordinator), FaultSpec(), seed=seed
-            )
 
-            # One-way partition: the lease request LANDS (coordinator
-            # state mutates) but the response is lost — the owner never
-            # learns it holds anything.  The worst case for fencing.
-            channel.partition(one_way=True)
-            try:
-                channel.request("POST", "/dist/lease", {"worker": "wA"})
-                campaign.fail(
-                    "partition: a one-way partition returned a response"
-                )
-            except ConnectionError:
-                pass
-            channel.heal()
-            orphaned = [
-                lease
-                for lease in coordinator.status()["leases"]
-                if lease["owner"] == "wA"
-            ]
-            if not orphaned:
-                campaign.fail(
-                    "partition: the one-way-partitioned lease request "
-                    "did not land coordinator-side"
-                )
-            campaign.step(
-                "one-way partition",
-                f"orphaned lease: {bool(orphaned)}",
-            )
-            # The oblivious owner never heartbeats; the lease expires.
-            time.sleep(ttl * 1.5)
-            coordinator.maintain()
-
-            # Now a knowing holder: wA leases legitimately, computes its
-            # result — then a TOTAL partition silences it past the TTL.
-            status, body = channel.request(
-                "POST", "/dist/lease", {"worker": "wA"}
-            )
-            lease = body.get("lease")
-            if lease is None:
-                campaign.fail(
-                    "partition: wA could not re-lease after the one-way "
-                    "orphan expired"
-                )
-                return
-            held_key, held_attempt = lease["key"], lease["attempt"]
-            held_cell = cell_from_wire(lease["cell"])
-            late_result = execute_cell(held_cell).canonical_json()
-            channel.partition(one_way=False)
-            try:
-                channel.request(
-                    "POST",
-                    "/dist/heartbeat",
-                    {"worker": "wA", "key": held_key,
-                     "attempt": held_attempt},
-                )
-                campaign.fail(
-                    "partition: a total partition let a heartbeat through"
-                )
-            except ConnectionError:
-                pass
-            time.sleep(ttl * 1.5)
-            coordinator.maintain()
-            expirations = registry.counter(
-                "dist_lease_expirations_total"
-            ).value()
-            if expirations < 2:
-                campaign.fail(
-                    f"partition: {expirations:.0f} lease expiration(s) "
-                    "recorded (want 2: the orphan and the silenced holder)"
-                )
-
-            # wB finishes the whole sweep while wA is partitioned away.
-            wb = DistWorker(
-                LocalTransport(coordinator), worker_id="wB", poll_s=0.02
-            )
-            if not _drive_to_terminal(coordinator, wb, 60.0):
-                campaign.fail("partition: wB never drained the sweep")
-                return
-
-            # The partition heals; wA pushes its stale result and
-            # heartbeats.  Both must bounce off the fence.
-            channel.heal()
-            status, body = channel.request(
-                "POST",
-                "/dist/complete",
-                completion_push(
-                    "wA", held_key, held_attempt, held_cell, late_result
-                ),
-            )
-            if body.get("accepted") or body.get("retry"):
-                campaign.fail(
-                    f"partition: the healed holder's stale push was not "
-                    f"discarded ({body})"
-                )
-            stale = registry.counter("dist_stale_results_total")
-            if stale.value(reason="duplicate") + stale.value(
-                reason="fenced"
-            ) < 1:
-                campaign.fail(
-                    "partition: dist_stale_results_total never counted "
-                    "the stale push"
-                )
-            status, body = channel.request(
-                "POST",
-                "/dist/heartbeat",
-                {"worker": "wA", "key": held_key, "attempt": held_attempt},
-            )
-            if body.get("ok"):
-                campaign.fail(
-                    "partition: the healed holder's heartbeat was renewed "
-                    "despite the fence"
-                )
-
-            strings = coordinator.result_strings(keys)
-            identical = strings == expected
-            if not identical:
-                campaign.fail(
-                    "partition: reassembled results are not byte-identical "
-                    "to the serial oracle"
-                )
-            complaint = terminal_once(
-                CellJournal.terminal_counts(coordinator.ledger.journal.path), keys
-            )
-            if complaint:
-                campaign.fail(f"partition: {complaint}")
-            campaign.step(
-                "partition",
-                f"expirations={expirations:.0f}, stale push "
-                f"{body.get('ok') and 'LEAKED' or 'fenced'}, "
-                + ("identical" if identical else "MISMATCH"),
-            )
-        finally:
-            coordinator.close()
-
-
-def _scenario_duplicate_and_torn(
-    campaign: Campaign,
-    seed: int,
-    engine: Optional[str],
-) -> None:
-    """Scenario 4: replayed completion pushes and torn result bodies."""
-    cells = [
-        on_engine(
-            Cell(label="d1", workload="kmeans", config=tiny("naive"),
-                 miss_scale=1.0),
-            engine,
-        ),
-        on_engine(
-            Cell(label="d2", workload="kmeans", config=tiny("augmented"),
-                 miss_scale=1.0),
-            engine,
-        ),
-    ]
-    expected = oracle(cells)
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-dist-") as tmp:
-        registry = MetricsRegistry()
-        coordinator = DistCoordinator(
-            os.path.join(tmp, "cells.jsonl"),
-            registry=registry,
-            lease_ttl=30.0,
-            max_attempts=3,
+        # One-way partition: the lease request LANDS (coordinator
+        # state mutates) but the response is lost — the owner never
+        # learns it holds anything.  The worst case for fencing.
+        channel.partition(one_way=True)
+        c.check(
+            _lost(channel, "/dist/lease", {"worker": "wA"}),
+            "a one-way partition returned a response",
         )
-        try:
-            keys = coordinator.submit_cells(cells)
-            channel = LocalTransport(coordinator)
+        channel.heal()
+        orphaned = [
+            lease
+            for lease in coord.status()["leases"]
+            if lease["owner"] == "wA"
+        ]
+        c.check(
+            orphaned,
+            "the one-way-partitioned lease request did not land "
+            "coordinator-side",
+        )
+        c.step("one-way partition", f"orphaned lease: {bool(orphaned)}")
+        # The oblivious owner never heartbeats; the lease expires.
+        time.sleep(ttl * 1.5)
+        coord.maintain()
 
-            # -- duplicate completion push ----------------------------
-            _, body = channel.request(
-                "POST", "/dist/lease", {"worker": "w1"}
+        # Now a knowing holder: wA leases legitimately, computes its
+        # result — then a TOTAL partition silences it past the TTL.
+        _, body = channel.request("POST", "/dist/lease", {"worker": "wA"})
+        lease = body.get("lease")
+        if lease is None:
+            raise RuntimeError(
+                "wA could not re-lease after the one-way orphan expired"
             )
-            lease = body["lease"]
-            cell = cell_from_wire(lease["cell"])
-            result_json = execute_cell(cell).canonical_json()
-            push = completion_push(
-                "w1", lease["key"], lease["attempt"], cell, result_json
-            )
-            _, first = channel.request("POST", "/dist/complete", push)
-            _, replay = channel.request("POST", "/dist/complete", push)
-            if not first.get("accepted"):
-                campaign.fail(
-                    f"duplicate: the first push was not accepted ({first})"
-                )
-            if replay.get("accepted") or replay.get("retry"):
-                campaign.fail(
-                    f"duplicate: the replayed push was not discarded "
-                    f"({replay})"
-                )
-            if replay.get("reason") != "duplicate":
-                campaign.fail(
-                    f"duplicate: replay reason {replay.get('reason')!r} "
-                    "(want 'duplicate')"
-                )
-            if registry.counter("dist_stale_results_total").value(
+        beat = {
+            "worker": "wA", "key": lease["key"], "attempt": lease["attempt"]
+        }
+        held_cell = cell_from_wire(lease["cell"])
+        late_result = execute_cell(held_cell).canonical_json()
+        channel.partition(one_way=False)
+        c.check(
+            _lost(channel, "/dist/heartbeat", beat),
+            "a total partition let a heartbeat through",
+        )
+        time.sleep(ttl * 1.5)
+        coord.maintain()
+        expirations = coord.registry.counter(
+            "dist_lease_expirations_total"
+        ).value()
+        c.check(
+            expirations >= 2,
+            f"{expirations:.0f} lease expiration(s) recorded (want 2: the "
+            "orphan and the silenced holder)",
+        )
+
+        # wB finishes the whole sweep while wA is partitioned away.
+        wb = DistWorker(LocalTransport(coord), worker_id="wB", poll_s=0.02)
+        _drive(coord, wb, "sweep drained by wB")
+
+        # The partition heals; wA pushes its stale result and
+        # heartbeats.  Both must bounce off the fence.
+        channel.heal()
+        _, body = channel.request(
+            "POST",
+            "/dist/complete",
+            completion_push(
+                "wA", lease["key"], lease["attempt"], held_cell, late_result
+            ),
+        )
+        c.check(
+            not (body.get("accepted") or body.get("retry")),
+            f"the healed holder's stale push was not discarded ({body})",
+        )
+        stale = coord.registry.counter("dist_stale_results_total")
+        c.check(
+            stale.value(reason="duplicate") + stale.value(reason="fenced")
+            >= 1,
+            "dist_stale_results_total never counted the stale push",
+        )
+        _, body = channel.request("POST", "/dist/heartbeat", beat)
+        c.check(
+            not body.get("ok"),
+            "the healed holder's heartbeat was renewed despite the fence",
+        )
+        verdict = _cell_verdict(c, coord, keys, expected)
+    return (
+        f"expirations={expirations:.0f}, stale push "
+        f"{body.get('ok') and 'LEAKED' or 'fenced'}, {verdict}"
+    )
+
+
+def _leased_push(
+    channel: LocalTransport, worker: str
+) -> Tuple[str, Dict[str, Any]]:
+    """Lease a cell as ``worker`` and run it: its true result string
+    and the completion push carrying it."""
+    _, body = channel.request("POST", "/dist/lease", {"worker": worker})
+    lease = body["lease"]
+    cell = cell_from_wire(lease["cell"])
+    result_json = execute_cell(cell).canonical_json()
+    push = completion_push(
+        worker, lease["key"], lease["attempt"], cell, result_json
+    )
+    return result_json, push
+
+
+def duplicate_push(c: Campaign) -> str:
+    """A verbatim replay of an accepted completion push."""
+    cells = _cells(c, ("d1", "kmeans", "naive"))
+    with coordinator(c, "duplicate", lease_ttl=30.0, max_attempts=3) as coord:
+        keys = coord.submit_cells(cells)
+        channel = LocalTransport(coord)
+        _, push = _leased_push(channel, "w1")
+        _, first = channel.request("POST", "/dist/complete", push)
+        _, replay = channel.request("POST", "/dist/complete", push)
+        c.check(
+            first.get("accepted"), f"the first push was not accepted ({first})"
+        )
+        c.check(
+            not (replay.get("accepted") or replay.get("retry")),
+            f"the replayed push was not discarded ({replay})",
+        )
+        c.check(
+            replay.get("reason") == "duplicate",
+            f"replay reason {replay.get('reason')!r} (want 'duplicate')",
+        )
+        c.check(
+            coord.registry.counter("dist_stale_results_total").value(
                 reason="duplicate"
-            ) < 1:
-                campaign.fail(
-                    "duplicate: dist_stale_results_total{duplicate} "
-                    "never incremented"
-                )
-            campaign.step("duplicate push", f"replay → {replay}")
+            ) >= 1,
+            "dist_stale_results_total{duplicate} never incremented",
+        )
+        verdict = _cell_verdict(c, coord, keys, oracle(cells))
+    return f"replay → {replay}, {verdict}"
 
-            # -- torn result body -------------------------------------
-            _, body = channel.request(
-                "POST", "/dist/lease", {"worker": "w2"}
-            )
-            lease = body["lease"]
-            cell = cell_from_wire(lease["cell"])
-            result_json = execute_cell(cell).canonical_json()
-            torn = completion_push(
-                "w2", lease["key"], lease["attempt"], cell, result_json
-            )
-            # The result string tore in flight; the digest is over the
-            # true bytes, so verification must catch it.
-            torn["result"] = result_json[: len(result_json) // 2]
-            status, verdict = channel.request(
-                "POST", "/dist/complete", torn
-            )
-            if status != 400 or verdict.get("accepted"):
-                campaign.fail(
-                    f"torn body: the torn push was accepted "
-                    f"({status}, {verdict})"
-                )
-            if not verdict.get("retry") or verdict.get("reason") != "digest":
-                campaign.fail(
-                    f"torn body: expected a retryable digest rejection, "
-                    f"got {verdict}"
-                )
-            if registry.counter("dist_rejected_results_total").value(
+
+def torn_body(c: Campaign) -> str:
+    """A result string torn in flight, then a torn wire body."""
+    cells = _cells(c, ("d2", "kmeans", "augmented"))
+    with coordinator(c, "torn", lease_ttl=30.0, max_attempts=3) as coord:
+        keys = coord.submit_cells(cells)
+        channel = LocalTransport(coord)
+        result_json, push = _leased_push(channel, "w2")
+        # The result string tore in flight; the digest is over the
+        # true bytes, so verification must catch it.
+        torn = dict(push, result=result_json[: len(result_json) // 2])
+        status, verdict = channel.request("POST", "/dist/complete", torn)
+        c.check(
+            status == 400 and not verdict.get("accepted"),
+            f"the torn push was accepted ({status}, {verdict})",
+        )
+        c.check(
+            verdict.get("retry") and verdict.get("reason") == "digest",
+            f"expected a retryable digest rejection, got {verdict}",
+        )
+        c.check(
+            coord.registry.counter("dist_rejected_results_total").value(
                 reason="digest"
-            ) < 1:
-                campaign.fail(
-                    "torn body: dist_rejected_results_total{digest} "
-                    "never incremented"
-                )
-            # A whole-body tear (invalid JSON on the wire) must be a 400
-            # too, never a half-parsed push.
-            faulty = FaultyTransport(
-                LocalTransport(coordinator),
-                FaultSpec(tear=1.0),
-                seed=seed,
-            )
-            status, body2 = faulty.request(
-                "POST",
-                "/dist/complete",
-                dict(torn, result=result_json),
-            )
-            if status != 400:
-                campaign.fail(
-                    f"torn body: a torn wire body returned {status} "
-                    "(want 400)"
-                )
-            # The worker still holds the true bytes: the clean re-push
-            # must be accepted.
-            _, healed = channel.request(
-                "POST", "/dist/complete", dict(torn, result=result_json)
-            )
-            if not healed.get("accepted"):
-                campaign.fail(
-                    f"torn body: the clean re-push was rejected ({healed})"
-                )
-            campaign.step("torn body", f"verdict={verdict}, re-push ok")
-
-            strings = coordinator.result_strings(keys)
-            identical = strings == expected
-            if not identical:
-                campaign.fail(
-                    "duplicate/torn: results are not byte-identical to "
-                    "the serial oracle"
-                )
-            complaint = terminal_once(
-                CellJournal.terminal_counts(coordinator.ledger.journal.path), keys
-            )
-            if complaint:
-                campaign.fail(f"duplicate/torn: {complaint}")
-        finally:
-            coordinator.close()
+            ) >= 1,
+            "dist_rejected_results_total{digest} never incremented",
+        )
+        # A whole-body tear (invalid JSON on the wire) must be a 400
+        # too, never a half-parsed push.
+        faulty = FaultyTransport(
+            LocalTransport(coord), FaultSpec(tear=1.0), seed=c.seed
+        )
+        status, _ = faulty.request("POST", "/dist/complete", push)
+        c.check(
+            status == 400, f"a torn wire body returned {status} (want 400)"
+        )
+        # The worker still holds the true bytes: the clean re-push
+        # must be accepted.
+        _, healed = channel.request("POST", "/dist/complete", push)
+        c.check(
+            healed.get("accepted"),
+            f"the clean re-push was rejected ({healed})",
+        )
+        identical = _cell_verdict(c, coord, keys, oracle(cells))
+    return f"verdict={verdict}, re-push ok, {identical}"
 
 
-def run_dist_campaign(
-    *,
-    seed: int = 0,
-    quick: bool = False,
-    workloads: Optional[List[str]] = None,
-    verbose: bool = False,
-    engine: Optional[str] = None,
-) -> int:
+SCENARIOS: Dict[str, Scenario] = {
+    "worker sigkill": worker_sigkill,
+    "coordinator restart": coordinator_restart,
+    "faulty fleet": faulty_fleet,
+    "partition": partition,
+    "duplicate push": duplicate_push,
+    "torn body": torn_body,
+}
+
+
+def run_dist_campaign(**params: Any) -> int:
     """Execute the distributed campaign; returns the process exit code."""
-    campaign = Campaign("chaos[dist]", verbose)
-    cells = [on_engine(c, engine) for c in _matrix(quick, workloads)]
-
-    campaign.step("oracle", f"{len(cells)} cells, serial, in-process")
-    started = time.monotonic()
-    expected = oracle(cells)
-    campaign.step("oracle done", f"{time.monotonic() - started:.1f}s")
-
-    _scenario_worker_sigkill(campaign, cells, expected)
-    _scenario_faulty_fleet(campaign, seed, cells, expected)
-    _scenario_partition(campaign, seed, engine)
-    _scenario_duplicate_and_torn(campaign, seed, engine)
-
-    return campaign.exit_code(f"seed {seed}, {len(cells)} cells")
+    c = Campaign("chaos[dist]", **params)
+    c.cells = _matrix(c)
+    return c.run(
+        SCENARIOS,
+        "oracle",
+        f"{len(c.cells)} cells, serial, in-process",
+        lambda: oracle(c.cells),
+        lambda: f"seed {c.seed}, {len(c.cells)} cells",
+    )

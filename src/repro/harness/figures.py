@@ -144,7 +144,7 @@ def fig04_miss_latency(workloads: Optional[Sequence[str]] = None) -> FigureResul
         series=series,
         notes=[
             "The paper reports ~2x. Our walker prioritizes walk "
-            "references past data queues (see SharedMemory.access_line), "
+            "references past data queues (see SharedMemory.walk_load), "
             "so loaded ratios can drop below the unloaded ~2.5x "
             "(4 dependent L2-latency hops vs 1).",
         ],

@@ -165,23 +165,6 @@ class SetAssociativeCache:
             hit=False, evicted_line=evicted_line, evicted_warp=evicted_warp
         )
 
-    def fill(self, line_addr: int, warp_id: Optional[int] = None) -> CacheAccess:
-        """Install a line without counting a demand access (e.g. PTW fill)."""
-        cache_set = self._sets[self._set_index(line_addr)]
-        if line_addr in cache_set:
-            owner = cache_set.pop(line_addr)
-            cache_set[line_addr] = owner
-            return _HIT
-        evicted_line = None
-        evicted_warp = None
-        if len(cache_set) >= self.associativity:
-            evicted_line, evicted_warp = next(iter(cache_set.items()))
-            del cache_set[evicted_line]
-        cache_set[line_addr] = warp_id
-        return CacheAccess(
-            hit=False, evicted_line=evicted_line, evicted_warp=evicted_warp
-        )
-
     def invalidate(self, line_addr: int) -> bool:
         """Drop a line if present; return whether it was resident."""
         cache_set = self._sets[self._set_index(line_addr)]

@@ -193,13 +193,17 @@ class Workload:
 
         For alpha > 1 the rank follows the standard inverse-power
         transform rank ~ (1-u)^(-1/(alpha-1)); alpha <= 1 degenerates to
-        uniform.
+        uniform.  A draw so close to 1 that the power overflows a float
+        saturates at the last rank, as every draw past ``n`` does.
         """
         alpha = self.spec.zipf_alpha
         u = rng.random()
         if alpha <= 1.0:
             return min(int(u * n), n - 1)
-        rank = int((1.0 - u) ** (-1.0 / (alpha - 1.0))) - 1
+        try:
+            rank = int((1.0 - u) ** (-1.0 / (alpha - 1.0))) - 1
+        except OverflowError:
+            return n - 1
         return min(max(rank, 0), n - 1)
 
     def _sample_divergence(self, rng: random.Random, width: int) -> int:

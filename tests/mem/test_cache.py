@@ -88,12 +88,6 @@ class TestWarpTagging:
         assert result.evicted_line == 0
         assert result.evicted_warp == 7
 
-    def test_fill_does_not_count_demand(self):
-        cache = tiny_cache()
-        cache.fill(0)
-        assert cache.hits == 0 and cache.misses == 0
-        assert cache.access(0).hit
-
     def test_invalidate(self):
         cache = tiny_cache()
         cache.access(0)

@@ -1,12 +1,17 @@
 """Workload generator structure."""
 
+import dataclasses
+
 from hypothesis import given, settings, strategies as st
 
 from helpers import small_config, small_workload
 
+from repro.core.config import GPUConfig
 from repro.gpu.instruction import ComputeInstruction, MemoryInstruction
 from repro.gpu.tbc.blocks import ThreadBlock
 from repro.vm.address import PAGE_SIZE_4K
+from repro.workloads.base import TIMING_MISS_SCALE, Workload
+from repro.workloads.registry import get_spec
 
 
 class TestLinearForm:
@@ -91,6 +96,15 @@ class TestBlockForm:
             pass
         else:
             raise AssertionError("expected ValueError")
+
+    def test_zipf_overflow_saturates(self):
+        # mummergpu's alpha of 1.02 makes (1-u) ** -50 overflow a float
+        # for a draw within ~7e-7 of 1; this spec seed hits one.
+        spec = dataclasses.replace(get_spec("mummergpu"), seed=1268345039)
+        work = Workload(spec).build(
+            GPUConfig(), form="blocks", miss_scale=TIMING_MISS_SCALE
+        )
+        assert isinstance(work[0][0], ThreadBlock)
 
 
 class TestBuildMemo:
